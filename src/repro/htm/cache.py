@@ -7,6 +7,10 @@ M/S state, LRU, and the transactional read/write bits of Algorithm 1.
 
 Evicting a transactional line aborts the owning transaction (a
 *capacity abort*), exactly as Algorithm 1 line 4 prescribes.
+
+The lines that carry a transactional bit are also indexed in marking
+order, so commit and abort touch only the transaction's own lines
+instead of scanning every set.
 """
 
 from __future__ import annotations
@@ -53,9 +57,13 @@ class L1Cache:
 
     def __init__(self, params: MachineParams) -> None:
         self.params = params
+        self._n_sets = params.l1_sets
         self._sets: list[dict[int, CacheLine]] = [
             {} for _ in range(params.l1_sets)
         ]
+        # line -> entry for every resident line with a tx bit set
+        # (mark_tx adds, evict removes, commit/abort empty it)
+        self._tx: dict[int, CacheLine] = {}
         self._tick = 0
         # Ways temporarily unavailable to new fills (fault injection:
         # SMT-sibling / way-partitioning pressure).  Reduces the
@@ -70,11 +78,11 @@ class L1Cache:
 
     # -- lookup -----------------------------------------------------------
     def _set_of(self, line: int) -> dict[int, CacheLine]:
-        return self._sets[line % self.params.l1_sets]
+        return self._sets[line % self._n_sets]
 
     def lookup(self, line: int) -> CacheLine | None:
         """Find a resident line (does not touch LRU)."""
-        return self._set_of(line).get(line)
+        return self._sets[line % self._n_sets].get(line)
 
     def touch(self, entry: CacheLine) -> None:
         """Mark the line most-recently-used."""
@@ -119,6 +127,7 @@ class L1Cache:
         entry = bucket.pop(line, None)
         if entry is None:
             raise ProtocolError(f"evicting non-resident line {line}")
+        self._tx.pop(line, None)
         return entry
 
     # -- probes -------------------------------------------------------------
@@ -145,34 +154,30 @@ class L1Cache:
             entry.tx_write = True
         else:
             entry.tx_read = True
+        self._tx[line] = entry
 
     def clear_tx_bits(self) -> list[int]:
-        """Commit: clear every transactional bit; returns affected lines."""
-        cleared = []
-        for bucket in self._sets:
-            for entry in bucket.values():
-                if entry.transactional:
-                    entry.tx_read = entry.tx_write = False
-                    cleared.append(entry.line)
+        """Commit: clear every transactional bit; returns affected lines
+        (in marking order)."""
+        for entry in self._tx.values():
+            entry.tx_read = entry.tx_write = False
+        cleared = list(self._tx)
+        self._tx.clear()
         return cleared
 
     def invalidate_tx_lines(self) -> list[int]:
-        """Abort: drop every transactional line; returns dropped lines."""
-        dropped = []
-        for bucket in self._sets:
-            doomed = [ln for ln, e in bucket.items() if e.transactional]
-            for ln in doomed:
-                del bucket[ln]
-                dropped.append(ln)
+        """Abort: drop every transactional line; returns dropped lines
+        (in marking order)."""
+        sets, n_sets = self._sets, self._n_sets
+        dropped = list(self._tx)
+        for line in dropped:
+            del sets[line % n_sets][line]
+        self._tx.clear()
         return dropped
 
     def transactional_lines(self) -> list[int]:
-        return [
-            e.line
-            for bucket in self._sets
-            for e in bucket.values()
-            if e.transactional
-        ]
+        """Lines carrying a tx bit, in marking order."""
+        return list(self._tx)
 
     def resident_lines(self) -> list[int]:
         return [e.line for bucket in self._sets for e in bucket.values()]

@@ -118,9 +118,9 @@ class Core:
         self._dispatch(token, instr)
 
     def _dispatch(self, token: int, instr: object) -> None:
-        resume = lambda v=None, t=token: self._advance(t, v)  # noqa: E731
         if isinstance(instr, Compute):
-            self.sim.after(instr.cycles, resume, label="compute")
+            self.sim.after(instr.cycles, self._advance, token, None,
+                           label="compute")
         elif isinstance(instr, Read):
             self._issue(
                 token, instr.addr, write=False, value=None, cas=None
@@ -155,7 +155,7 @@ class Core:
                 )
             self.mem.abort_tx(AbortReason.EXPLICIT)
         elif isinstance(instr, Fence):
-            self.sim.after(1, resume, label="fence")
+            self.sim.after(1, self._advance, token, None, label="fence")
         else:
             raise SimulationError(
                 f"core {self.core_id}: unknown instruction {instr!r}"

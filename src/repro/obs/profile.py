@@ -3,8 +3,9 @@
 A :class:`PhaseProfiler` measures where a machine run spends real time:
 coarse phases (warmup / measure / drain, timed by ``Machine.run``) and
 per-event-label handler time inside the simulation kernel
-(``Simulator.step`` routes event firing through :meth:`record_fire`
-when a profiler is attached).
+(``Simulator.run`` routes event firing through :meth:`record_fire`
+when a profiler is attached).  It is the kernel's only per-label event
+counter.
 
 **Determinism note**: the profiler reads the host clock, but nothing it
 measures ever feeds back into the simulation — it is pure observation,

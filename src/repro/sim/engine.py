@@ -6,6 +6,10 @@ Design notes
   order (a monotonically increasing sequence number breaks heap ties).
   Deterministic tie-breaking is what makes every simulation in this
   repository exactly reproducible for a fixed seed.
+* **C-compared heap entries.**  The heap holds ``(time, seq, event)``
+  tuples, so ``heapq`` orders them with C float/int comparisons.
+  ``seq`` is unique, so two entries never get as far as comparing their
+  events.  The entry format is private to this module.
 * **Cancellation by invalidation.**  ``cancel()`` marks the event dead
   in O(1); dead events are skipped on pop (the standard lazy-deletion
   heap idiom — cheaper than heap surgery and amortized O(log n)).
@@ -13,7 +17,9 @@ Design notes
   from the live events) so long adversarial runs with heavy
   cancellation — grace timers killed by cycle aborts, fault-injected
   spurious aborts — keep memory proportional to live events instead of
-  growing without bound.
+  growing without bound.  Compaction rebuilds the heap list *in place*:
+  :meth:`Simulator.run` holds that list across handler calls, and a
+  handler may cancel enough events to compact mid-run.
 * **Watchdog.**  ``run(wall_deadline=...)`` checks the wall clock every
   few thousand events and raises
   :class:`~repro.errors.ExperimentTimeoutError` past the deadline — the
@@ -43,9 +49,9 @@ __all__ = ["Event", "EventQueue", "Simulator"]
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)``; ``seq`` is assigned by the queue.
-    ``__slots__`` keeps the per-event footprint flat — hot runs allocate
-    millions of these.
+    The queue orders events by ``(time, seq)``; ``seq`` is assigned when
+    the event is scheduled.  ``__slots__`` keeps the per-event footprint
+    flat — hot runs allocate millions of these.
     """
 
     time: float
@@ -61,9 +67,6 @@ class Event:
 
     def fire(self) -> None:
         self.handler(*self.args)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class EventQueue:
@@ -81,7 +84,8 @@ class EventQueue:
     COMPACT_MIN_DEAD = 64
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        # (time, seq, event) entries; the list object is never replaced
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
         self._dead = 0
@@ -89,8 +93,8 @@ class EventQueue:
     def push(self, event: Event) -> Event:
         if not math.isfinite(event.time):
             raise SimulationError(f"event time must be finite, got {event.time}")
-        event.seq = next(self._counter)
-        heapq.heappush(self._heap, event)
+        event.seq = seq = next(self._counter)
+        heapq.heappush(self._heap, (event.time, seq, event))
         self._live += 1
         return event
 
@@ -98,7 +102,7 @@ class EventQueue:
         """Pop the earliest live event, or None when empty."""
         heap, heappop = self._heap, heapq.heappop
         while heap:
-            event = heappop(heap)
+            event = heappop(heap)[2]
             if event.cancelled:
                 self._dead -= 1
                 continue
@@ -108,10 +112,11 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event without popping it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
             self._dead -= 1
-        return self._heap[0].time if self._heap else None
+        return heap[0][0] if heap else None
 
     def cancel(self, event: Event) -> None:
         if not event.cancelled:
@@ -124,9 +129,14 @@ class EventQueue:
     def _compact(self) -> None:
         """Rebuild the heap from live events only.  ``heapify`` is O(n)
         and the (time, seq) ordering is preserved exactly, so firing
-        order — and therefore simulation determinism — is unaffected."""
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
+        order — and therefore simulation determinism — is unaffected.
+
+        The list is rebuilt in place: a running :meth:`Simulator.run`
+        holds it, and events scheduled into a replacement list would
+        never fire."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._dead = 0
 
     def heap_size(self) -> int:
@@ -150,21 +160,20 @@ class Simulator:
     floats; exactness holds below 2**53 cycles, far beyond any run).
     """
 
-    def __init__(self, *, profile: bool = False) -> None:
+    def __init__(self) -> None:
         self.queue = EventQueue()
         self.now = 0.0
         self.events_fired = 0
         self._running = False
-        # optional per-label event counts (cheap profiling: which
-        # component dominates the event stream)
-        self._profile: dict[str, int] | None = {} if profile else None
-        # optional repro.obs.profile.PhaseProfiler: when attached,
-        # step() routes handler firing through it (wall-clock handler
-        # timing + loop occupancy).  Pure observation — timings never
-        # feed the simulation, so determinism is untouched.
+        # optional repro.obs.profile.PhaseProfiler: when attached, run()
+        # routes handler firing through it (wall-clock handler timing +
+        # loop occupancy).  Pure observation — timings never feed the
+        # simulation, so determinism is untouched.
         self.profiler = None
 
     # -- scheduling -------------------------------------------------------
+    # at() and after() push onto the queue's heap directly: one Python
+    # call per scheduled event on the simulator's hottest path.
     def at(
         self,
         time: float,
@@ -177,7 +186,14 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: t={time} < now={self.now}"
             )
-        return self.queue.push(Event(time, handler, args, label))
+        if not math.isfinite(time):
+            raise SimulationError(f"event time must be finite, got {time}")
+        queue = self.queue
+        seq = next(queue._counter)
+        event = Event(time, handler, args, label, seq)
+        heapq.heappush(queue._heap, (time, seq, event))
+        queue._live += 1
+        return event
 
     def after(
         self,
@@ -189,32 +205,25 @@ class Simulator:
         """Schedule ``handler(*args)`` after a relative ``delay`` >= 0."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.at(self.now + delay, handler, *args, label=label)
+        now = self.now
+        time = now + delay
+        if time < now:
+            raise SimulationError(
+                f"cannot schedule into the past: t={time} < now={now}"
+            )
+        if not math.isfinite(time):
+            raise SimulationError(f"event time must be finite, got {time}")
+        queue = self.queue
+        seq = next(queue._counter)
+        event = Event(time, handler, args, label, seq)
+        heapq.heappush(queue._heap, (time, seq, event))
+        queue._live += 1
+        return event
 
     def cancel(self, event: Event) -> None:
         self.queue.cancel(event)
 
     # -- main loop ---------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next event; returns False when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        if event.time < self.now:
-            raise SimulationError(
-                f"event queue produced a past event: {event.time} < {self.now}"
-            )
-        self.now = event.time
-        self.events_fired += 1
-        if self._profile is not None:
-            label = event.label or "<unlabeled>"
-            self._profile[label] = self._profile.get(label, 0) + 1
-        if self.profiler is not None:
-            self.profiler.record_fire(event.label or "<unlabeled>", event.fire)
-        else:
-            event.fire()
-        return True
-
     #: Events between wall-clock deadline checks (cheap enough to leave
     #: on; a check is one ``time.monotonic`` call per batch).
     WATCHDOG_EVERY = 4096
@@ -240,17 +249,21 @@ class Simulator:
         :class:`~repro.errors.ExperimentTimeoutError` raised past it.
         The simulation is left in a consistent (resumable) state — the
         deadline fires between events, never inside a handler.
+
+        The profiler is read once per call: attach it before ``run``.
         """
         if self._running:
             raise SimulationError("run() is not re-entrant")
         self._running = True
         fired = 0
-        if self.profiler is not None:
-            self.profiler.loop_enter()
-        # hoisted attribute lookups for the hot loop (bound methods are
-        # invariant across iterations; semantics identical)
-        peek_time = self.queue.peek_time
-        step = self.step
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.loop_enter()
+        # hoisted for the hot loop; the heap list is safe to hold because
+        # EventQueue._compact rebuilds it in place
+        queue = self.queue
+        heap = queue._heap
+        heappop = heapq.heappop
         monotonic = time.monotonic
         watchdog_every = self.WATCHDOG_EVERY
         try:
@@ -268,21 +281,33 @@ class Simulator:
                         f"simulation exceeded its wall-clock budget at "
                         f"t={self.now:.0f} after {self.events_fired} events"
                     )
-                nxt = peek_time()
-                if nxt is None:
+                # peek: drop dead entries off the top; stop once drained
+                while heap:
+                    when, _, event = heap[0]
+                    if not event.cancelled:
+                        break
+                    heappop(heap)
+                    queue._dead -= 1
+                else:
                     break
-                if nxt >= until:
-                    self.now = max(self.now, min(until, nxt))
+                if when >= until:
+                    self.now = max(self.now, min(until, when))
                     break
-                step()
+                heappop(heap)
+                queue._live -= 1
+                if when < self.now:
+                    raise SimulationError(
+                        f"event queue produced a past event: {when} < {self.now}"
+                    )
+                self.now = when
+                self.events_fired += 1
+                if profiler is not None:
+                    profiler.record_fire(event.label or "<unlabeled>", event.fire)
+                else:
+                    event.handler(*event.args)
                 fired += 1
         finally:
             self._running = False
-            if self.profiler is not None:
-                self.profiler.loop_exit()
+            if profiler is not None:
+                profiler.loop_exit()
         return self.now
-
-    def event_profile(self) -> dict[str, int]:
-        """Fired-event counts by label (empty unless constructed with
-        ``profile=True`` — counting costs a dict update per event)."""
-        return dict(self._profile) if self._profile is not None else {}

@@ -24,8 +24,9 @@ from repro.distributions import GeometricLengths
 from repro.htm import Machine, MachineParams, RandDelay
 from repro.obs import capture
 from repro.obs.tracebus import jsonl_line
+from repro.sim.engine import EventQueue
 from repro.synthetic import SyntheticHarness
-from repro.workloads import CounterWorkload
+from repro.workloads import CounterWorkload, StackWorkload, TxAppWorkload
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -90,3 +91,69 @@ def test_trace_matches_golden(name, request):
 def test_scenarios_are_reproducible(name):
     """The golden scenarios themselves are deterministic run-to-run."""
     assert render(CASES[name]()) == render(CASES[name]())
+
+
+# -- pinned machine digests ---------------------------------------------------
+# Digests and event counts of three machine cells, recorded once and
+# compared across commits: a change that should not move the simulation
+# (a kernel or cache rewrite, say) must leave all of them unchanged.
+# The golden traces above cover only a 2-core counter cell; these cover
+# the benchmark's 8-core Figure 3 cell, the same machine under
+# fault-injected spurious aborts (whose cancelled timers compact the
+# event heap inside run()), and a stack whose low retry budget drives
+# operations through the CAS/Fence fallback path.  Like the goldens they
+# assume seeded NumPy streams and float arithmetic are stable across
+# Python and NumPy versions (recorded under CPython 3.11).
+PINNED = {
+    "txapp_8core": (
+        "5a34acd9944ed4377d2d6fd1dc01b4a35553a8517d2268e4757ba130781d054e",
+        53184,
+    ),
+    "txapp_8core_spurious": (
+        "18ca137cb18bfb6a4d09bdf8f3264ec5026ee8d672cca6b5087508166fe0fc77",
+        26294,
+    ),
+    "stack_8core_fallback": (
+        "89f0cc76d59c08978b99b03ccaac36b0fe9116028b110fbcb7e5a0eaaf4cb4bc",
+        10404,
+    ),
+}
+
+
+def pinned_cell(name: str):
+    """Build, run and verify one pinned cell; returns (machine, stats)."""
+    if name == "stack_8core_fallback":
+        params = MachineParams(n_cores=8, max_retries=2)
+        workload, horizon, faults = StackWorkload(), 20_000.0, None
+    else:
+        params = MachineParams(n_cores=8)
+        workload = TxAppWorkload(work_cycles=100)
+        if name == "txapp_8core":
+            horizon, faults = 60_000.0, None
+        else:
+            horizon, faults = 30_000.0, {"spurious_abort_rate": 1e-4}
+    machine = Machine(params, lambda i: RandDelay(), faults=faults)
+    machine.load(workload, seed=3)
+    stats = machine.run(horizon)
+    workload.verify(machine)
+    machine.check_invariants()
+    return machine, stats
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_machine_digest_pinned(name, monkeypatch):
+    compactions = []
+    compact = EventQueue._compact
+
+    def counting_compact(queue):
+        compactions.append(queue.heap_size())
+        compact(queue)
+
+    monkeypatch.setattr(EventQueue, "_compact", counting_compact)
+    machine, stats = pinned_cell(name)
+    assert (stats.digest(), machine.sim.events_fired) == PINNED[name]
+    # each cell still exercises the path it is pinned for
+    if name == "txapp_8core_spurious":
+        assert len(compactions) == 14
+    if name == "stack_8core_fallback":
+        assert stats.total("fallback_ops") == 211

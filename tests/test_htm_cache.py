@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import ProtocolError
@@ -141,3 +143,37 @@ class TestTransactionalBits:
         cache.fill(1, LineState.SHARED)
         cache.fill(2, LineState.SHARED)
         assert sorted(cache.resident_lines()) == [1, 2]
+
+    def test_tx_index_matches_a_full_scan(self, cache):
+        """Random fills, evictions, probes, tx marks, commits and aborts:
+        the tx-line index always names exactly the resident lines that
+        carry a tx bit, and commit/abort act on exactly those."""
+        rng = random.Random(7)
+
+        def scan() -> list[int]:
+            return sorted(
+                ln for ln in cache.resident_lines()
+                if cache.lookup(ln).transactional
+            )
+
+        for _ in range(3000):
+            line = rng.randrange(16)
+            op = rng.random()
+            if cache.lookup(line) is None:
+                victim = cache.victim_for(line)
+                if victim is not None:
+                    cache.evict(victim.line)
+                cache.fill(line, rng.choice(list(LineState)))
+            elif op < 0.5:
+                cache.mark_tx(line, write=rng.random() < 0.5)
+            elif op < 0.6:
+                cache.invalidate(line)
+            elif op < 0.65:
+                before = scan()
+                assert sorted(cache.clear_tx_bits()) == before
+                assert all(ln in cache.resident_lines() for ln in before)
+            elif op < 0.7:
+                before = scan()
+                assert sorted(cache.invalidate_tx_lines()) == before
+                assert not set(before) & set(cache.resident_lines())
+            assert sorted(cache.transactional_lines()) == scan()

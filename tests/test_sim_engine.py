@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.errors import ExperimentTimeoutError, SimulationError
+from repro.obs.profile import PhaseProfiler
 from repro.sim.engine import Event, EventQueue, Simulator
 
 
@@ -133,6 +134,47 @@ class TestCompaction:
         assert q.heap_size() <= 2 * EventQueue.COMPACT_MIN_DEAD + 2
         assert q.pop() is anchor
 
+    def test_compaction_inside_run(self):
+        """A handler cancels enough pending events to compact the heap
+        while run() holds it, then schedules follow-ups: everything must
+        fire exactly as when the same events are only marked dead."""
+
+        def run(compact: bool) -> tuple[list, int, list[int]]:
+            sim = Simulator()
+            order: list = []
+            sizes: list[int] = []
+            doomed = [
+                sim.at(10.0 + t, order.append, ("dead", t))
+                for t in range(3 * EventQueue.COMPACT_MIN_DEAD)
+            ]
+            for t in (2.0, 6.0, 50.0, 500.0):
+                sim.at(t, order.append, ("live", t))
+
+            def storm():
+                for evt in doomed:
+                    if compact:
+                        sim.cancel(evt)
+                    else:
+                        evt.cancel()  # mark dead without queue bookkeeping
+                sizes.append(sim.queue.heap_size())
+                for k in (0.0, 4.0, 4.0, 20.0, 700.0):
+                    sim.after(k, order.append, ("follow", k))
+
+            sim.at(3.0, storm)
+            sim.run()
+            return order, sim.events_fired, sizes
+
+        compacted, fired, sizes = run(compact=True)
+        # the storm compacted the heap mid-run
+        assert sizes[0] <= 8 + EventQueue.COMPACT_MIN_DEAD
+        assert (compacted, fired) == run(compact=False)[:2]
+        assert compacted == [
+            ("live", 2.0), ("follow", 0.0), ("live", 6.0), ("follow", 4.0),
+            ("follow", 4.0), ("follow", 20.0), ("live", 50.0),
+            ("live", 500.0), ("follow", 700.0),
+        ]
+        assert fired == len(compacted) + 1  # + the storm itself
+
     def test_simulator_cancel_compacts(self):
         sim = Simulator()
         keeper = []
@@ -249,21 +291,17 @@ class TestSimulator:
         sim.run()
         assert seen == [5]
 
-    def test_event_profile_disabled_by_default(self):
+    def test_profiler_counts_labels(self):
         sim = Simulator()
-        sim.at(1.0, lambda: None, label="x")
-        sim.run()
-        assert sim.event_profile() == {}
-
-    def test_event_profile_counts_labels(self):
-        sim = Simulator(profile=True)
+        sim.profiler = profiler = PhaseProfiler()
+        fired = []
         for t in range(3):
-            sim.at(float(t), lambda: None, label="tick")
-        sim.at(5.0, lambda: None)  # unlabeled
+            sim.at(float(t), fired.append, t, label="tick")
+        sim.at(5.0, fired.append, 5)  # unlabeled
         sim.run()
-        profile = sim.event_profile()
-        assert profile["tick"] == 3
-        assert profile["<unlabeled>"] == 1
+        assert fired == [0, 1, 2, 5]
+        assert profiler.handlers["tick"][0] == 3
+        assert profiler.handlers["<unlabeled>"][0] == 1
 
     def test_wall_deadline_expired_raises(self):
         sim = Simulator()
