@@ -197,11 +197,11 @@ def bench_tab_ratios(quick: bool, repeats: int) -> dict:
 
 def bench_des_event_loop(quick: bool, repeats: int) -> dict:
     """DES hot path: a self-rescheduling handler chain, so each event
-    costs one ``Simulator.after`` call (an ``Event`` plus a C-compared
-    ``(time, seq, event)`` heap entry) and one pass of the single
-    ``Simulator.run`` loop, which pops and fires it inline.  ``ops`` is
-    the exact number of events fired — machine-independent by
-    contract."""
+    costs one ``Simulator.after`` call (one ``[time, seq, handler, args,
+    label]`` list, pushed as the C-compared heap entry and returned as
+    the handle) and one pass of the single ``Simulator.run`` loop, which
+    pops and fires it inline.  ``ops`` is the exact number of events
+    fired — machine-independent by contract."""
     n_events = 20_000 if quick else 200_000
 
     def run_chain():

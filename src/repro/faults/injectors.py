@@ -137,8 +137,8 @@ class FaultInjector(NullInjector):
                 self._count("capacity_shrinks")
 
     def _spurious_fire(self, mem: "CoreMemSystem", epoch: int) -> None:
-        # the event has fired: forget it so on_end_tx does not cancel a
-        # popped event (which would corrupt the queue's live count)
+        # the event has fired: forget it, so on_end_tx cancels only a
+        # pending timer
         self._spurious_events.pop(mem.core_id, None)
         if mem.tx_active and mem.tx_epoch == epoch:
             self._count("spurious_aborts")

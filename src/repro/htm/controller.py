@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.errors import ProtocolError, SimulationError
+from repro.errors import InvalidParameterError, ProtocolError, SimulationError
 from repro.htm.cache import L1Cache, LineState
 from repro.htm.conflict_policy import ConflictContext, CyclePolicy
 from repro.htm.params import MachineParams
@@ -81,6 +81,10 @@ class CoreMemSystem:
         self.policy = policy
         self.rng = rng
         self.cache = L1Cache(self.params)
+        # line geometry and latencies of the hot paths (params are frozen)
+        self._line_words = self.params.line_words
+        self._l1_hit = self.params.l1_hit
+        self._commit_cycles = self.params.commit_cycles
 
         # transactional state
         self.tx_active = False
@@ -122,7 +126,8 @@ class CoreMemSystem:
         self._abort_cb = abort_cb
         self.stats.tx_started += 1
         self._m_txns_started.inc()
-        self.machine.emit("txn_begin", self.core_id)
+        if self.machine.tracing:
+            self.machine.emit("txn_begin", self.core_id)
         self.machine.faults.on_begin_tx(self)
         return self.tx_epoch
 
@@ -143,7 +148,7 @@ class CoreMemSystem:
         # first maximizes the owned-but-uncommitted window in which a
         # grace period can actually save the transaction (Figure 1's
         # "T1 holds A exclusive and is acquiring B" scenario).
-        for addr in reversed(list(self.write_buffer)):
+        for addr in reversed(self.write_buffer):
             line = self.params.line_of(addr)
             entry = self.cache.lookup(line)
             if entry is None:
@@ -180,15 +185,18 @@ class CoreMemSystem:
         self.stats.tx_committed += 1
         self._m_commits.inc()
         duration = self.sim.now - self.tx_start
-        if self.machine.commit_observers:
+        machine = self.machine
+        if machine.commit_observers:
             # µ-estimator noise perturbs what the online profiler sees
             # (the trace below keeps the true duration)
-            observed = self.machine.faults.noisy_commit_duration(duration)
-            for observer in self.machine.commit_observers:
+            observed = machine.faults.noisy_commit_duration(duration)
+            for observer in machine.commit_observers:
                 observer(observed)
-        self.machine.emit("commit", self.core_id, duration=duration)
-        self._release_probes(aborting=False)
-        self.sim.after(self.params.commit_cycles, done, label="commit")
+        if machine.tracing:
+            machine.emit("commit", self.core_id, duration=duration)
+        if self.pending_probes:
+            self._release_probes(aborting=False)
+        self.sim.after(self._commit_cycles, done, label="commit")
 
     def abort_tx(self, reason: AbortReason) -> None:
         """Abort: discard the write buffer, invalidate transactional
@@ -214,10 +222,12 @@ class CoreMemSystem:
             self._m_aborts_ra.inc()
         else:
             self._m_aborts_rw.inc()
-        self.machine.emit(
-            "abort", self.core_id, reason=reason.value, age=self.tx_age()
-        )
-        self._release_probes(aborting=True)
+        if self.machine.tracing:
+            self.machine.emit(
+                "abort", self.core_id, reason=reason.value, age=self.tx_age()
+            )
+        if self.pending_probes:
+            self._release_probes(aborting=True)
         cb = self._abort_cb
         self._abort_cb = None
         if cb is not None:
@@ -263,11 +273,17 @@ class CoreMemSystem:
             raise ProtocolError("CAS is its own access kind (non-tx)")
         if acquire and not self.tx_active:
             raise ProtocolError("acquire is a commit-phase (tx) access")
-        line = self.params.line_of(addr)
+        if addr < 0:  # MachineParams.line_of, inlined
+            raise InvalidParameterError(f"negative address {addr}")
+        line = addr // self._line_words
         exclusive = acquire or cas is not None or (write and not tx)
         epoch = self.tx_epoch
 
-        if tx and self._doomed_by_pending_probe(line, exclusive, write):
+        if (
+            tx
+            and self.pending_probes
+            and self._doomed_by_pending_probe(line, exclusive, write)
+        ):
             # We are delaying a probe on this very line; the prober's
             # request occupies the line's directory slot until we answer,
             # so a request of our own would deadlock behind it (and a
@@ -291,7 +307,7 @@ class CoreMemSystem:
                 result: object = None
             else:
                 result = self._apply_effect(addr, write, tx, value, cas, epoch)
-            self.sim.after(self.params.l1_hit, done, result, label="l1-hit")
+            self.sim.after(self._l1_hit, done, result, label="l1-hit")
             return True
 
         # Miss path: make room, then ask the directory.
@@ -320,7 +336,7 @@ class CoreMemSystem:
             else:
                 result = self._apply_effect(addr, write, tx, value, cas, _epoch)
             self.sim.after(
-                latency + self.params.l1_hit, done, result, label="fill-done"
+                latency + self._l1_hit, done, result, label="fill-done"
             )
 
         self.machine.directory.request(self.core_id, line, exclusive, on_grant)
@@ -466,22 +482,26 @@ class CoreMemSystem:
             if callable(mode):
                 mode = mode(ctx)
             self._grace_mode = mode
-            self.machine.emit(
-                "conflict",
-                self.core_id,
-                line=line,
-                requestor=requestor,
-                k=ctx.chain_k,
-                delay=delay,
-                mode=mode,
-            )
+            machine = self.machine
+            tracing = machine.tracing
+            if tracing:
+                machine.emit(
+                    "conflict",
+                    self.core_id,
+                    line=line,
+                    requestor=requestor,
+                    k=ctx.chain_k,
+                    delay=delay,
+                    mode=mode,
+                )
             if delay <= 0:
                 self._resolve_conflict(mode)
                 return
             self._m_grace_granted.inc()
-            self.machine.emit(
-                "grace_granted", self.core_id, delay=delay, mode=mode
-            )
+            if tracing:
+                machine.emit(
+                    "grace_granted", self.core_id, delay=delay, mode=mode
+                )
             self._grace_event = self.sim.after(
                 delay, self._grace_expired, self.tx_epoch, label="grace"
             )
@@ -490,7 +510,8 @@ class CoreMemSystem:
     def _doomed_by_pending_probe(
         self, line: int, exclusive: bool, write: bool
     ) -> bool:
-        """Dynamic wedge check at access time.
+        """Dynamic wedge check at access time (the caller skips it
+        while no probe is pending).
 
         True when we hold a *delayed* probe on ``line`` and either (a)
         this access needs a coherence request of its own (it would queue
@@ -560,13 +581,14 @@ class CoreMemSystem:
             backstop = self.tx_age() + self.params.abort_overhead
             self._grace_mode = "requestor_wins"
             self._m_grace_granted.inc()
-            self.machine.emit(
-                "grace_granted",
-                self.core_id,
-                delay=max(backstop, 1),
-                mode="requestor_wins",
-                backstop=True,
-            )
+            if self.machine.tracing:
+                self.machine.emit(
+                    "grace_granted",
+                    self.core_id,
+                    delay=max(backstop, 1),
+                    mode="requestor_wins",
+                    backstop=True,
+                )
             self._grace_event = self.sim.after(
                 max(backstop, 1),
                 self._grace_expired,

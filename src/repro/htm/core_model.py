@@ -8,9 +8,10 @@ escalates to the operation's lock-free fallback path after
 ``max_retries`` failed attempts, exactly the structure of the paper's
 stack/queue benchmarks ("lock-free designs as slow-path backups").
 
-Stale-event safety: every attempt owns a *token*; callbacks captured by
-in-flight memory requests or compute timers carry the token and are
-dropped if the attempt has since died.
+Stale-event safety: every attempt owns a *token*; compute timers carry
+the token, the core records the token of the attempt that issued its
+one outstanding memory access, and a resume whose token is no longer
+current is dropped.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.htm.controller import AbortReason
 from repro.htm.isa import CAS, AbortTx, AcquireX, Compute, Fence, Read, Write
+from repro.workloads.base import OpContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.htm.controller import CoreMemSystem
@@ -29,6 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.base import Operation, Workload
 
 __all__ = ["Core"]
+
+#: The instruction classes, in the order an instance of a derived class
+#: is matched against them.
+_ISA = (Compute, Read, Write, CAS, AcquireX, AbortTx, Fence)
+_ISA_KINDS = frozenset(_ISA)
 
 
 class Core:
@@ -50,6 +57,8 @@ class Core:
         self.workload = workload
         self.rng = rng
         self.stats = machine.stats.core(core_id)
+        # every attempt of every operation sees the same context
+        self._ctx = OpContext(core_id=core_id, rng=rng)
 
         self._op: "Operation | None" = None
         self._gen = None
@@ -59,6 +68,7 @@ class Core:
         self._body_result: object = None
         self._token = 0
         self._outstanding = False  # a memory access is in flight
+        self._issue_token = 0  # the token that issued it
         self._retry_pending = False
         self.idle = False
 
@@ -93,17 +103,12 @@ class Core:
         self._body_result = None
         if use_fallback:
             self._in_htm = False
-            self._gen = self._op.fallback(self._make_ctx())
+            self._gen = self._op.fallback(self._ctx)
         else:
             self._in_htm = True
-            self._gen = self._op.body(self._make_ctx())
+            self._gen = self._op.body(self._ctx)
             self.mem.begin_tx(self._on_abort)
         self._advance(self._token, None)
-
-    def _make_ctx(self):
-        from repro.workloads.base import OpContext
-
-        return OpContext(core_id=self.core_id, rng=self.rng)
 
     # ------------------------------------------------------------------
     def _advance(self, token: int, value: object) -> None:
@@ -115,69 +120,69 @@ class Core:
         except StopIteration as stop:
             self._complete(token, stop.value)
             return
-        self._dispatch(token, instr)
-
-    def _dispatch(self, token: int, instr: object) -> None:
-        if isinstance(instr, Compute):
+        # dispatch on the exact class; an instance of a derived class
+        # runs as the first ISA class it is an instance of
+        kind = type(instr)
+        if kind not in _ISA_KINDS:
+            kind = self._isa_kind(instr)
+        if kind is Read:
+            self._issue(token, instr.addr, False, None, None, False)
+        elif kind is Compute:
             self.sim.after(instr.cycles, self._advance, token, None,
                            label="compute")
-        elif isinstance(instr, Read):
-            self._issue(
-                token, instr.addr, write=False, value=None, cas=None
-            )
-        elif isinstance(instr, Write):
-            self._issue(
-                token, instr.addr, write=True, value=instr.value, cas=None
-            )
-        elif isinstance(instr, CAS):
-            if self._in_htm:
-                raise SimulationError(
-                    f"core {self.core_id}: CAS inside a transaction"
-                )
-            self._issue(
-                token,
-                instr.addr,
-                write=False,
-                value=None,
-                cas=(instr.expected, instr.new),
-            )
-        elif isinstance(instr, AcquireX):
+        elif kind is Write:
+            self._issue(token, instr.addr, True, instr.value, None, False)
+        elif kind is AcquireX:
             if not self._in_htm or self._phase != "commit":
                 raise SimulationError(
                     f"core {self.core_id}: AcquireX outside commit phase"
                 )
-            self._issue(token, instr.addr, write=False, value=None, cas=None,
-                        acquire=True)
-        elif isinstance(instr, AbortTx):
+            self._issue(token, instr.addr, False, None, None, True)
+        elif kind is CAS:
+            if self._in_htm:
+                raise SimulationError(
+                    f"core {self.core_id}: CAS inside a transaction"
+                )
+            self._issue(token, instr.addr, False, None,
+                        (instr.expected, instr.new), False)
+        elif kind is AbortTx:
             if not self._in_htm:
                 raise SimulationError(
                     f"core {self.core_id}: AbortTx outside a transaction"
                 )
             self.mem.abort_tx(AbortReason.EXPLICIT)
-        elif isinstance(instr, Fence):
+        else:  # Fence
             self.sim.after(1, self._advance, token, None, label="fence")
-        else:
-            raise SimulationError(
-                f"core {self.core_id}: unknown instruction {instr!r}"
-            )
+
+    def _isa_kind(self, instr: object) -> type:
+        """The ISA class ``instr`` is an instance of (first match in
+        :data:`_ISA` order); raises for anything else."""
+        for kind in _ISA:
+            if isinstance(instr, kind):
+                return kind
+        raise SimulationError(
+            f"core {self.core_id}: unknown instruction {instr!r}"
+        )
 
     def _issue(
         self,
         token: int,
         addr: int,
-        *,
         write: bool,
         value: int | None,
         cas: tuple[int, int] | None,
-        acquire: bool = False,
+        acquire: bool,
     ) -> None:
         """Issue one memory access, maintaining the single-outstanding-
         request invariant across aborts.
 
         ``_outstanding`` must be set before the access: a capacity abort
         fires the abort callback synchronously from inside ``access``,
-        and the callback needs to see whether a request slot is held."""
+        and the callback needs to see whether a request slot is held.
+        With one access in flight per core, the issuing token is core
+        state that :meth:`_mem_done` reads back."""
         self._outstanding = True
+        self._issue_token = token
         issued = self.mem.access(
             addr,
             write=write,
@@ -185,7 +190,7 @@ class Core:
             value=value,
             cas=cas,
             acquire=acquire,
-            done=lambda v, t=token: self._mem_done(t, v),
+            done=self._mem_done,
         )
         if not issued:
             # the access died with its transaction before reaching the
@@ -195,12 +200,13 @@ class Core:
                 self._retry_pending = False
                 self._schedule_retry()
 
-    def _mem_done(self, token: int, value: object) -> None:
+    def _mem_done(self, value: object) -> None:
         """Memory-access completion: the single outstanding slot drains
         here.  A retry that was deferred because its dead attempt still
         had a request in flight (one request per core at the directory —
         issuing another would double-queue) can now proceed."""
         self._outstanding = False
+        token = self._issue_token
         if token == self._token:
             self._advance(token, value)
         elif self._retry_pending:
@@ -224,9 +230,7 @@ class Core:
             self._advance(token, None)
             return
         # commit phase finished: every write-set line is owned
-        self.mem.finalize_commit(
-            lambda t=token, r=self._body_result: self._committed(t, r)
-        )
+        self.mem.finalize_commit(self._committed)
 
     def _commit_gen(self):
         """Yield one AcquireX per write-set line still lacking M."""
@@ -236,10 +240,11 @@ class Core:
                 return
             yield AcquireX(addr)
 
-    def _committed(self, token: int, result: object) -> None:
+    def _committed(self) -> None:
         # finalize_commit cannot fail: the write set is fully owned and
-        # conflicts would have aborted us before this point
-        self._op_done(result)
+        # conflicts would have aborted us before this point; nothing
+        # starts a new attempt before this callback
+        self._op_done(self._body_result)
 
     def _op_done(self, result: object) -> None:
         assert self._op is not None

@@ -17,6 +17,7 @@ data); probe fan-out is parallel with a fixed per-hop latency.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -124,10 +125,11 @@ class Directory:
         core: int,
         line: int,
         exclusive: bool,
-        grant_cb: Callable[[bool], None],
+        grant_cb: Callable[[bool, int], None],
     ) -> None:
         """A core's L1 asks for the line (GETS or GETX); arrives after
-        one network hop."""
+        one network hop.  ``grant_cb(first_touch, latency)`` fires at the
+        grant (see :class:`PendingRequest`)."""
         self.requests += 1
         req = PendingRequest(core, line, exclusive, grant_cb)
         self.sim.after(
@@ -137,6 +139,8 @@ class Directory:
             label="dir-arrive",
         )
 
+    # Each stage looks the line's entry up once; _arrive creates it and
+    # entries are never removed, so the later stages index directly.
     def _arrive(self, req: PendingRequest) -> None:
         entry = self.entry(req.line)
         entry.queue.append(req)
@@ -144,10 +148,9 @@ class Directory:
             head = entry.queue[0]
             if self.queue_wait_cb is not None and head is not req:
                 self.queue_wait_cb(req.core, head.core)
-        self._service(req.line)
+        self._service(entry)
 
-    def _service(self, line: int) -> None:
-        entry = self.entry(line)
+    def _service(self, entry: DirectoryEntry) -> None:
         if entry.busy or not entry.queue:
             return
         entry.busy = True
@@ -156,25 +159,32 @@ class Directory:
                        label="dir-lookup")
 
     def _lookup_done(self, req: PendingRequest) -> None:
-        entry = self.entry(req.line)
+        entry = self.entries[req.line]
+        core, owner = req.core, entry.owner
         if req.exclusive:
-            targets = entry.holders() - {req.core}
-            if entry.owner == req.core:
+            if owner == core:
                 raise ProtocolError(
-                    f"core {req.core} GETX on line {req.line} it already owns"
+                    f"core {core} GETX on line {req.line} it already owns"
                 )
+            # sorted(entry.holders() - {core})
+            sharers = entry.sharers
+            targets = sorted(sharers)
+            if core in sharers:
+                targets.remove(core)
+            if owner is not None and owner not in sharers:
+                insort(targets, owner)
         else:
-            if req.core == entry.owner:
+            if core == owner:
                 raise ProtocolError(
-                    f"core {req.core} GETS on line {req.line} it owns in M"
+                    f"core {core} GETS on line {req.line} it owns in M"
                 )
-            targets = {entry.owner} if entry.owner is not None else set()
+            targets = [] if owner is None else [owner]
         if not targets:
             self._grant(req)
             return
         req.acks_outstanding = len(targets)
-        req.probed_holders = sorted(targets)
-        for target in req.probed_holders:
+        req.probed_holders = targets
+        for target in targets:
             self.probes_sent += 1
             self.sim.after(
                 self.topology.dir_to_core(req.line, target),
@@ -203,7 +213,7 @@ class Directory:
             )
 
     def _grant(self, req: PendingRequest) -> None:
-        entry = self.entry(req.line)
+        entry = self.entries[req.line]
         if not entry.queue or entry.queue[0] is not req:
             raise ProtocolError(f"grant for non-head request on line {req.line}")
         first_touch = not entry.touched
@@ -240,7 +250,7 @@ class Directory:
                 head = entry.queue[0]
                 for waiter in list(entry.queue)[1:]:
                     self.queue_wait_cb(waiter.core, head.core)
-        self._service(req.line)
+        self._service(entry)
 
     # -- evictions ----------------------------------------------------------
     def writeback(self, core: int, line: int) -> None:

@@ -11,6 +11,10 @@ and queue) be expressed naturally.
 
 The transaction boundary is *not* an instruction: the core brackets the
 whole body generator, so aborts can restart it from scratch.
+
+The records are slotted rather than frozen: a workload builds one per
+instruction, and a frozen dataclass pays ``object.__setattr__`` for
+every field.  Nothing mutates them after construction.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from repro.errors import InvalidParameterError
 __all__ = ["Read", "Write", "Compute", "CAS", "Fence"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Read:
     """Load one word.  Transactional inside a transaction body."""
 
@@ -33,7 +37,7 @@ class Read:
             raise InvalidParameterError(f"negative address {self.addr}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Write:
     """Store one word.  Buffered until commit inside a transaction."""
 
@@ -45,7 +49,7 @@ class Write:
             raise InvalidParameterError(f"negative address {self.addr}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Compute:
     """Spin the ALU for ``cycles`` cycles (models the transaction body's
     local work; Figure 3's bimodal app varies exactly this)."""
@@ -57,7 +61,7 @@ class Compute:
             raise InvalidParameterError(f"compute cycles must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CAS:
     """Atomic compare-and-swap (lock-free fallback paths only).
 
@@ -75,13 +79,13 @@ class CAS:
             raise InvalidParameterError(f"negative address {self.addr}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Fence:
     """One-cycle ordering no-op (keeps fallback loops honest about not
     being free)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AbortTx:
     """Explicitly abort the running transaction and retry the operation.
 
@@ -92,7 +96,7 @@ class AbortTx:
     """
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AcquireX:
     """Internal commit-phase instruction: acquire exclusive ownership of
     the line containing ``addr`` (lazy validation acquires the write set

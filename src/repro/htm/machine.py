@@ -127,6 +127,12 @@ class Machine:
         if self.bus.enabled:
             self.bus.emit(self.sim.now, kind, core, **detail)
 
+    @property
+    def tracing(self) -> bool:
+        """Whether :meth:`emit` reaches anyone; hot paths check it before
+        building an event's details."""
+        return self.tracer.enabled or self.bus.enabled
+
     def attach_profiler(self, profiler) -> None:
         """Attach a :class:`repro.obs.PhaseProfiler`: the kernel routes
         event firing through it and :meth:`run` times its phases."""

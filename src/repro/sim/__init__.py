@@ -13,12 +13,11 @@ transaction trials per NumPy array op, bit-identical to the scalar
 
 from __future__ import annotations
 
-from repro.sim.engine import Event, EventQueue, Simulator
+from repro.sim.engine import EventQueue, Simulator
 from repro.sim.mc import TrialProgram, TrialResults, run_trials
 from repro.sim.stats import Welford, RatioTracker, Histogram
 
 __all__ = [
-    "Event",
     "EventQueue",
     "Simulator",
     "Welford",

@@ -6,20 +6,25 @@ Design notes
   order (a monotonically increasing sequence number breaks heap ties).
   Deterministic tie-breaking is what makes every simulation in this
   repository exactly reproducible for a fixed seed.
-* **C-compared heap entries.**  The heap holds ``(time, seq, event)``
-  tuples, so ``heapq`` orders them with C float/int comparisons.
-  ``seq`` is unique, so two entries never get as far as comparing their
-  events.  The entry format is private to this module.
-* **Cancellation by invalidation.**  ``cancel()`` marks the event dead
-  in O(1); dead events are skipped on pop (the standard lazy-deletion
-  heap idiom — cheaper than heap surgery and amortized O(log n)).
-  When dead events outnumber live ones the heap is *compacted* (rebuilt
-  from the live events) so long adversarial runs with heavy
-  cancellation — grace timers killed by cycle aborts, fault-injected
-  spurious aborts — keep memory proportional to live events instead of
-  growing without bound.  Compaction rebuilds the heap list *in place*:
-  :meth:`Simulator.run` holds that list across handler calls, and a
-  handler may cancel enough events to compact mid-run.
+* **One list per event.**  A scheduled event is the mutable list
+  ``[time, seq, handler, args, label]``.  The same list is the heap
+  entry and the handle that :meth:`Simulator.at` / :meth:`Simulator.after`
+  return, so scheduling allocates one object.  ``heapq`` compares lists
+  in C, and ``seq`` is unique, so a comparison never gets past
+  ``(time, seq)``.  Callers treat a handle as opaque: all they may do
+  with it is pass it to ``cancel``.
+* **Cancellation by invalidation.**  ``cancel()`` clears the entry's
+  handler slot in O(1); dead entries are skipped on pop (the standard
+  lazy-deletion heap idiom — cheaper than heap surgery and amortized
+  O(log n)).  Firing clears the slot too, so cancelling an entry that
+  already fired or was already cancelled is a no-op.  When dead entries
+  outnumber live ones the heap is *compacted* (rebuilt from the live
+  entries) so long adversarial runs with heavy cancellation — grace
+  timers killed by cycle aborts, fault-injected spurious aborts — keep
+  memory proportional to live events instead of growing without bound.
+  Compaction rebuilds the heap list *in place*: :meth:`Simulator.run`
+  holds that list across handler calls, and a handler may cancel enough
+  events to compact mid-run.
 * **Watchdog.**  ``run(wall_deadline=...)`` checks the wall clock every
   few thousand events and raises
   :class:`~repro.errors.ExperimentTimeoutError` past the deadline — the
@@ -37,46 +42,41 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ExperimentTimeoutError, SimulationError
 
-__all__ = ["Event", "EventQueue", "Simulator"]
+__all__ = ["EventQueue", "Simulator"]
 
 
-@dataclass(order=False, slots=True)
-class Event:
-    """A scheduled callback.
+class _Firing:
+    """A fired event as an attached profiler sees it.
 
-    The queue orders events by ``(time, seq)``; ``seq`` is assigned when
-    the event is scheduled.  ``__slots__`` keeps the per-event footprint
-    flat — hot runs allocate millions of these.
-    """
+    Built only when a profiler is attached: ``record_fire`` receives the
+    bound :meth:`fire`, and ``fire.__self__.handler`` names the handler
+    it runs (profilers attribute handler time by its module)."""
 
-    time: float
-    handler: Callable[..., None]
-    args: tuple = ()
-    label: str = ""
-    seq: int = field(default=-1, compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("handler", "args")
 
-    def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when popped."""
-        self.cancelled = True
+    def __init__(self, handler: Callable[..., None], args: tuple) -> None:
+        self.handler = handler
+        self.args = args
 
     def fire(self) -> None:
         self.handler(*self.args)
 
 
 class EventQueue:
-    """Binary-heap priority queue of :class:`Event` with lazy deletion.
+    """Binary-heap priority queue of event entries with lazy deletion.
 
-    Dead (cancelled) events are skipped on pop; when they outnumber the
-    live events the heap is compacted.  Without compaction a long run
-    that cancels faster than it pops — adversarial cycle-abort storms
-    cancelling grace timers, fault-injected abort timers — grows the
-    heap without bound.
+    An entry is the list ``[time, seq, handler, args, label]``; a dead
+    (cancelled or fired) entry has ``handler`` None.  Only cancelled
+    entries stay in the heap dead, and ``_dead`` counts them, so the
+    live count is ``len(heap) - _dead``.  Dead entries are skipped on
+    pop; when they outnumber the live entries the heap is compacted.
+    Without compaction a long run that cancels faster than it pops —
+    adversarial cycle-abort storms cancelling grace timers,
+    fault-injected abort timers — grows the heap without bound.
     """
 
     #: Compaction only kicks in above this many dead events, so small
@@ -84,50 +84,63 @@ class EventQueue:
     COMPACT_MIN_DEAD = 64
 
     def __init__(self) -> None:
-        # (time, seq, event) entries; the list object is never replaced
-        self._heap: list[tuple[float, int, Event]] = []
+        # [time, seq, handler, args, label] entries; the list object is
+        # never replaced
+        self._heap: list[list] = []
         self._counter = itertools.count()
-        self._live = 0
         self._dead = 0
 
-    def push(self, event: Event) -> Event:
-        if not math.isfinite(event.time):
-            raise SimulationError(f"event time must be finite, got {event.time}")
-        event.seq = seq = next(self._counter)
-        heapq.heappush(self._heap, (event.time, seq, event))
-        self._live += 1
-        return event
+    def push(
+        self,
+        time: float,
+        handler: Callable[..., None],
+        args: tuple = (),
+        label: str = "",
+    ) -> list:
+        """Schedule ``handler(*args)`` at ``time``; returns the entry,
+        which is also its handle for :meth:`cancel`."""
+        if not math.isfinite(time):
+            raise SimulationError(f"event time must be finite, got {time}")
+        entry = [time, next(self._counter), handler, args, label]
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def pop(self) -> Event | None:
-        """Pop the earliest live event, or None when empty."""
+    def pop(self) -> tuple[float, Callable[..., None], tuple, str] | None:
+        """Pop the earliest live entry, or None when empty.
+
+        Returns ``(time, handler, args, label)``; the entry counts as
+        fired, so cancelling its handle afterwards is a no-op."""
         heap, heappop = self._heap, heapq.heappop
         while heap:
-            event = heappop(heap)[2]
-            if event.cancelled:
+            entry = heappop(heap)
+            handler = entry[2]
+            if handler is None:
                 self._dead -= 1
                 continue
-            self._live -= 1
-            return event
+            entry[2] = None
+            return entry[0], handler, entry[3], entry[4]
         return None
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event without popping it."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][2] is None:
             heapq.heappop(heap)
             self._dead -= 1
         return heap[0][0] if heap else None
 
-    def cancel(self, event: Event) -> None:
-        if not event.cancelled:
-            event.cancel()
-            self._live -= 1
-            self._dead += 1
-            if self._dead > self.COMPACT_MIN_DEAD and self._dead > self._live:
-                self._compact()
+    def cancel(self, entry: list) -> None:
+        """Kill a scheduled entry.  A no-op when it already fired or was
+        already cancelled."""
+        if entry[2] is None:
+            return
+        entry[2] = None
+        dead = self._dead = self._dead + 1
+        if dead > self.COMPACT_MIN_DEAD and 2 * dead > len(self._heap):
+            self._compact()  # dead entries outnumber live ones
 
     def _compact(self) -> None:
-        """Rebuild the heap from live events only.  ``heapify`` is O(n)
+        """Rebuild the heap from live entries only.  ``heapify`` is O(n)
         and the (time, seq) ordering is preserved exactly, so firing
         order — and therefore simulation determinism — is unaffected.
 
@@ -135,7 +148,7 @@ class EventQueue:
         holds it, and events scheduled into a replacement list would
         never fire."""
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if entry[2] is not None]
         heapq.heapify(heap)
         self._dead = 0
 
@@ -145,10 +158,10 @@ class EventQueue:
         return len(self._heap)
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._dead
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return len(self._heap) > self._dead
 
 
 class Simulator:
@@ -173,15 +186,17 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
     # at() and after() push onto the queue's heap directly: one Python
-    # call per scheduled event on the simulator's hottest path.
+    # call and one list per scheduled event on the simulator's hottest
+    # path.
     def at(
         self,
         time: float,
         handler: Callable[..., None],
         *args: Any,
         label: str = "",
-    ) -> Event:
-        """Schedule ``handler(*args)`` at absolute ``time`` (>= now)."""
+    ) -> list:
+        """Schedule ``handler(*args)`` at absolute ``time`` (>= now);
+        returns the event's handle for :meth:`cancel`."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past: t={time} < now={self.now}"
@@ -189,11 +204,9 @@ class Simulator:
         if not math.isfinite(time):
             raise SimulationError(f"event time must be finite, got {time}")
         queue = self.queue
-        seq = next(queue._counter)
-        event = Event(time, handler, args, label, seq)
-        heapq.heappush(queue._heap, (time, seq, event))
-        queue._live += 1
-        return event
+        entry = [time, next(queue._counter), handler, args, label]
+        heapq.heappush(queue._heap, entry)
+        return entry
 
     def after(
         self,
@@ -201,8 +214,9 @@ class Simulator:
         handler: Callable[..., None],
         *args: Any,
         label: str = "",
-    ) -> Event:
-        """Schedule ``handler(*args)`` after a relative ``delay`` >= 0."""
+    ) -> list:
+        """Schedule ``handler(*args)`` after a relative ``delay`` >= 0;
+        returns the event's handle for :meth:`cancel`."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         now = self.now
@@ -214,14 +228,14 @@ class Simulator:
         if not math.isfinite(time):
             raise SimulationError(f"event time must be finite, got {time}")
         queue = self.queue
-        seq = next(queue._counter)
-        event = Event(time, handler, args, label, seq)
-        heapq.heappush(queue._heap, (time, seq, event))
-        queue._live += 1
-        return event
+        entry = [time, next(queue._counter), handler, args, label]
+        heapq.heappush(queue._heap, entry)
+        return entry
 
-    def cancel(self, event: Event) -> None:
-        self.queue.cancel(event)
+    def cancel(self, entry: list) -> None:
+        """Cancel a scheduled event by its handle (a no-op once it has
+        fired or been cancelled)."""
+        self.queue.cancel(entry)
 
     # -- main loop ---------------------------------------------------------
     #: Events between wall-clock deadline checks (cheap enough to leave
@@ -283,28 +297,34 @@ class Simulator:
                     )
                 # peek: drop dead entries off the top; stop once drained
                 while heap:
-                    when, _, event = heap[0]
-                    if not event.cancelled:
+                    entry = heap[0]
+                    handler = entry[2]
+                    if handler is not None:
                         break
                     heappop(heap)
                     queue._dead -= 1
                 else:
                     break
+                when = entry[0]
                 if when >= until:
                     self.now = max(self.now, min(until, when))
                     break
                 heappop(heap)
-                queue._live -= 1
                 if when < self.now:
                     raise SimulationError(
                         f"event queue produced a past event: {when} < {self.now}"
                     )
                 self.now = when
                 self.events_fired += 1
+                # fired: a later cancel of this handle is a no-op
+                entry[2] = None
                 if profiler is not None:
-                    profiler.record_fire(event.label or "<unlabeled>", event.fire)
+                    profiler.record_fire(
+                        entry[4] or "<unlabeled>",
+                        _Firing(handler, entry[3]).fire,
+                    )
                 else:
-                    event.handler(*event.args)
+                    handler(*entry[3])
                 fired += 1
         finally:
             self._running = False

@@ -21,12 +21,24 @@ import pathlib
 import pytest
 
 from repro.distributions import GeometricLengths
-from repro.htm import Machine, MachineParams, RandDelay
+from repro.htm import (
+    HybridDelay,
+    Machine,
+    MachineParams,
+    RandDelay,
+    RequestorAbortsDelay,
+)
+from repro.htm.interconnect import MeshTopology
 from repro.obs import capture
 from repro.obs.tracebus import jsonl_line
 from repro.sim.engine import EventQueue
 from repro.synthetic import SyntheticHarness
-from repro.workloads import CounterWorkload, StackWorkload, TxAppWorkload
+from repro.workloads import (
+    CounterWorkload,
+    QueueWorkload,
+    StackWorkload,
+    TxAppWorkload,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -94,14 +106,17 @@ def test_scenarios_are_reproducible(name):
 
 
 # -- pinned machine digests ---------------------------------------------------
-# Digests and event counts of three machine cells, recorded once and
+# Digests and event counts of six machine cells, recorded once and
 # compared across commits: a change that should not move the simulation
 # (a kernel or cache rewrite, say) must leave all of them unchanged.
 # The golden traces above cover only a 2-core counter cell; these cover
 # the benchmark's 8-core Figure 3 cell, the same machine under
 # fault-injected spurious aborts (whose cancelled timers compact the
-# event heap inside run()), and a stack whose low retry budget drives
-# operations through the CAS/Fence fallback path.  Like the goldens they
+# event heap inside run()), a stack whose low retry budget drives
+# operations through the CAS/Fence fallback path, the txapp cell under
+# the requestor-aborts and hybrid resolutions (NACKs and the
+# requestor-wins backstop timer), and a queue on a mesh with jittered
+# links (non-uniform and randomly delayed hops).  Like the goldens they
 # assume seeded NumPy streams and float arithmetic are stable across
 # Python and NumPy versions (recorded under CPython 3.11).
 PINNED = {
@@ -117,22 +132,49 @@ PINNED = {
         "89f0cc76d59c08978b99b03ccaac36b0fe9116028b110fbcb7e5a0eaaf4cb4bc",
         10404,
     ),
+    "txapp_8core_requestor_aborts": (
+        "c95072f9dd7cae7c45421cadc91a9c81e5d67859a3c89b54961336ddd813c8c7",
+        25821,
+    ),
+    "txapp_8core_hybrid": (
+        "b1bb6935782ff182272a00b004ea4d3e801e6648029892fce99dee375b315d85",
+        26332,
+    ),
+    "queue_8core_mesh_jitter": (
+        "a416fedb9d8d47fe634a68dcc42b74cee175151c33cb99d8b860fa50efd45bd6",
+        14181,
+    ),
+}
+
+#: the resolution policy of each txapp cell (RandDelay when absent)
+PINNED_POLICIES = {
+    "txapp_8core_requestor_aborts": RequestorAbortsDelay,
+    "txapp_8core_hybrid": HybridDelay,
 }
 
 
 def pinned_cell(name: str):
     """Build, run and verify one pinned cell; returns (machine, stats)."""
+    params = MachineParams(n_cores=8)
+    topology = None
     if name == "stack_8core_fallback":
         params = MachineParams(n_cores=8, max_retries=2)
         workload, horizon, faults = StackWorkload(), 20_000.0, None
+    elif name == "queue_8core_mesh_jitter":
+        workload, horizon, topology = QueueWorkload(), 30_000.0, MeshTopology(8)
+        faults = {"link_jitter_rate": 0.05, "link_jitter_cycles": 8}
     else:
-        params = MachineParams(n_cores=8)
         workload = TxAppWorkload(work_cycles=100)
         if name == "txapp_8core":
             horizon, faults = 60_000.0, None
-        else:
+        elif name == "txapp_8core_spurious":
             horizon, faults = 30_000.0, {"spurious_abort_rate": 1e-4}
-    machine = Machine(params, lambda i: RandDelay(), faults=faults)
+        else:
+            horizon, faults = 30_000.0, None
+    policy = PINNED_POLICIES.get(name, RandDelay)
+    machine = Machine(
+        params, lambda i: policy(), topology=topology, faults=faults
+    )
     machine.load(workload, seed=3)
     stats = machine.run(horizon)
     workload.verify(machine)
@@ -157,3 +199,11 @@ def test_machine_digest_pinned(name, monkeypatch):
         assert len(compactions) == 14
     if name == "stack_8core_fallback":
         assert stats.total("fallback_ops") == 211
+    if name == "txapp_8core_requestor_aborts":
+        assert stats.total("nacks_sent") == 11
+    if name == "txapp_8core_hybrid":
+        assert stats.total("nacks_sent") == 10
+    if name == "queue_8core_mesh_jitter":
+        jitter = machine.metrics.counter_values("fault_link_jitter")
+        assert jitter == {"fault_link_jitter_events": 398}
+        assert stats.total("fallback_ops") == 10

@@ -1,4 +1,9 @@
-"""Tests for the discrete-event simulation kernel."""
+"""Tests for the discrete-event simulation kernel.
+
+A scheduled event is the list ``[time, seq, handler, args, label]``,
+returned as its handle; ``EventQueue.pop`` hands back
+``(time, handler, args, label)``.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,20 @@ import pytest
 
 from repro.errors import ExperimentTimeoutError, SimulationError
 from repro.obs.profile import PhaseProfiler
-from repro.sim.engine import Event, EventQueue, Simulator
+from repro.sim.engine import EventQueue, Simulator
+
+
+def fire_next(q: EventQueue):
+    """Pop the earliest live event and run it; returns its time."""
+    when, handler, args, _ = q.pop()
+    handler(*args)
+    return when
+
+
+def mark_dead(entry: list) -> None:
+    """Kill an entry the way ``cancel`` does, minus the queue's
+    bookkeeping (so no compaction can run)."""
+    entry[2] = None
 
 
 class TestEventQueue:
@@ -17,43 +35,53 @@ class TestEventQueue:
         q = EventQueue()
         order = []
         for tag in "abc":
-            q.push(Event(5.0, order.append, (tag,)))
+            q.push(5.0, order.append, (tag,))
         while q:
-            evt = q.pop()
-            evt.fire()
+            fire_next(q)
         assert order == ["a", "b", "c"]
 
     def test_time_ordering(self):
         q = EventQueue()
         order = []
         for t in (3.0, 1.0, 2.0):
-            q.push(Event(t, order.append, (t,)))
+            q.push(t, order.append, (t,))
         while q:
-            q.pop().fire()
+            fire_next(q)
         assert order == [1.0, 2.0, 3.0]
 
     def test_cancel_skipped(self):
         q = EventQueue()
         fired = []
-        evt = q.push(Event(1.0, fired.append, (1,)))
-        q.push(Event(2.0, fired.append, (2,)))
+        evt = q.push(1.0, fired.append, (1,))
+        q.push(2.0, fired.append, (2,))
         q.cancel(evt)
         assert len(q) == 1
         while q:
-            q.pop().fire()
+            fire_next(q)
         assert fired == [2]
 
     def test_double_cancel_safe(self):
         q = EventQueue()
-        evt = q.push(Event(1.0, lambda: None))
+        evt = q.push(1.0, lambda: None)
         q.cancel(evt)
         q.cancel(evt)
         assert len(q) == 0
+        assert q.heap_size() == 1  # one corpse, counted once
+
+    def test_cancel_after_pop_is_noop(self):
+        q = EventQueue()
+        evt = q.push(1.0, lambda: None, label="tick")
+        when, _, args, label = q.pop()
+        assert (when, args, label) == (1.0, (), "tick")
+        q.cancel(evt)
+        assert len(q) == 0
+        assert not q
+        assert q.pop() is None
 
     def test_peek_skips_cancelled(self):
         q = EventQueue()
-        evt = q.push(Event(1.0, lambda: None))
-        q.push(Event(2.0, lambda: None))
+        evt = q.push(1.0, lambda: None)
+        q.push(2.0, lambda: None)
         q.cancel(evt)
         assert q.peek_time() == 2.0
 
@@ -63,7 +91,13 @@ class TestEventQueue:
 
     def test_infinite_time_rejected(self):
         with pytest.raises(SimulationError):
-            EventQueue().push(Event(math.inf, lambda: None))
+            EventQueue().push(math.inf, lambda: None)
+        with pytest.raises(SimulationError):
+            Simulator().at(math.inf, lambda: None)
+        with pytest.raises(SimulationError):
+            Simulator().after(math.inf, lambda: None)
+        with pytest.raises(SimulationError):
+            Simulator().at(math.nan, lambda: None)
 
 
 class TestCompaction:
@@ -72,7 +106,7 @@ class TestCompaction:
 
     def test_heavy_cancellation_compacts(self):
         q = EventQueue()
-        events = [q.push(Event(float(t), lambda: None)) for t in range(500)]
+        events = [q.push(float(t), lambda: None) for t in range(500)]
         keep = events[::10]
         for evt in events:
             if evt not in keep:
@@ -84,7 +118,7 @@ class TestCompaction:
 
     def test_small_queues_never_compact(self):
         q = EventQueue()
-        events = [q.push(Event(float(t), lambda: None)) for t in range(40)]
+        events = [q.push(float(t), lambda: None) for t in range(40)]
         for evt in events:
             q.cancel(evt)
         # below COMPACT_MIN_DEAD: lazy deletion only, no rebuild
@@ -100,11 +134,8 @@ class TestCompaction:
         def run(compact: bool) -> list[int]:
             q = EventQueue()
             order: list[int] = []
-            live = [
-                q.push(Event(5.0, order.append, (tag,)))
-                for tag in range(200)
-            ]
-            dead = [q.push(Event(4.0, order.append, (-1,))) for _ in range(300)]
+            live = [q.push(5.0, order.append, (tag,)) for tag in range(200)]
+            dead = [q.push(4.0, order.append, (-1,)) for _ in range(300)]
             if compact:
                 for evt in dead:
                     q.cancel(evt)  # triggers compaction
@@ -114,12 +145,10 @@ class TestCompaction:
                 )
             else:
                 for evt in dead:
-                    evt.cancel()  # mark dead without queue bookkeeping
-            while True:
-                evt = q.pop()
-                if evt is None:
-                    return order
-                evt.fire()
+                    mark_dead(evt)
+            while q.peek_time() is not None:
+                fire_next(q)
+            return order
 
         assert run(compact=True) == run(compact=False) == list(range(200))
 
@@ -127,12 +156,15 @@ class TestCompaction:
         """The grace-timer pattern: schedule + cancel in a loop must not
         grow the physical heap without bound."""
         q = EventQueue()
-        anchor = q.push(Event(1e9, lambda: None))
+        def anchor():
+            pass
+
+        q.push(1e9, anchor)
         for t in range(10_000):
-            q.cancel(q.push(Event(float(t), lambda: None)))
+            q.cancel(q.push(float(t), lambda: None))
         assert len(q) == 1
         assert q.heap_size() <= 2 * EventQueue.COMPACT_MIN_DEAD + 2
-        assert q.pop() is anchor
+        assert q.pop()[:2] == (1e9, anchor)
 
     def test_compaction_inside_run(self):
         """A handler cancels enough pending events to compact the heap
@@ -155,7 +187,7 @@ class TestCompaction:
                     if compact:
                         sim.cancel(evt)
                     else:
-                        evt.cancel()  # mark dead without queue bookkeeping
+                        mark_dead(evt)
                 sizes.append(sim.queue.heap_size())
                 for k in (0.0, 4.0, 4.0, 20.0, 700.0):
                     sim.after(k, order.append, ("follow", k))
@@ -266,6 +298,39 @@ class TestSimulator:
         sim.cancel(evt)
         sim.run()
         assert fired == []
+
+    def test_cancel_after_fire_is_noop(self):
+        """Cancelling a handle whose event already fired leaves the
+        queue's counts alone (it used to drive the live count negative,
+        so ``len`` raised)."""
+        sim = Simulator()
+        fired = []
+        handles = [sim.after(5, fired.append, t) for t in range(3)]
+        sim.run()
+        for handle in handles:
+            sim.cancel(handle)
+        assert len(sim.queue) == 0
+        assert sim.queue.heap_size() == 0
+        sim.after(1, fired.append, 9)
+        assert len(sim.queue) == 1
+        sim.run()
+        assert fired == [0, 1, 2, 9]
+
+    def test_handler_cancelling_its_own_event(self):
+        """A handler may cancel the handle of the event that is running
+        it (a fault-injected abort timer does, through the transaction's
+        end): a no-op that leaves no phantom dead entry behind."""
+        sim = Simulator()
+        handles = []
+        handles.append(sim.after(1, lambda: sim.cancel(handles[0])))
+        for t in range(3):
+            sim.after(2 + t, lambda: None)
+        sim.run(until=1.5)
+        assert len(sim.queue) == 3
+        assert sim.queue.heap_size() == 3
+        sim.run()
+        assert sim.events_fired == 4
+        assert len(sim.queue) == 0
 
     def test_events_fired_counter(self):
         sim = Simulator()
