@@ -2,9 +2,9 @@
 
 Unlike the pytest-benchmark files next to it, this is a standalone
 harness (``python benchmarks/bench_parallel.py``): it runs the same
-experiment batch through the serial path and through
-:class:`repro.parallel.ParallelExecutor`, checks the rows came out
-identical (the determinism contract the parallel layer guarantees),
+experiment batch serially and on a :class:`repro.parallel.SupervisedPool`
+(which at ``jobs == 1`` runs it in this process), checks the rows came
+out identical (the determinism contract the parallel layer guarantees),
 and writes the measurement to ``BENCH_parallel.json`` at the repo
 root — machine speedup claims belong in version control next to the
 code that produced them.
@@ -28,7 +28,7 @@ import sys
 import time
 
 from repro.experiments import run_experiment
-from repro.parallel import ParallelExecutor
+from repro.parallel import ExperimentTask, SupervisedPool
 
 try:  # package import (tests) or sibling import (standalone script)
     from benchmarks import schema as bench_schema
@@ -75,12 +75,13 @@ def run_bench(
 
     scaling: list[dict[str, object]] = []
     headline: dict[str, object] | None = None
+    tasks = [
+        ExperimentTask(exp_id, quick=True, seed=BENCH_SEED, overrides=overrides)
+        for exp_id in experiments
+    ]
     for n_jobs in sorted(set(scaling_jobs) | {jobs}):
-        executor = ParallelExecutor(
-            n_jobs, quick=True, seed=BENCH_SEED, overrides=overrides
-        )
         start = time.perf_counter()
-        outcomes = executor.run(list(experiments))
+        outcomes = SupervisedPool(n_jobs).run(tasks)
         parallel_s = time.perf_counter() - start
         failed = [o.exp_id for o in outcomes if not o.ok]
         if failed:

@@ -15,7 +15,7 @@ Markdown reports (:mod:`repro.ablation.report`).
 ``python -m repro ablate`` (:mod:`repro.ablation.cli`) is the operator
 entry point; each cell is addressable as an experiment id
 (``ablate/<flip>/<workload>``) so the matrix executes through the
-existing :class:`repro.parallel.ParallelExecutor` and the
+existing :class:`repro.parallel.SupervisedPool` and the
 content-addressed ``.repro-cache/`` — warm reruns replay every
 unchanged cell.  See docs/ABLATION.md.
 """

@@ -4,8 +4,8 @@ Every cell of the ablation matrix is addressable through the experiment
 registry (``repro.experiments.registry``), which resolves ``ablate/``
 ids dynamically via :func:`spec_args`.  That gives each cell
 
-* a unique task id for :class:`repro.parallel.ParallelExecutor` (the
-  supervised pool keys outcomes by experiment id),
+* a task id for :class:`repro.parallel.SupervisedPool` (the
+  ablate CLI keys outcomes by experiment id),
 * its own content-addressed ``.repro-cache/`` entry
   (``key = canonical config | seed | source fingerprint``), and
 * spawn-safety: worker processes rebuild the spec from the id alone, so

@@ -146,13 +146,13 @@ def main(argv: list[str] | None = None) -> int:
     if baseline_path is None and Path(DEFAULT_BASELINE_PATH).is_file():
         baseline_path = DEFAULT_BASELINE_PATH
     pool = None
+    if args.jobs > 1:
+        from repro.parallel import SupervisedPool
+
+        pool = SupervisedPool(args.jobs)
     try:
         if args.deep and baseline_path and not args.write_baseline:
             baseline_entries = load_baseline(baseline_path)
-        if args.jobs > 1:
-            from repro.parallel.pool import make_pool
-
-            pool = make_pool(args.jobs)
         result = lint_paths(
             args.paths,
             select=_split(args.select),
@@ -165,9 +165,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"simlint: error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if pool is not None:
-            pool.close()
 
     if args.deep and args.write_baseline:
         target = baseline_path or DEFAULT_BASELINE_PATH

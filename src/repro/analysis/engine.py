@@ -1,7 +1,7 @@
 """simlint engine: file discovery, parsing, suppression, rule dispatch.
 
 The engine parses every target file once, runs the single-file rules
-(optionally fanned out over a :class:`repro.parallel.pool.ShardPool`),
+(optionally fanned out over a :class:`repro.parallel.SupervisedPool`),
 then hands the whole parsed set to the project rules (cross-file
 contracts).  Under ``deep=True`` it additionally runs the
 whole-program pass (:mod:`repro.analysis.flow`): call-graph purity
@@ -334,7 +334,7 @@ def lint_sources(
     paths behave like repo-relative paths for scoping purposes.
 
     ``deep=True`` additionally runs the whole-program FLOW pass.
-    ``pool`` (a ShardPool) parallelizes per-file rules and deep
+    ``pool`` (a SupervisedPool) parallelizes per-file rules and deep
     extraction; findings are sorted, so output is identical at any
     ``--jobs``.  ``cache_dir`` enables the content-addressed analysis
     cache; ``baseline_entries`` (see :mod:`repro.analysis.baseline`)

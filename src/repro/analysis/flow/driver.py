@@ -3,7 +3,7 @@
 Orchestration only — extraction lives in :mod:`extract`, resolution
 and fixpoints in :mod:`graph`, persistence in :mod:`cache`.  The
 driver names the modules, consults the cache, fans extraction out over
-a :class:`repro.parallel.pool.ShardPool` when one is supplied, and
+a :class:`repro.parallel.SupervisedPool` when one is supplied, and
 reports cache hit/miss statistics so callers (and the acceptance
 tests) can verify the second run of an unchanged tree did no work.
 """

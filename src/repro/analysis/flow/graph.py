@@ -108,8 +108,8 @@ class ProjectGraph:
             head, _, tail = rest.partition(".")
             if tail and (module, head) in self.classes:
                 return self._method(module, head, tail)
-            # one-hop re-export: ``from repro.parallel import make_pool``
-            # where repro/parallel/__init__.py itself imports make_pool.
+            # one-hop re-export: ``from repro.parallel import ResultCache``
+            # where repro/parallel/__init__.py itself imports ResultCache.
             if head in summ["imports"] and depth < 4:
                 target = summ["imports"][head]
                 expanded = f"{target}.{tail}" if tail else target

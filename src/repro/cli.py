@@ -26,11 +26,12 @@ million-client replay harness (docs/SERVING.md).
 
 Parallelism & caching (docs/PERFORMANCE.md):
 
-* ``--jobs N`` with several experiments fans them out to worker
-  processes (ordered reporting, single-writer checkpointing,
-  process-level timeout kills); with a single experiment it hands the
-  runner a shard pool for intra-experiment fan-out.  Rows are
-  invariant to ``--jobs`` — only wall clock changes.
+* Every batch runs on one :class:`~repro.parallel.SupervisedPool` of
+  ``--jobs N`` workers.  Several experiments fan out one per worker
+  (ordered reporting, single-writer checkpointing, process-level
+  timeout kills); a single experiment runs in this process and fans its
+  shards out over the workers; at ``--jobs 1`` everything runs in this
+  process.  Rows are invariant to ``--jobs`` — only wall clock changes.
 * Results are cached content-addressed under ``--cache-dir``
   (default ``.repro-cache``, or ``$REPRO_CACHE_DIR``); any source
   change invalidates every entry.  ``--no-cache`` (or
@@ -69,16 +70,9 @@ import json
 import os
 import pathlib
 import sys
-import time
 from contextlib import nullcontext
 
-from repro.errors import ReproError
-from repro.experiments import (
-    EXPERIMENTS,
-    render_failures,
-    render_result,
-    run_experiment,
-)
+from repro.experiments import EXPERIMENTS, render_failures, render_result
 from repro.obs import capture as obs_capture
 
 __all__ = ["main", "build_parser"]
@@ -243,19 +237,26 @@ def _checkpoint_path(args: argparse.Namespace) -> pathlib.Path | None:
 
 def _open_journal(args: argparse.Namespace, ckpt_path: pathlib.Path):
     """Open (recovering) the checkpoint journal; report what recovery
-    did.  A journal from a different ``(quick, seed)`` configuration is
-    rotated aside — resuming across configurations would silently mix
-    incomparable results.  Journal records land in completion order, so
-    their ``checkpoint_written`` events stay out of the per-experiment
-    captures that feed ``--trace-out`` (which must stay invariant to
-    ``--jobs``)."""
+    did.  A journal from a different ``(quick, seed)`` configuration, or
+    a file that is not a journal, is moved aside — resuming across
+    configurations would silently mix incomparable results.  Journal
+    records land in completion order, so their ``checkpoint_written``
+    events stay out of the per-experiment captures that feed
+    ``--trace-out`` (which must stay invariant to ``--jobs``)."""
     from repro.parallel import CheckpointJournal
 
     journal = CheckpointJournal(
         ckpt_path, quick=args.quick, seed=args.seed
     ).open()
-    if journal.rotated is not None:
-        header = journal.rotated.header or {}
+    rotated = journal.rotated
+    if rotated is not None and rotated.header is None:
+        print(
+            f"checkpoint {ckpt_path} is not a checkpoint journal; "
+            f"moved it to {ckpt_path}.old",
+            file=sys.stderr,
+        )
+    elif rotated is not None:
+        header = rotated.header
         print(
             f"checkpoint {ckpt_path} is from a different run "
             f"(quick={header.get('quick')!r}, seed={header.get('seed')!r}); "
@@ -362,25 +363,28 @@ def _fold_supervision(parent_cap, snaps: list, events: list) -> None:
         snaps.append({"counters": counters, "gauges": {}, "histograms": {}})
 
 
-def _run_parallel(
+def _run_batch(
     args: argparse.Namespace,
     ids: list[str],
-    cache,
     journal,
     done: dict[str, dict],
     failures: list[dict[str, object]],
     *,
     collect: bool = False,
 ):
-    """Fan ``ids`` out over the supervised worker pool.
+    """Run ``ids`` on the supervised pool; return their outcomes.
 
-    The parent stays the only checkpoint writer: per-experiment
-    ``done`` records land in completion order (fsync'd journal
-    appends), while results are *emitted* in submission order so the
-    report reads like the serial run.  Returns ``(outcomes,
-    supervisor stats)``.
+    At ``--jobs 1`` (or for a single experiment) the pool runs them in
+    this process.  The parent stays the only checkpoint writer:
+    per-experiment ``done`` records land in completion order (fsync'd
+    journal appends), while results are *emitted* in submission order.
     """
-    from repro.parallel import ParallelExecutor, RetryPolicy
+    from repro.parallel import (
+        ExperimentTask,
+        RetryPolicy,
+        SupervisedPool,
+        source_fingerprint,
+    )
 
     chaos = None
     retry = RetryPolicy(
@@ -398,17 +402,23 @@ def _run_parallel(
                 max_task_reexecutions=chaos.safe_attempt,
                 max_worker_restarts=retry.max_worker_restarts,
             )
-    executor = ParallelExecutor(
-        args.jobs,
-        quick=args.quick,
-        seed=args.seed,
-        timeout=args.timeout,
-        retry=retry,
-        cache_dir=str(args.cache_dir) if cache is not None else None,
-        fingerprint=cache.fingerprint if cache is not None else None,
-        collect=collect,
-        chaos=chaos,
+    pool = SupervisedPool(
+        args.jobs, retry=retry, timeout=args.timeout, chaos=chaos
     )
+    fingerprint = source_fingerprint() if args.cache else None
+    tasks = [
+        ExperimentTask(
+            exp_id,
+            quick=args.quick,
+            seed=args.seed,
+            timeout=args.timeout,
+            retry=retry,
+            cache_dir=str(args.cache_dir) if args.cache else None,
+            fingerprint=fingerprint,
+            collect=collect,
+        )
+        for exp_id in ids
+    ]
     buffered: dict[str, object] = {}
     emit_order = list(ids)
 
@@ -451,8 +461,8 @@ def _run_parallel(
         buffered[outcome.exp_id] = outcome
         flush()
 
-    outcomes = executor.run(
-        ids, on_complete=on_complete, stop_on_failure=not args.keep_going
+    outcomes = pool.run(
+        tasks, on_outcome=on_complete, stop_on_failure=not args.keep_going
     )
     flush()
     skipped = [o.exp_id for o in outcomes if o.status == "skipped"]
@@ -462,13 +472,12 @@ def _run_parallel(
             f"{', '.join(skipped)}]",
             file=sys.stderr,
         )
-    stats = executor.stats
-    if stats.any():
+    if pool.stats.any():
         summary = ", ".join(
-            f"{k}={v}" for k, v in stats.as_dict().items() if v
+            f"{k}={v}" for k, v in pool.stats.as_dict().items() if v
         )
         print(f"[supervisor: {summary}]", file=sys.stderr)
-    return outcomes, stats
+    return outcomes
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -538,12 +547,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
 
-    cache = None
-    if args.cache:
-        from repro.parallel import ResultCache
-
-        cache = ResultCache(args.cache_dir)
-
     if args.chaos is not None and args.jobs < 2:
         print(
             "--chaos targets worker processes and needs --jobs > 1; "
@@ -575,93 +578,12 @@ def main(argv: list[str] | None = None) -> int:
                     continue
                 run_ids.append(exp_id)
 
-            # chaos forces the supervised-executor path even for a
-            # single experiment: it is the layer that survives the kills
-            if args.jobs > 1 and (len(run_ids) > 1 or args.chaos is not None):
-                outcomes, _ = _run_parallel(
-                    args, run_ids, cache, journal, done, failures,
-                    collect=collect,
-                )
-                if collect:
-                    snaps = [
-                        o.metrics for o in outcomes if o.metrics is not None
-                    ]
-                    events = [
-                        e for o in outcomes if o.events for e in o.events
-                    ]
-                    _fold_supervision(parent_cap, snaps, events)
-                    _write_obs(args, snaps, events)
-                if failures:
-                    print(render_failures(failures), file=sys.stderr)
-                    return 1
-                return 0
-
-            # serial path (also: single experiment with an
-            # intra-experiment pool)
-            pool = None
-            if args.jobs > 1 and run_ids:
-                from repro.parallel import make_pool
-
-                pool = make_pool(args.jobs)
-            snaps: list = []
-            events: list = []
-            try:
-                for exp_id in run_ids:
-                    start = time.perf_counter()
-                    try:
-                        with (
-                            obs_capture() if collect else nullcontext()
-                        ) as cap:
-                            result = run_experiment(
-                                exp_id,
-                                quick=args.quick,
-                                seed=args.seed,
-                                timeout=args.timeout,
-                                retries=args.retries,
-                                cache=cache,
-                                pool=pool,
-                            )
-                        if cap is not None:
-                            snaps.append(cap.snapshot())
-                            events.extend(cap.events)
-                    except ReproError as exc:
-                        elapsed = time.perf_counter() - start
-                        failure = {
-                            "exp_id": exp_id,
-                            "error_type": type(exc).__name__,
-                            "error": str(exc),
-                        }
-                        failures.append(failure)
-                        done[exp_id] = {
-                            "status": "failed",
-                            "elapsed_s": round(elapsed, 2),
-                            **{
-                                k: v
-                                for k, v in failure.items()
-                                if k != "exp_id"
-                            },
-                        }
-                        _mark_done(journal, exp_id, done[exp_id])
-                        print(
-                            f"[{exp_id} FAILED after {elapsed:.1f}s: "
-                            f"{type(exc).__name__}: {exc}]\n",
-                            file=sys.stderr,
-                        )
-                        if not args.keep_going:
-                            print(render_failures(failures), file=sys.stderr)
-                            return 1
-                        continue
-                    elapsed = time.perf_counter() - start
-                    _emit_result(args, result, elapsed)
-                    done[exp_id] = {
-                        "status": "ok",
-                        "elapsed_s": round(elapsed, 2),
-                    }
-                    _mark_done(journal, exp_id, done[exp_id])
-            finally:
-                if pool is not None:
-                    pool.close()
+            outcomes = _run_batch(
+                args, run_ids, journal, done, failures, collect=collect
+            )
             if collect:
+                snaps = [o.metrics for o in outcomes if o.metrics is not None]
+                events = [e for o in outcomes if o.events for e in o.events]
                 _fold_supervision(parent_cap, snaps, events)
                 _write_obs(args, snaps, events)
             if failures:

@@ -153,7 +153,7 @@ def run_fig3(
     panel).
 
     ``pool`` (an object with ``starmap``, e.g.
-    :class:`repro.parallel.ProcessPool`) fans out one task per
+    :class:`repro.parallel.SupervisedPool`) fans out one task per
     *(cell, repeat)* — so ``repeats > 1`` parallelizes inside a cell
     too; every repeat is seeded from its own ``(n, rep)`` coordinates
     and cells fold their repeats in rep order, so rows are identical

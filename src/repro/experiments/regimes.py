@@ -60,7 +60,7 @@ def run_ext_regimes(
     """One row per B/µ point with each policy's cost normalized to OPT.
 
     ``pool`` (an object with ``starmap``, e.g.
-    :class:`repro.parallel.ProcessPool`) fans the sweep cells out over
+    :class:`repro.parallel.SupervisedPool`) fans the sweep cells out over
     worker processes; each cell's stream is derived from its own
     coordinates, so rows are identical with or without a pool.
     """

@@ -380,7 +380,7 @@ def _watchdog(seconds: float | None, exp_id: str):
     elsewhere the engine-level deadline (``Machine.run(wall_timeout)``)
     remains the only enforcement, so we degrade to a warning rather
     than refusing to run — run experiments through
-    ``repro.parallel.ParallelExecutor`` (or the CLI's ``--jobs``) when
+    ``repro.parallel.SupervisedPool`` (or the CLI's ``--jobs``) when
     hard enforcement matters: its workers run on their own main
     threads *and* the parent kills overdue worker processes outright.
     """
@@ -394,7 +394,7 @@ def _watchdog(seconds: float | None, exp_id: str):
         logger.warning(
             "experiment %r: timeout=%gs requested off the main thread; "
             "the SIGALRM watchdog cannot arm here and only engine-level "
-            "deadlines apply — use repro.parallel.ParallelExecutor for "
+            "deadlines apply — use repro.parallel.SupervisedPool for "
             "process-level enforcement",
             exp_id,
             seconds,
@@ -429,8 +429,6 @@ def run_experiment(
     quick: bool = False,
     seed: int | None = None,
     timeout: float | None = None,
-    retries: int = 0,
-    retry_backoff: float = 0.05,
     retry=None,
     cache=None,
     pool=None,
@@ -445,14 +443,13 @@ def run_experiment(
     execution path shares) re-runs the experiment with exponential
     backoff when it dies with a transient
     :class:`~repro.errors.SimulationError` — the failure mode injected
-    faults produce.  ``retries`` / ``retry_backoff`` are the legacy
-    spelling and build an equivalent policy when no ``retry`` is given.
-    Timeouts, bad parameters, and unknown ids are never retried.
+    faults produce.  Without a policy nothing is retried.  Timeouts,
+    bad parameters, and unknown ids are never retried.
 
     ``cache`` (a :class:`repro.parallel.ResultCache`) short-circuits
     the run when an entry for this exact invocation exists, and stores
     the rows afterwards otherwise; failures are never cached.  ``pool``
-    (a :class:`repro.parallel.ShardPool`) is handed to runners that
+    (a :class:`repro.parallel.SupervisedPool`) is handed to runners that
     support intra-experiment fan-out (trial shards, sweep cells).
     Neither changes the rows — caching replays them, pooling only
     relocates the computation — and neither appears in the result's
@@ -462,12 +459,6 @@ def run_experiment(
     if spec is None:
         known = ", ".join(sorted(_SPECS))
         raise ExperimentError(f"unknown experiment {exp_id!r}; known: {known}")
-    if retry is None:
-        if retries < 0:
-            raise ExperimentError(f"retries must be >= 0, got {retries}")
-        from repro.parallel.retry import RetryPolicy
-
-        retry = RetryPolicy(retries=retries, backoff_base=retry_backoff)
     sig_params = inspect.signature(spec.runner).parameters
     kwargs = dict(spec.quick_kwargs if quick else spec.full_kwargs)
     kwargs.update(overrides)
@@ -490,7 +481,7 @@ def run_experiment(
         call_kwargs["pool"] = pool
     if cache is not None and "cache" in sig_params:
         call_kwargs["cache"] = cache
-    attempts = retry.retries + 1
+    attempts = 1 if retry is None else retry.retries + 1
     for attempt in range(attempts):
         try:
             with _watchdog(timeout, exp_id):

@@ -18,14 +18,14 @@ Usage::
     machine = Machine(MachineParams(), lambda i: RandDelay(), faults=plan)
     machine.load(workload, seed=1)
     stats = machine.run(200_000.0)
-    print(stats.fault_counters)   # {'spurious_aborts': 12, ...}
+    print(stats.fault_counts())   # {'spurious_aborts': 12, ...}
 
 :mod:`repro.faults.chaos` extends the adversary one level up — to the
 *host* the harness runs on: seeded SIGKILL/SIGSTOP of worker
 processes (:class:`ChaosPlan`, armed by ``--chaos SEED``) and
 deterministic corruption of checkpoint/cache artifacts
 (:func:`tear_tail`, :func:`corrupt_bytes`), exercised by the chaos CI
-job against the supervised executor's recovery guarantees.
+job against the supervised pool's recovery guarantees.
 
 See ``docs/ROBUSTNESS.md`` for the fault model and
 ``python -m repro robustness`` for the policy-degradation sweep.

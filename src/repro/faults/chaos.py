@@ -25,7 +25,7 @@ Three injector families:
   bytes, the scenario ``repro cache verify`` must detect.
 
 Nothing here runs unless explicitly armed (``--chaos SEED`` on the CLI
-or a plan handed to the executor/tests); an unarmed run never imports a
+or a plan handed to a ``SupervisedPool``); an unarmed run never imports a
 single hash draw.
 """
 

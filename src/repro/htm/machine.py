@@ -94,10 +94,6 @@ class Machine:
         # callbacks fired with each committed transaction's duration in
         # cycles (used by the online profiler extension)
         self.commit_observers: list = []
-        # attach a repro.sim.trace.Tracer for event timelines
-        from repro.sim.trace import NullTracer
-
-        self.tracer = NullTracer()
         # waits-for multiset: (waiter_core, holder_core) -> count
         self._waits: dict[tuple[int, int], int] = {}
         # incremental adjacency views of the same multiset (holder ->
@@ -119,11 +115,10 @@ class Machine:
     # Observability
     # ------------------------------------------------------------------
     def emit(self, kind: str, core: int = -1, **detail) -> None:
-        """Publish one typed event at the current simulated time to the
-        attached tracer and the process trace bus (both optional; the
-        disabled path is two attribute reads)."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.sim.now, kind, core, **detail)
+        """Publish one typed event at the current simulated time to
+        ``self.bus`` (the process trace bus at construction; assign a
+        :class:`~repro.obs.TraceBus` with a subscribed
+        :class:`~repro.sim.trace.Tracer` for a per-machine timeline)."""
         if self.bus.enabled:
             self.bus.emit(self.sim.now, kind, core, **detail)
 
@@ -131,7 +126,7 @@ class Machine:
     def tracing(self) -> bool:
         """Whether :meth:`emit` reaches anyone; hot paths check it before
         building an event's details."""
-        return self.tracer.enabled or self.bus.enabled
+        return self.bus.enabled
 
     def attach_profiler(self, profiler) -> None:
         """Attach a :class:`repro.obs.PhaseProfiler`: the kernel routes

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
@@ -66,23 +65,6 @@ class MachineStats:
             name[len(prefix):]: value
             for name, value in self.registry.counter_values(prefix).items()
         }
-
-    @property
-    def fault_counters(self) -> dict[str, int]:
-        """Deprecated alias of :meth:`fault_counts`.
-
-        The dict used to be mutable shared state written by the
-        injector; counts now flow through ``registry`` (``fault_*``
-        counters) and this returns a fresh copy per call.
-        """
-        warnings.warn(
-            "MachineStats.fault_counters is deprecated; use "
-            "MachineStats.fault_counts() or read fault_* counters from "
-            "MachineStats.registry",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.fault_counts()
 
     @property
     def cores(self) -> list[CoreStats]:

@@ -7,15 +7,15 @@ Three coordinated pieces (docs/OBSERVABILITY.md):
   handles when disabled, and deterministic snapshot merging.
 * :mod:`repro.obs.tracebus` — a :class:`TraceBus` of typed
   :class:`ObsEvent` records with JSONL and Chrome ``trace_event``
-  serialization; the legacy per-machine tracer is a sink on the same
-  schema.
+  serialization; the per-machine :class:`repro.sim.trace.Tracer` is a
+  sink on it.
 * :mod:`repro.obs.profile` — :class:`PhaseProfiler` for per-phase wall
   clock and event-loop occupancy in the simulation kernel.
 
 The usual entry point is :func:`capture`: it installs a fresh registry
 and bus for the duration of a block and hands back everything recorded,
 which is exactly what the CLI's ``--metrics-out``/``--trace-out`` and
-the parallel executor's per-worker collection do.
+the supervised pool's per-worker collection do.
 """
 
 from __future__ import annotations

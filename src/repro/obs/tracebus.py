@@ -3,7 +3,7 @@
 An :class:`ObsEvent` is a timestamped, typed record with a small
 JSON-able detail dict.  Emitters (the HTM machine, the fault injector,
 the synthetic harness, the result cache, the CLI checkpointer) publish
-to the process's active :class:`TraceBus`; sinks subscribe.  The legacy
+to the process's active :class:`TraceBus`; sinks subscribe.  The
 per-machine :class:`repro.sim.trace.Tracer` is one such sink — its
 ``TraceEvent`` *is* this class.
 

@@ -1,24 +1,25 @@
-"""Parallel execution layer: process pools, sharding, result caching.
+"""Parallel execution layer: one supervised pool, result caching.
 
-Two levels of fan-out (docs/PERFORMANCE.md):
+Two levels of fan-out run on the same :class:`SupervisedPool`
+(docs/PERFORMANCE.md):
 
-* **Inter-experiment** — :class:`ParallelExecutor` runs whole
-  experiments in worker processes with parent-enforced process-level
-  timeouts and single-writer checkpointing
+* **Inter-experiment** — :meth:`SupervisedPool.run` executes whole
+  experiments (:class:`ExperimentTask`) in worker processes with
+  parent-enforced process-level timeouts, reporting outcomes in
+  submission order so the parent stays the single checkpoint writer
   (``python -m repro all --jobs N``).
-* **Intra-experiment** — :class:`ShardPool` / :func:`make_pool` map
-  trial shards (``SyntheticHarness.run(n_shards=...)``) and sweep
-  cells (``run_fig3(pool=...)``) over workers; per-shard
-  ``SeedSequence`` streams plus ordered ``Welford.merge_all`` keep
-  results bit-identical for a fixed ``(seed, n_shards)`` and invariant
-  to the worker count.
+* **Intra-experiment** — :meth:`SupervisedPool.starmap` maps trial
+  shards (``SyntheticHarness.run(n_shards=...)``) and sweep cells
+  (``run_fig3(pool=...)``) over workers; per-shard ``SeedSequence``
+  streams plus ordered ``Welford.merge_all`` keep results bit-identical
+  for a fixed ``(seed, n_shards)`` and invariant to the worker count.
 
-Plus :class:`ResultCache`, the content-addressed row store keyed on
-``exp_id + kwargs + seed + quick +`` a source-tree fingerprint, and the
-crash-tolerance layer: :class:`SupervisedPool` (warm workers,
-heartbeats, bounded restarts, degradation to serial),
+When at most one worker would be busy the pool runs the work in the
+parent instead.  Plus :class:`ResultCache`, the content-addressed row
+store keyed on ``exp_id + kwargs + seed + quick +`` a source-tree
+fingerprint, and the rest of the crash-tolerance layer:
 :class:`CheckpointJournal` (append-only fsync'd JSONL with per-record
-checksums and torn-tail recovery), and :class:`RetryPolicy` (the one
+checksums and torn-tail recovery) and :class:`RetryPolicy` (the one
 retry/re-execution/restart budget object every path shares).
 """
 
@@ -30,26 +31,20 @@ from repro.parallel.cache import (
     scan_cache_dir,
     source_fingerprint,
 )
-from repro.parallel.executor import (
-    ExperimentOutcome,
-    ExperimentTask,
-    ParallelExecutor,
-)
 from repro.parallel.journal import (
     CheckpointJournal,
     JournalRecovery,
     atomic_write_text,
     recover,
 )
-from repro.parallel.pool import (
-    ProcessPool,
-    SerialPool,
-    ShardPool,
-    best_start_method,
-    make_pool,
-)
 from repro.parallel.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.parallel.supervisor import SupervisedPool, SupervisorStats
+from repro.parallel.supervisor import (
+    ExperimentOutcome,
+    ExperimentTask,
+    SupervisedPool,
+    SupervisorStats,
+    best_start_method,
+)
 
 __all__ = [
     "CheckpointJournal",
@@ -57,18 +52,13 @@ __all__ = [
     "ExperimentOutcome",
     "ExperimentTask",
     "JournalRecovery",
-    "ParallelExecutor",
-    "ProcessPool",
     "ResultCache",
     "RetryPolicy",
-    "SerialPool",
-    "ShardPool",
     "SupervisedPool",
     "SupervisorStats",
     "atomic_write_text",
     "best_start_method",
     "cache_key",
-    "make_pool",
     "recover",
     "scan_cache_dir",
     "source_fingerprint",

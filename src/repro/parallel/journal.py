@@ -21,8 +21,9 @@ that resume compatibility is keyed on.
 the first unparsable / checksum-failing / out-of-order record, truncates
 the file to the durable prefix in place (crash-mid-write leaves exactly
 one torn tail; anything after it is unreachable history), and reports
-how much was dropped.  A legacy single-blob checkpoint (PR 1 format) is
-recognized and imported read-only.
+how much was dropped.  A non-empty file without one verified record is
+not a journal: recovery leaves it untouched and
+:meth:`CheckpointJournal.open` moves it aside.
 
 :func:`atomic_write_text` is the sanctioned primitive for every
 non-append artifact write (cache entries, rendered reports): temp file
@@ -126,8 +127,6 @@ class JournalRecovery:
     dropped_bytes: int = 0
     #: lines removed (the torn record plus anything after it).
     dropped_records: int = 0
-    #: True when the file was a pre-journal single-blob checkpoint.
-    legacy: bool = False
 
     @property
     def header(self) -> dict | None:
@@ -167,40 +166,15 @@ def _parse_line(line: str, expect_seq: int) -> dict | None:
     return record
 
 
-def _recover_legacy(payload: dict) -> JournalRecovery:
-    """Import a PR-1-era single-blob checkpoint read-only."""
-    done = payload.get("done")
-    records: list[dict] = [
-        {
-            "seq": 0,
-            "kind": "header",
-            "data": {
-                "version": 0,
-                "quick": payload.get("quick"),
-                "seed": payload.get("seed"),
-            },
-        }
-    ]
-    if isinstance(done, dict):
-        for exp_id, entry in done.items():
-            if isinstance(entry, dict):
-                records.append(
-                    {
-                        "seq": len(records),
-                        "kind": "done",
-                        "data": {"exp_id": exp_id, **entry},
-                    }
-                )
-    return JournalRecovery(records=records, legacy=True)
-
-
 def recover(path: pathlib.Path | str, *, truncate: bool = True) -> JournalRecovery:
     """Replay a journal, truncating any torn tail to the durable prefix.
 
     Missing or entirely unreadable files recover to an empty history —
     resume must never refuse to start because a crash mangled its own
-    bookkeeping.  With ``truncate=False`` the file is left untouched
-    (dry-run verification).
+    bookkeeping.  Only a tail behind at least one verified record is
+    truncated, so a file that is not a journal is never destroyed.
+    With ``truncate=False`` the file is left untouched (dry-run
+    verification).
     """
     path = pathlib.Path(path)
     try:
@@ -210,14 +184,6 @@ def recover(path: pathlib.Path | str, *, truncate: bool = True) -> JournalRecove
     if not raw:
         return JournalRecovery()
     text = raw.decode("utf-8", errors="replace")
-    if text.lstrip().startswith("{") and '"crc"' not in text.split("\n", 1)[0]:
-        # legacy single-blob checkpoint (or foreign JSON): import, don't edit
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            payload = None
-        if isinstance(payload, dict) and "done" in payload:
-            return _recover_legacy(payload)
     records: list[dict] = []
     good_bytes = 0
     cursor = 0
@@ -240,7 +206,7 @@ def recover(path: pathlib.Path | str, *, truncate: bool = True) -> JournalRecove
         dropped_bytes=dropped,
         dropped_records=dropped_records,
     )
-    if recovery.truncated and truncate:
+    if recovery.truncated and records and truncate:
         with open(path, "rb+") as fh:
             fh.truncate(len(text[:good_bytes].encode()))
             fh.flush()
@@ -263,8 +229,9 @@ class CheckpointJournal:
 
     ``open()`` recovers any existing file first: a compatible journal is
     continued (its ``done`` map is what ``--resume`` replays), while a
-    foreign-configuration, legacy, or hopeless file is rotated aside so
-    the new run starts from a clean, verifiable history.
+    foreign-configuration journal or a file that is not a journal at all
+    is moved aside to ``<name>.old`` so the new run starts from a clean,
+    verifiable history.
     """
 
     def __init__(
@@ -280,17 +247,16 @@ class CheckpointJournal:
         self._fh = None
         self._seq = 0
         self.recovery: JournalRecovery | None = None
-        #: the foreign-configuration history rotated aside by ``open()``
-        #: (None when the existing file was compatible or absent).
+        #: what ``open()`` moved aside: a foreign-configuration history,
+        #: or a non-journal file (no verified record, so ``header`` is
+        #: None).  None when the existing file was compatible or absent.
         self.rotated: JournalRecovery | None = None
-        self._imported: dict[str, dict] = {}
 
     # ------------------------------------------------------------------
     def _compatible(self, recovery: JournalRecovery) -> bool:
         header = recovery.header
         return (
             header is not None
-            and not recovery.legacy
             and header.get("version") == JOURNAL_VERSION
             and header.get("quick") == self.quick
             and header.get("seed") == self.seed
@@ -302,19 +268,11 @@ class CheckpointJournal:
             return self
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.recovery = recover(self.path)
-        if self.recovery.records and not self._compatible(self.recovery):
-            header = self.recovery.header or {}
-            if (
-                self.recovery.legacy
-                and header.get("quick") == self.quick
-                and header.get("seed") == self.seed
-            ):
-                # pre-journal blob for the same configuration: honor its
-                # completions, then continue in journal format
-                self._imported = self.recovery.done_map()
-            else:
-                self.rotated = self.recovery
-            # foreign/legacy history: preserve it, start fresh
+        if (
+            self.recovery.records or self.recovery.truncated
+        ) and not self._compatible(self.recovery):
+            # foreign history or not a journal: preserve it, start fresh
+            self.rotated = self.recovery
             with _ignore_os_error():
                 os.replace(self.path, self.path.with_name(self.path.name + ".old"))
             self.recovery = JournalRecovery()
@@ -327,9 +285,6 @@ class CheckpointJournal:
                 quick=self.quick,
                 seed=self.seed,
             )
-            for exp_id, entry in self._imported.items():
-                # legacy completions become durable journal records
-                self.append("done", exp_id=exp_id, **entry)
         return self
 
     def append(self, kind: str, **data) -> dict:
@@ -357,8 +312,7 @@ class CheckpointJournal:
 
     def done_map(self) -> dict[str, dict]:
         """Completed/failed entries replayed at ``open()`` time."""
-        replayed = self.recovery.done_map() if self.recovery else {}
-        return {**self._imported, **replayed}
+        return self.recovery.done_map() if self.recovery else {}
 
     def close(self) -> None:
         if self._fh is not None:

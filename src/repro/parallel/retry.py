@@ -1,12 +1,9 @@
 """One retry/backoff policy shared by every execution path.
 
-Before this module each layer carried its own ad-hoc knobs: the serial
-runner had ``retries`` + ``retry_backoff``, the parallel executor
-forwarded them, and worker-crash recovery did not exist at all.  A
-:class:`RetryPolicy` is the single picklable object threaded through
-:func:`repro.experiments.run_experiment`, the
-:class:`~repro.parallel.executor.ParallelExecutor`, and the
-:class:`~repro.parallel.supervisor.SupervisedPool`:
+A :class:`RetryPolicy` is the single picklable object threaded through
+:func:`repro.experiments.run_experiment` and the
+:class:`~repro.parallel.supervisor.SupervisedPool`, and the only way to
+ask either for retries:
 
 * ``retries`` / ``backoff_base`` / ``backoff_factor`` — in-process
   re-runs after a transient :class:`~repro.errors.SimulationError`

@@ -1,13 +1,17 @@
-"""Supervised warm worker pool: heartbeats, restarts, degradation.
+"""Supervised worker pool: the one way work reaches another process.
 
-The original executor paid one process spawn per experiment and treated
-any worker death as a terminal, unexplained failure.  This module is
-the robust replacement underneath :class:`~repro.parallel.executor.
-ParallelExecutor`:
+Whole experiments (``python -m repro``, ``repro ablate``) and the
+shards inside one (trial shards, sweep cells, lint files) all run
+through :class:`SupervisedPool`:
 
-* **Warm pool** — up to ``jobs`` worker processes are spawned *once*
-  per run and then fed tasks over duplex pipes until the queue drains
-  (the scaffolding the ROADMAP's shared-memory speedup work needs).
+* **In-parent rule** — when at most one worker would be busy (``jobs ==
+  1`` or a single task) and no chaos plan is armed, :meth:`~SupervisedPool.
+  run` executes the tasks in this process.  With ``jobs > 1`` the lone
+  experiment gets the pool itself as ``pool=``, so its shards still fan
+  out.
+* **Warm pool** — otherwise up to ``jobs`` worker processes are spawned
+  *once* per run and then fed tasks over duplex pipes until the queue
+  drains.
 * **Heartbeats** — each worker runs a tiny side thread that pings the
   parent every ``heartbeat_interval`` seconds; a worker whose beats
   stop (SIGSTOP, deadlocked interpreter, dead machine slot) is declared
@@ -22,14 +26,23 @@ ParallelExecutor`:
   with work remaining, the supervisor runs the rest *serially in the
   parent* (``degraded_to_serial``) — a chaotic host can slow a run
   down, never wedge or lose it.
+* **Ordered results** — ``run`` returns outcomes in submission order and
+  :meth:`~SupervisedPool.starmap` returns results in task order, no
+  matter which worker finished first.  With per-shard ``SeedSequence``
+  streams (:func:`repro.rngutil.spawn_streams`) this makes every sharded
+  computation bit-identical for a fixed ``(seed, n_shards)`` and
+  invariant to ``--jobs``.
 
 Determinism: supervision decides only *where and how often* a task body
 executes; the body itself is :func:`repro.experiments.run_experiment`
-with a fixed seed, so re-executed tasks produce byte-identical rows and
-the chaos CI gate can diff a SIGKILL-riddled run against a fault-free
-one.  Supervision events (``worker_crashed``, ``worker_restarted``,
-``degraded_to_serial``) go to the *parent's* bus and never into the
-per-experiment captures that feed ``--trace-out``.
+(or a module-level shard function) with a fixed seed, so re-executed
+tasks produce byte-identical rows and the chaos CI gate can diff a
+SIGKILL-riddled run against a fault-free one.  Supervision events
+(``worker_crashed``, ``worker_restarted``, ``degraded_to_serial``) go
+to the bus that is active when the pool runs, never into the
+per-experiment captures of worker processes.  Functions handed to
+``starmap`` must be module-level (picklable) and take their seed or
+stream as an argument — simlint rule DET004 (docs/STATIC_ANALYSIS.md).
 """
 
 from __future__ import annotations
@@ -41,11 +54,12 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
-from repro.errors import InvalidParameterError
+from repro import errors
+from repro.obs import obs_active
 from repro.obs.metrics import get_registry
 from repro.obs.tracebus import NO_SIM_TIME, get_bus
-from repro.parallel.pool import best_start_method
 from repro.parallel.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
@@ -53,6 +67,7 @@ __all__ = [
     "ExperimentOutcome",
     "SupervisorStats",
     "SupervisedPool",
+    "best_start_method",
     "classify_exit",
 ]
 
@@ -60,6 +75,17 @@ __all__ = [
 DEFAULT_HEARTBEAT_INTERVAL = 0.2
 #: Parent-side silence budget before a worker is declared hung.
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
+
+
+def best_start_method() -> str:
+    """``fork`` where the platform offers it, else ``spawn``.
+
+    Fork keeps the parent's in-memory experiment registry (including
+    test doubles registered at runtime) visible to workers; spawn-based
+    workers can only run experiments importable from the module tree.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else "spawn"
 
 
 @dataclass(frozen=True)
@@ -77,6 +103,41 @@ class ExperimentTask:
     #: run under a fresh obs capture and ship the metric snapshot +
     #: trace events back alongside the result
     collect: bool = False
+
+    def __call__(self, pool=None):
+        """Run the experiment; ``pool`` serves its shards."""
+        from repro.experiments.registry import run_experiment
+        from repro.parallel.cache import ResultCache
+
+        cache = (
+            ResultCache(self.cache_dir, fingerprint=self.fingerprint)
+            if self.cache_dir
+            else None
+        )
+        return run_experiment(
+            self.exp_id,
+            quick=self.quick,
+            seed=self.seed,
+            timeout=self.timeout,
+            retry=self.retry,
+            cache=cache,
+            pool=pool,
+            **self.overrides,
+        )
+
+
+@dataclass(frozen=True)
+class _Call:
+    """One :meth:`SupervisedPool.starmap` item: ``fn(*args)``."""
+
+    #: label for supervision messages and chaos draws
+    exp_id: str
+    fn: Callable
+    args: tuple
+    collect: bool = False
+
+    def __call__(self, pool=None):
+        return self.fn(*self.args)
 
 
 @dataclass
@@ -145,39 +206,65 @@ def classify_exit(exitcode: int | None) -> str:
     return f"exit:{exitcode}"
 
 
-def _execute_task(task: ExperimentTask) -> tuple[str, object]:
+def _execute_task(task, pool=None, catch=BaseException) -> tuple[str, object]:
     """Run one task body; every outcome becomes data, never a raise.
 
-    Shared by the worker loop and the parent's degraded-serial path, so
-    both produce indistinguishable payloads.
+    Shared by the worker loop and the parent, so both produce
+    indistinguishable payloads.  A worker catches everything (it must
+    never die silently); the parent passes ``catch=Exception`` so
+    Ctrl-C still stops it.
     """
     from contextlib import nullcontext
 
-    from repro.experiments.registry import run_experiment
     from repro.obs import capture
-    from repro.parallel.cache import ResultCache
 
     try:
-        cache = (
-            ResultCache(task.cache_dir, fingerprint=task.fingerprint)
-            if task.cache_dir
-            else None
-        )
         with (capture() if task.collect else nullcontext()) as cap:
-            result = run_experiment(
-                task.exp_id,
-                quick=task.quick,
-                seed=task.seed,
-                timeout=task.timeout,
-                retry=task.retry,
-                cache=cache,
-                **task.overrides,
-            )
+            result = task(pool)
         if cap is not None:
             return "ok", (result, cap.snapshot(), cap.events)
         return "ok", result
     except BaseException as exc:  # simlint: disable=ERR002,ERR003 -- process/serialization boundary: the supervisor re-raises this as a failure outcome; a worker must never die silently
+        if not isinstance(exc, catch):
+            raise
         return "failed", (type(exc).__name__, str(exc))
+
+
+def _outcome(task, attempt, status, payload, elapsed) -> ExperimentOutcome:
+    """An :class:`ExperimentOutcome` from an :func:`_execute_task` payload."""
+    if status == "ok":
+        metrics = events = None
+        result = payload
+        if task.collect:
+            result, metrics, events = payload
+        return ExperimentOutcome(
+            task.exp_id,
+            "ok",
+            result=result,
+            elapsed_s=elapsed,
+            metrics=metrics,
+            events=events,
+            attempts=attempt + 1,
+        )
+    error_type, error = payload
+    return ExperimentOutcome(
+        task.exp_id,
+        "failed",
+        error_type=error_type,
+        error=error,
+        elapsed_s=elapsed,
+        attempts=attempt + 1,
+    )
+
+
+def _call_error(outcome: ExperimentOutcome) -> errors.ReproError:
+    """The exception a failed ``starmap`` call raises in the caller:
+    :mod:`repro.errors` classes keep their type, anything else becomes
+    an :class:`~repro.errors.ExperimentError` naming it."""
+    cls = getattr(errors, outcome.error_type or "", None)
+    if isinstance(cls, type) and issubclass(cls, errors.ReproError):
+        return cls(outcome.error)
+    return errors.ExperimentError(f"{outcome.error_type}: {outcome.error}")
 
 
 def _pool_worker(conn, worker_id: int, heartbeat_interval: float, chaos_config: dict | None) -> None:  # simlint: disable=DET004 -- seeds ride inside each ExperimentTask payload; run_experiment derives every stream from them
@@ -224,13 +311,11 @@ def _pool_worker(conn, worker_id: int, heartbeat_interval: float, chaos_config: 
             start = time.monotonic()
             status, payload = _execute_task(task)
             elapsed = time.monotonic() - start
-            if not send(("done", task.exp_id, attempt, status, payload, elapsed)):
+            if not send(("done", status, payload, elapsed)):
                 # unpicklable result: report the failure instead
                 if not send(
                     (
                         "done",
-                        task.exp_id,
-                        attempt,
                         "failed",
                         ("ExperimentError", "result could not be pickled"),
                         elapsed,
@@ -248,17 +333,16 @@ class _Worker:
     conn: object
     worker_id: int
     last_beat: float
-    #: (task, attempt, dispatch time) while busy, else None
+    #: (index, task, attempt, dispatch time) while busy, else None
     inflight: tuple | None = None
 
 
 class SupervisedPool:
-    """Spawn-once worker pool with crash/hang supervision.
+    """Spawn-per-run worker pool with crash/hang supervision.
 
-    ``run`` executes a list of :class:`ExperimentTask` and returns
-    ``{exp_id: ExperimentOutcome}`` for every task that was executed
-    (tasks never started — e.g. after ``stop_on_failure`` — are simply
-    absent).  ``on_outcome`` fires in completion order.
+    :meth:`run` executes a list of tasks (:class:`ExperimentTask`) and
+    :meth:`starmap` maps a module-level function over argument tuples;
+    both follow the in-parent rule in the module docstring.
     """
 
     def __init__(
@@ -275,7 +359,7 @@ class SupervisedPool:
         start_method: str | None = None,
     ) -> None:
         if jobs < 1:
-            raise InvalidParameterError(f"need jobs >= 1, got {jobs}")
+            raise errors.InvalidParameterError(f"need jobs >= 1, got {jobs}")
         self.jobs = jobs
         self.retry = retry
         self.timeout = timeout
@@ -343,46 +427,131 @@ class SupervisedPool:
         )
 
     def _shutdown(self) -> None:
+        """Stop every worker: idle ones are told to exit, busy ones (a
+        run cut short by an exception) are killed."""
         for worker in list(self._workers.values()):
-            try:
-                worker.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
+            if worker.inflight is None:
+                try:
+                    worker.conn.send(None)
+                except (BrokenPipeError, OSError):
+                    pass
         for worker in list(self._workers.values()):
-            worker.proc.join(1.0)
-            if worker.proc.is_alive():  # pragma: no cover - stuck worker
-                worker.proc.kill()
-                worker.proc.join()
-            worker.conn.close()
-        self._workers.clear()
+            if worker.inflight is None:
+                worker.proc.join(1.0)
+            self._reap(worker, kill=True)
 
     # ------------------------------------------------------------------
     def run(
         self,
-        tasks: list[ExperimentTask],
+        tasks: list,
         *,
         on_outcome=None,
         stop_on_failure: bool = False,
-    ) -> dict[str, ExperimentOutcome]:
+    ) -> list[ExperimentOutcome]:
+        """Execute ``tasks``; return their outcomes in submission order.
+
+        ``on_outcome`` fires in completion order (the checkpoint hook:
+        the parent is the only writer).  With ``stop_on_failure`` a
+        failure stops launching new work; running tasks finish and
+        unstarted ones come back ``"skipped"``.  Workers are torn down
+        on every exit path, including an exception raised here.
+        """
         self.stats = SupervisorStats()
-        pending: deque = deque((task, 0) for task in tasks)
-        delayed: list = []  # (ready_at, task, attempt) crash-requeue backoffs
-        outcomes: dict[str, ExperimentOutcome] = {}
+        outcomes: list[ExperimentOutcome | None] = [None] * len(tasks)
         failed = False
 
-        def record(outcome: ExperimentOutcome) -> None:
+        def record(index: int, outcome: ExperimentOutcome) -> None:
             nonlocal failed
-            outcomes[outcome.exp_id] = outcome
+            outcomes[index] = outcome
             if outcome.status == "failed":
                 failed = True
             if on_outcome is not None:
                 on_outcome(outcome)
 
+        def stopped() -> bool:
+            return stop_on_failure and failed
+
+        try:
+            if self.chaos is None and (self.jobs == 1 or len(tasks) <= 1):
+                self._in_parent(
+                    [(i, task, 0) for i, task in enumerate(tasks)],
+                    record,
+                    stopped,
+                    pool=self if self.jobs > 1 else None,
+                )
+            else:
+                self._supervise(tasks, record, stopped)
+        finally:
+            self._shutdown()
+        return [
+            outcome or ExperimentOutcome(task.exp_id, "skipped")
+            for outcome, task in zip(outcomes, tasks)
+        ]
+
+    def starmap(self, fn: Callable, tasks: Iterable[Sequence]) -> list:
+        """``[fn(*args) for args in tasks]``, fanned out over the workers.
+
+        Results come back in task order.  Calls run inline when at most
+        one worker would be busy.  A failed call raises here, after no
+        result was folded: :mod:`repro.errors` classes keep their type
+        (so ``run_experiment`` still retries a ``SimulationError``), any
+        other becomes an :class:`~repro.errors.ExperimentError`.  With
+        observability active each call runs under a fresh capture in its
+        worker, and the metric snapshots and events are folded into this
+        process's registry and bus in task order — so ``--jobs`` cannot
+        reorder or lose a count or event relative to the inline path.
+        """
+        calls = [tuple(args) for args in tasks]
+        if self.jobs == 1 or len(calls) <= 1:
+            return [fn(*args) for args in calls]
+        collect = obs_active()
+        name = getattr(fn, "__name__", "call")
+        outer_stats = self.stats  # a nested run must not clobber them
+        try:
+            outcomes = self.run(
+                [
+                    _Call(f"{name}[{i}]", fn, args, collect)
+                    for i, args in enumerate(calls)
+                ],
+                stop_on_failure=True,
+            )
+        finally:
+            self.stats = outer_stats
+        for outcome in outcomes:
+            if not outcome.ok:
+                raise _call_error(outcome)
+        if collect:
+            registry, bus = get_registry(), get_bus()
+            for outcome in outcomes:
+                registry.absorb(outcome.metrics)
+                for event in outcome.events:
+                    bus.publish(event)
+        return [outcome.result for outcome in outcomes]
+
+    # ------------------------------------------------------------------
+    def _in_parent(self, items, record, stopped, pool=None) -> None:
+        """Run ``(index, task, attempt)`` items serially in this process."""
+        for index, task, attempt in items:
+            if stopped():
+                return
+            start = time.monotonic()
+            status, payload = _execute_task(task, pool, Exception)
+            record(
+                index,
+                _outcome(task, attempt, status, payload, time.monotonic() - start),
+            )
+
+    def _supervise(self, tasks, record, stopped) -> None:
+        """The worker path of :meth:`run`."""
+        pending: deque = deque((i, task, 0) for i, task in enumerate(tasks))
+        delayed: list = []  # (ready_at, index, task, attempt) crash requeues
+
         def work_remaining() -> bool:
             return bool(pending or delayed)
 
-        def crash_failure(task, attempt, exitcode, cause, elapsed) -> None:
+        def crash_failure(index, task, attempt, exitcode, cause, elapsed) -> None:
             record(
+                index,
                 ExperimentOutcome(
                     task.exp_id,
                     "failed",
@@ -396,7 +565,7 @@ class SupervisedPool:
                     elapsed_s=elapsed,
                     exit_cause=cause,
                     attempts=attempt + 1,
-                )
+                ),
             )
 
         def on_worker_death(worker: _Worker, *, cause: str | None = None, kill: bool = False) -> None:  # simlint: disable=DET004 -- parent-side supervision bookkeeping; no randomness, rows unaffected
@@ -411,24 +580,25 @@ class SupervisedPool:
                 -1,
                 worker=worker.worker_id,
                 cause=cause,
-                exp_id=worker.inflight[0].exp_id if worker.inflight else None,
+                exp_id=worker.inflight[1].exp_id if worker.inflight else None,
             )
             if worker.inflight is not None:
-                task, attempt, start = worker.inflight
-                if attempt < self.retry.max_task_reexecutions and not (
-                    stop_on_failure and failed
-                ):
+                index, task, attempt, start = worker.inflight
+                if attempt < self.retry.max_task_reexecutions and not stopped():
                     self.stats.task_reexecutions += 1
                     get_registry().counter("task_reexecutions").inc()
                     delayed.append(
                         (
                             now + self.retry.reexecution_backoff(attempt),
+                            index,
                             task,
                             attempt + 1,
                         )
                     )
                 else:
-                    crash_failure(task, attempt, exitcode, cause, now - start)
+                    crash_failure(
+                        index, task, attempt, exitcode, cause, now - start
+                    )
             self._maybe_replace(work_remaining())
 
         # warm pool: spawned once, fed until the queue drains
@@ -442,25 +612,25 @@ class SupervisedPool:
             if delayed:
                 for entry in [d for d in delayed if d[0] <= now]:
                     delayed.remove(entry)
-                    pending.append((entry[1], entry[2]))
-            if stop_on_failure and failed:
+                    pending.append(entry[1:])
+            if stopped():
                 pending.clear()
                 delayed.clear()
             if not self._workers:
                 if work_remaining():
-                    self._degrade(pending, delayed, record, stop_on_failure)
+                    self._degrade(pending, delayed, record, stopped)
                 break
             for worker in list(self._workers.values()):
                 if not pending:
                     break
                 if worker.inflight is None:
-                    task, attempt = pending.popleft()
+                    index, task, attempt = pending.popleft()
                     try:
                         worker.conn.send((task, attempt))
                     except (BrokenPipeError, OSError):
-                        pending.appendleft((task, attempt))
+                        pending.appendleft((index, task, attempt))
                         continue  # the EOF path below reaps it
-                    worker.inflight = (task, attempt, time.monotonic())
+                    worker.inflight = (index, task, attempt, time.monotonic())
             ready = multiprocessing.connection.wait(
                 list(self._workers), timeout=self.poll_interval
             )
@@ -474,56 +644,17 @@ class SupervisedPool:
                 except (EOFError, OSError):
                     on_worker_death(worker)
                     continue
-                if msg[0] == "hb":
-                    worker.last_beat = now
-                elif msg[0] == "done":
-                    _, exp_id, attempt, status, payload, elapsed = msg
-                    task = worker.inflight[0] if worker.inflight else None
+                worker.last_beat = now
+                if msg[0] == "done" and worker.inflight is not None:
+                    _, status, payload, elapsed = msg
+                    index, task, attempt, _start = worker.inflight
                     worker.inflight = None
-                    worker.last_beat = now
                     record(
-                        self._outcome_from_payload(
-                            exp_id,
-                            attempt,
-                            status,
-                            payload,
-                            elapsed,
-                            collect=bool(task and task.collect),
-                        )
+                        index, _outcome(task, attempt, status, payload, elapsed)
                     )
             now = time.monotonic()
             self._enforce_timeouts(now, record, work_remaining)
             self._enforce_heartbeats(now, on_worker_death, work_remaining)
-        self._shutdown()
-        return outcomes
-
-    # ------------------------------------------------------------------
-    def _outcome_from_payload(
-        self, exp_id, attempt, status, payload, elapsed, *, collect
-    ) -> ExperimentOutcome:
-        if status == "ok":
-            metrics = events = None
-            result = payload
-            if collect:
-                result, metrics, events = payload
-            return ExperimentOutcome(
-                exp_id,
-                "ok",
-                result=result,
-                elapsed_s=elapsed,
-                metrics=metrics,
-                events=events,
-                attempts=attempt + 1,
-            )
-        error_type, error = payload
-        return ExperimentOutcome(
-            exp_id,
-            "failed",
-            error_type=error_type,
-            error=error,
-            elapsed_s=elapsed,
-            attempts=attempt + 1,
-        )
 
     def _enforce_timeouts(self, now, record, work_remaining) -> None:
         """Parent-side backstop: kill workers past timeout + kill_grace.
@@ -537,7 +668,7 @@ class SupervisedPool:
         for worker in list(self._workers.values()):
             if worker.inflight is None:
                 continue
-            task, attempt, start = worker.inflight
+            index, task, attempt, start = worker.inflight
             if now - start <= budget:
                 continue
             worker.inflight = None  # consumed: do not requeue
@@ -553,6 +684,7 @@ class SupervisedPool:
                 exp_id=task.exp_id,
             )
             record(
+                index,
                 ExperimentOutcome(
                     task.exp_id,
                     "failed",
@@ -566,7 +698,7 @@ class SupervisedPool:
                     elapsed_s=now - start,
                     exit_cause="timeout",
                     attempts=attempt + 1,
-                )
+                ),
             )
             self._maybe_replace(work_remaining())
 
@@ -583,7 +715,7 @@ class SupervisedPool:
             get_registry().counter("worker_heartbeat_timeouts").inc()
             on_worker_death(worker, cause="heartbeat_timeout", kill=True)
 
-    def _degrade(self, pending, delayed, record, stop_on_failure) -> None:
+    def _degrade(self, pending, delayed, record, stopped) -> None:
         """The last rung: run everything left serially in the parent.
 
         Reached only when the restart budget is spent and no worker
@@ -592,7 +724,7 @@ class SupervisedPool:
         """
         self.stats.degraded_to_serial = 1
         get_registry().counter("degraded_to_serial").inc()
-        remaining = list(pending) + [(d[1], d[2]) for d in sorted(delayed, key=lambda d: d[0])]
+        remaining = list(pending) + [d[1:] for d in sorted(delayed, key=lambda d: d[0])]
         pending.clear()
         delayed.clear()
         get_bus().emit(
@@ -602,17 +734,4 @@ class SupervisedPool:
             remaining=len(remaining),
             restarts_used=self._restarts_used,
         )
-        for task, attempt in remaining:
-            start = time.monotonic()
-            status, payload = _execute_task(task)
-            outcome = self._outcome_from_payload(
-                task.exp_id,
-                attempt,
-                status,
-                payload,
-                time.monotonic() - start,
-                collect=task.collect,
-            )
-            record(outcome)
-            if stop_on_failure and outcome.status == "failed":
-                break
+        self._in_parent(remaining, record, stopped)

@@ -420,7 +420,7 @@ def run_trials(
     n_shards:
         Part of the result's identity (see module docstring).
     pool:
-        Optional :class:`~repro.parallel.pool.ShardPool`; shards are
+        Optional :class:`~repro.parallel.SupervisedPool`; shards are
         starmapped in order, so rows are invariant to ``--jobs``.
     """
     if n_trials < 0:

@@ -2,23 +2,22 @@
 
 A :class:`Tracer` is a bounded, filterable record of simulation events
 — conflict decisions, aborts, commits, probe deliveries — that the HTM
-machine emits when a tracer is attached.  It exists for debuggability:
-the wedge self-deadlock documented in DESIGN.md §5b.2 was found by
-staring at exactly this kind of timeline.
+machine emits.  It exists for debuggability: the wedge self-deadlock
+documented in DESIGN.md §5b.2 was found by staring at exactly this kind
+of timeline.
 
-Since the observability layer landed, the tracer shares one event
-schema with the process-wide trace bus: :class:`TraceEvent` *is*
-:class:`repro.obs.tracebus.ObsEvent`, and a :class:`Tracer` doubles as
-a bus **sink** (it has ``record(event)``), so the same ring buffer can
-be fed by ``machine.tracer = tracer`` or by
-``bus.subscribe(tracer)`` — one vocabulary, two delivery paths
+The tracer is a sink on the trace bus: :class:`TraceEvent` *is*
+:class:`repro.obs.tracebus.ObsEvent`, and a machine delivers its events
+only to its bus (``machine.bus``, the process bus at construction), so
+a per-machine timeline subscribes a tracer to a bus of its own
 (docs/OBSERVABILITY.md).
 
 Usage::
 
     tracer = Tracer(capacity=10_000)
     machine = Machine(params, policy_factory)
-    machine.tracer = tracer
+    machine.bus = TraceBus()
+    machine.bus.subscribe(tracer)
     ...
     print(tracer.render(kinds={"abort", "grace"}))
 """
@@ -31,7 +30,7 @@ from typing import Iterable
 from repro.errors import InvalidParameterError
 from repro.obs.tracebus import ObsEvent as TraceEvent
 
-__all__ = ["TraceEvent", "Tracer", "NullTracer"]
+__all__ = ["TraceEvent", "Tracer"]
 
 
 class Tracer:
@@ -64,10 +63,6 @@ class Tracer:
         self._events.append(event)
         self.emitted += 1
 
-    @property
-    def enabled(self) -> bool:
-        return True
-
     # -- queries ------------------------------------------------------------
     def events(
         self,
@@ -99,25 +94,3 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._events)
-
-
-class NullTracer:
-    """No-op stand-in used when no tracer is attached (zero overhead:
-    the machine checks ``enabled`` before formatting details)."""
-
-    enabled = False
-
-    def emit(self, time: float, kind: str, core: int, **detail) -> None:
-        """Drop everything."""
-
-    def record(self, event: TraceEvent) -> None:
-        """Drop everything."""
-
-    def events(self, **query) -> list:
-        return []
-
-    def counts(self) -> dict[str, int]:
-        return {}
-
-    def __len__(self) -> int:
-        return 0

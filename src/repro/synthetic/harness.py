@@ -183,7 +183,7 @@ class SyntheticHarness:
         :meth:`Welford.merge_all` **in shard order** — so the result is
         bit-identical for a fixed ``(rng, n_shards)`` whether the
         shards run serially or on ``pool`` (an object with ``starmap``,
-        e.g. :class:`repro.parallel.ProcessPool`).  Sharded runs need a
+        e.g. :class:`repro.parallel.SupervisedPool`).  Sharded runs need a
         seed or ``SeedSequence``, not a live ``Generator``: an opaque
         generator cannot be split into independent streams
         deterministically.

@@ -24,9 +24,10 @@ from repro.faults import ChaosPlan, corrupt_bytes, tear_tail
 from repro.obs import capture
 from repro.parallel import (
     CheckpointJournal,
-    ParallelExecutor,
+    ExperimentTask,
     ResultCache,
     RetryPolicy,
+    SupervisedPool,
     atomic_write_text,
     recover,
     scan_cache_dir,
@@ -64,6 +65,10 @@ class _SeededRows:
 
     def __call__(self, seed=None, **kw):
         return [{"seed": seed, "v": (seed or 0) * 3 + 1}]
+
+
+def _tasks(ids, seed=None):
+    return [ExperimentTask(exp_id, seed=seed) for exp_id in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +141,28 @@ class TestJournal:
             journal.close()
         assert path.with_name(path.name + ".old").exists()
 
-    def test_legacy_blob_imported_for_same_config(self, tmp_path):
+    def test_non_journal_file_moved_aside_not_destroyed(self, tmp_path):
+        """Regression: a non-empty file without one verified record (say
+        some other tool's JSON) used to be truncated to zero bytes."""
         path = tmp_path / "ck.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "quick": False,
-                    "seed": 5,
-                    "done": {"fig2a": {"status": "ok", "elapsed_s": 2.0}},
-                }
-            )
-        )
+        original = json.dumps({"tool": "other", "settings": {"level": 3}})
+        path.write_text(original)
+        rec = recover(path)
+        assert rec.records == [] and rec.truncated
+        assert path.read_text() == original  # recovery left it alone
         journal = CheckpointJournal(path, quick=False, seed=5).open()
         try:
-            assert journal.done_map()["fig2a"]["status"] == "ok"
+            assert journal.rotated is not None
+            assert journal.rotated.header is None
+            assert journal.done_map() == {}
         finally:
             journal.close()
-        # and the history is now in journal format, durably
-        assert recover(path, truncate=False).done_map()["fig2a"][
-            "status"
-        ] == "ok"
+        assert path.with_name(path.name + ".old").read_text() == original
+        assert recover(path, truncate=False).header == {
+            "version": 1,
+            "quick": False,
+            "seed": 5,
+        }
 
     def test_recovery_emits_event_and_counter(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -215,15 +222,16 @@ class TestSupervisedPool:
         """A worker that always dies exhausts the re-execution budget and
         the outcome reports the classified cause."""
         exp_id = scratch("zz_chaos_die", _die)
-        executor = ParallelExecutor(
-            1, retry=RetryPolicy(max_task_reexecutions=1, restart_backoff=0.0)
+        ok = scratch("zz_chaos_ok", _rows)
+        pool = SupervisedPool(
+            2, retry=RetryPolicy(max_task_reexecutions=1, restart_backoff=0.0)
         )
-        (outcome,) = executor.run([exp_id])
+        outcome, _ = pool.run(_tasks([exp_id, ok]))
         assert outcome.status == "failed"
         assert outcome.exit_cause == "exit:3"
         assert outcome.attempts == 2  # original + 1 re-execution
-        assert executor.stats.worker_crashes == 2
-        assert executor.stats.task_reexecutions == 1
+        assert pool.stats.worker_crashes == 2
+        assert pool.stats.task_reexecutions == 1
 
     def test_chaos_kills_are_survived(self, scratch):
         """Seeded SIGKILLs: every task completes and rows match the
@@ -232,20 +240,19 @@ class TestSupervisedPool:
         ids = [scratch(f"zz_cs{i}", runner) for i in range(6)]
         plan = ChaosPlan(seed=7, kill_rate=0.6, safe_attempt=2)
         assert any(plan.should_kill(i, 0) for i in ids)  # chaos actually bites
-        executor = ParallelExecutor(
+        pool = SupervisedPool(
             2,
-            seed=11,
             retry=RetryPolicy(max_task_reexecutions=2, restart_backoff=0.0),
             chaos=plan,
         )
-        outcomes = executor.run(ids)
+        outcomes = pool.run(_tasks(ids, seed=11))
         assert [o.status for o in outcomes] == ["ok"] * 6
-        baseline = ParallelExecutor(2, seed=11).run(ids)
+        baseline = SupervisedPool(2).run(_tasks(ids, seed=11))
         assert [o.result.rows for o in outcomes] == [
             o.result.rows for o in baseline
         ]
-        assert executor.stats.worker_crashes > 0
-        assert executor.stats.worker_restarts > 0
+        assert pool.stats.worker_crashes > 0
+        assert pool.stats.worker_restarts > 0
 
     def test_restart_budget_degrades_to_serial(self, scratch):
         """With no restart budget the pool empties and the remaining
@@ -253,9 +260,8 @@ class TestSupervisedPool:
         runner = _SeededRows()
         ids = [scratch(f"zz_dg{i}", runner) for i in range(4)]
         plan = ChaosPlan(seed=3, kill_rate=1.0, safe_attempt=1)
-        executor = ParallelExecutor(
+        pool = SupervisedPool(
             1,
-            seed=5,
             retry=RetryPolicy(
                 max_task_reexecutions=1,
                 max_worker_restarts=0,
@@ -264,11 +270,11 @@ class TestSupervisedPool:
             chaos=plan,
         )
         with capture() as cap:
-            outcomes = executor.run(ids)
+            outcomes = pool.run(_tasks(ids, seed=5))
         assert [o.status for o in outcomes] == ["ok"] * 4
-        assert executor.stats.degraded_to_serial == 1
+        assert pool.stats.degraded_to_serial == 1
         assert any(e.kind == "degraded_to_serial" for e in cap.events)
-        baseline = ParallelExecutor(1, seed=5).run(ids)
+        baseline = SupervisedPool(1).run(_tasks(ids, seed=5))
         assert [o.result.rows for o in outcomes] == [
             o.result.rows for o in baseline
         ]
@@ -279,18 +285,17 @@ class TestSupervisedPool:
         runner = _SeededRows()
         exp_id = scratch("zz_stop", runner)
         plan = ChaosPlan(seed=2, kill_rate=0.0, stop_rate=1.0, safe_attempt=1)
-        executor = ParallelExecutor(
+        pool = SupervisedPool(
             1,
-            seed=1,
             retry=RetryPolicy(max_task_reexecutions=1, restart_backoff=0.0),
             chaos=plan,
             heartbeat_timeout=1.0,
         )
         start = time.monotonic()
-        (outcome,) = executor.run([exp_id])
+        (outcome,) = pool.run(_tasks([exp_id], seed=1))
         assert time.monotonic() - start < 30.0
         assert outcome.status == "ok"
-        assert executor.stats.heartbeat_timeouts >= 1
+        assert pool.stats.heartbeat_timeouts >= 1
 
 
 # ---------------------------------------------------------------------------

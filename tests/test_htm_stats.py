@@ -82,13 +82,6 @@ class TestFaultCounterShim:
         stats.registry.counter("unrelated").inc()
         assert stats.fault_counts() == {"spurious_aborts": 3}
 
-    def test_deprecated_property_warns_and_matches(self):
-        stats = MachineStats(1)
-        stats.registry.counter("fault_core_stalls").inc(7)
-        with pytest.warns(DeprecationWarning, match="fault_counts"):
-            legacy = stats.fault_counters
-        assert legacy == stats.fault_counts() == {"core_stalls": 7}
-
     def test_digest_covers_fault_counters(self):
         a, b = MachineStats(1), MachineStats(1)
         assert a.digest() == b.digest()

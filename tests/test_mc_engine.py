@@ -21,7 +21,7 @@ from repro.adversary.arena import TimedArena
 from repro.errors import InvalidParameterError, SimulationError
 from repro.experiments.ablations import run_abl_backoff
 from repro.experiments.corollary import run_cor1, run_cor2
-from repro.parallel.pool import SerialPool, make_pool
+from repro.parallel import SupervisedPool
 from repro.sim.mc import (
     DEFAULT_SHARDS,
     TrialProgram,
@@ -188,12 +188,12 @@ class TestDeterminism:
         """jobs 1 vs 4: shard placement never changes a row."""
         program = cor2_program()
         serial = run_trials(program, 128, seed=4)
-        with_serial_pool = run_trials(program, 128, seed=4, pool=SerialPool())
-        pool = make_pool(4)
-        try:
-            with_process_pool = run_trials(program, 128, seed=4, pool=pool)
-        finally:
-            pool.close()
+        with_serial_pool = run_trials(
+            program, 128, seed=4, pool=SupervisedPool(1)
+        )
+        with_process_pool = run_trials(
+            program, 128, seed=4, pool=SupervisedPool(4)
+        )
         assert serial.equals(with_serial_pool)
         assert serial.equals(with_process_pool)
 
@@ -230,20 +230,12 @@ class TestExperimentSeedStability:
 
     def test_cor2_rows_jobs_1_vs_4(self):
         serial = run_cor2(trials=96, seed=13)
-        pool = make_pool(4)
-        try:
-            parallel = run_cor2(trials=96, seed=13, pool=pool)
-        finally:
-            pool.close()
+        parallel = run_cor2(trials=96, seed=13, pool=SupervisedPool(4))
         assert serial == parallel
 
     def test_abl_backoff_rows_jobs_1_vs_4(self):
         serial = run_abl_backoff(trials=96, seed=13)
-        pool = make_pool(4)
-        try:
-            parallel = run_abl_backoff(trials=96, seed=13, pool=pool)
-        finally:
-            pool.close()
+        parallel = run_abl_backoff(trials=96, seed=13, pool=SupervisedPool(4))
         assert serial == parallel
 
 

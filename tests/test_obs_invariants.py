@@ -143,6 +143,33 @@ class TestCliDeterminism:
         parallel = self.run_cli(tmp_path, 4, "parallel")
         assert serial == parallel
 
+    def test_sharded_experiment_jobs_1_vs_2_byte_identical(
+        self, tmp_path, capsys
+    ):
+        """fig3_txapp fans its cells out through the pool's starmap, so
+        this covers the shard path the fig2a runs above never take."""
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            metrics, trace = out / "metrics.json", out / "trace.jsonl"
+            rc = cli_main(
+                [
+                    "fig3_txapp", "--quick", "--seed", "3", "--no-cache",
+                    "--json", "--jobs", str(jobs), "--out", str(out),
+                    "--metrics-out", str(metrics), "--trace-out", str(trace),
+                ]
+            )
+            assert rc == 0
+            outputs.append(
+                [
+                    (out / "fig3_txapp.json").read_bytes(),
+                    metrics.read_bytes(),
+                    trace.read_bytes(),
+                ]
+            )
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2]  # the run was actually traced
+
     def test_metrics_snapshot_is_wellformed(self, tmp_path, capsys):
         metrics, trace = self.run_cli(tmp_path, 2, "shape")
         snap = json.loads(metrics)

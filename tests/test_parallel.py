@@ -1,5 +1,6 @@
-"""Parallel execution layer: shard pools, the content-addressed result
-cache, the process-level executor, and the CLI's --jobs/--cache wiring.
+"""Parallel execution layer: the supervised pool (experiment batches
+and shard starmaps), the content-addressed result cache, and the CLI's
+--jobs/--cache wiring.
 
 The load-bearing contract everywhere: rows are a function of
 (experiment, quick, seed, fixed shard count) — never of --jobs, the
@@ -8,25 +9,30 @@ pool, or the cache.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
 import pytest
 
 from repro.cli import main
-from repro.errors import InvalidParameterError, SimulationError
+from repro.errors import (
+    ExperimentError,
+    InvalidParameterError,
+    SimulationError,
+)
 from repro.experiments import EXPERIMENTS, register_experiment, run_experiment
 from repro.experiments.registry import _SPECS
 from repro.parallel import (
-    ParallelExecutor,
-    ProcessPool,
+    ExperimentTask,
     ResultCache,
-    SerialPool,
+    SupervisedPool,
     cache_key,
-    make_pool,
 )
 
 
@@ -34,7 +40,7 @@ from repro.parallel import (
 def scratch(monkeypatch):
     """Register throwaway experiments; deregister them afterwards.
 
-    Workers inherit these via fork, so executor tests can use
+    Workers inherit these via fork, so pool tests can use
     registrations made in the test process.
     """
     registered: list[str] = []
@@ -52,6 +58,28 @@ def scratch(monkeypatch):
 
 def _square(x):
     return x * x
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _raise_if(exc):
+    if exc is not None:
+        raise exc
+
+
+def _sharded_rows(pool=None, **kw):
+    """A runner that fans its shards out over the pool it is given."""
+    return [{"sq": v} for v in pool.starmap(_square, [(i,) for i in range(4)])]
+
+
+def _shard_dies(_):
+    os._exit(5)
+
+
+def _dying_shards(pool=None, **kw):
+    return pool.starmap(_shard_dies, [(i,) for i in range(2)])
 
 
 def _rows(**kw):
@@ -109,6 +137,47 @@ def _runs(path) -> int:
         return 0
 
 
+#: A batch of slow experiments for the Ctrl-C test, run as a script so
+#: the signal can go to a whole process group.
+_SLOW_BATCH = textwrap.dedent(
+    """
+    import sys
+    import time
+
+    from repro.cli import main
+    from repro.experiments import register_experiment
+
+
+    def slow(**kw):
+        time.sleep(120)
+        return []
+
+
+    ids = [f"zz_sigint{i}" for i in range(4)]
+    for exp_id in ids:
+        register_experiment(exp_id, "slow", slow)
+    sys.exit(main([*ids, "--jobs", "2", "--no-cache"]))
+    """
+)
+
+
+def _group_members(pgid: int) -> list[int]:
+    """Live (non-zombie) processes of process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
 def _ckpt_done(path) -> dict:
     """Replay a checkpoint journal's done map (read-only)."""
     from repro.parallel import recover
@@ -118,25 +187,52 @@ def _ckpt_done(path) -> dict:
 
 # ---------------------------------------------------------------------------
 class TestPools:
-    def test_make_pool_serial(self):
-        pool = make_pool(1)
-        assert isinstance(pool, SerialPool)
+    def test_starmap_inline_at_one_job(self):
+        pool = SupervisedPool(1)
         assert pool.starmap(_square, [(i,) for i in range(5)]) == [
             0, 1, 4, 9, 16,
         ]
-        pool.close()
+        assert set(pool.starmap(_pid, [(i,) for i in range(3)])) == {
+            os.getpid()
+        }
 
     def test_process_pool_preserves_order(self):
-        with make_pool(2) as pool:
-            assert isinstance(pool, ProcessPool)
-            out = pool.starmap(_square, [(i,) for i in range(20)])
+        pool = SupervisedPool(2)
+        out = pool.starmap(_square, [(i,) for i in range(20)])
         assert out == [i * i for i in range(20)]
+        assert os.getpid() not in pool.starmap(_pid, [(0,), (1,)])
 
     def test_jobs_validation(self):
         with pytest.raises(InvalidParameterError):
-            make_pool(0)
-        with pytest.raises(InvalidParameterError):
-            ParallelExecutor(0)
+            SupervisedPool(0)
+
+    def test_starmap_failure_raises_in_caller(self):
+        """repro.errors types survive the process boundary (so a
+        SimulationError is still retried); others become ExperimentError."""
+        pool = SupervisedPool(2)
+        with pytest.raises(SimulationError, match="shard"):
+            pool.starmap(_raise_if, [(SimulationError("shard"),), (None,)])
+        with pytest.raises(ExperimentError, match="ValueError: bad"):
+            pool.starmap(_raise_if, [(None,), (ValueError("bad"),)])
+
+    def test_lone_experiment_runs_in_parent_and_shards_on_pool(self, scratch):
+        """The in-parent rule: one task never waits on a worker, and at
+        jobs > 1 it gets the pool itself for its shards."""
+        exp_id = scratch("zz_sharded", _sharded_rows)
+        (outcome,) = SupervisedPool(2).run([ExperimentTask(exp_id)])
+        assert outcome.ok
+        assert outcome.result.rows == [{"sq": v} for v in (0, 1, 4, 9)]
+
+    def test_nested_starmap_keeps_outer_stats(self, scratch):
+        """Shard workers that die fail the experiment; their crashes do
+        not overwrite the in-parent run's own supervision counters."""
+        exp_id = scratch("zz_dying_shards", _dying_shards)
+        pool = SupervisedPool(2)
+        (outcome,) = pool.run([ExperimentTask(exp_id)])
+        assert outcome.status == "failed"
+        assert outcome.error_type == "ExperimentError"
+        assert "exited without a result" in outcome.error
+        assert not pool.stats.any()
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +305,18 @@ class TestResultCache:
 
 
 # ---------------------------------------------------------------------------
+def _tasks(*ids, **kwargs):
+    return [ExperimentTask(exp_id, **kwargs) for exp_id in ids]
+
+
 class TestExecutor:
     def test_submission_order_out_completion_order_hook(self, scratch):
         scratch("zz_slow", _slow_rows)
         scratch("zz_fast", _rows)
         completion: list[str] = []
-        outcomes = ParallelExecutor(2).run(
-            ["zz_slow", "zz_fast"],
-            on_complete=lambda o: completion.append(o.exp_id),
+        outcomes = SupervisedPool(2).run(
+            _tasks("zz_slow", "zz_fast"),
+            on_outcome=lambda o: completion.append(o.exp_id),
         )
         assert [o.exp_id for o in outcomes] == ["zz_slow", "zz_fast"]
         assert completion == ["zz_fast", "zz_slow"]
@@ -225,7 +325,8 @@ class TestExecutor:
 
     def test_worker_crash_reported_not_hung(self, scratch):
         exp_id = scratch("zz_die", _die)
-        (outcome,) = ParallelExecutor(1).run([exp_id])
+        ok = scratch("zz_ok_die", _rows)
+        outcome, _ = SupervisedPool(2).run(_tasks(exp_id, ok))
         assert outcome.status == "failed"
         assert "exited without a result" in outcome.error
         assert "exit code 3" in outcome.error
@@ -233,8 +334,9 @@ class TestExecutor:
     def test_in_worker_watchdog_fires(self, scratch):
         """Workers run on their own main thread, so SIGALRM is armed."""
         exp_id = scratch("zz_hang", _hang)
-        (outcome,) = ParallelExecutor(1, timeout=0.2, kill_grace=5.0).run(
-            [exp_id]
+        ok = scratch("zz_ok_hang", _rows)
+        outcome, _ = SupervisedPool(2, timeout=0.2, kill_grace=5.0).run(
+            _tasks(exp_id, ok, timeout=0.2)
         )
         assert outcome.error_type == "ExperimentTimeoutError"
         assert "killed by the parent" not in outcome.error
@@ -243,9 +345,10 @@ class TestExecutor:
         """Regression: a runner that swallows the watchdog exception used
         to hang forever; the parent must kill the worker process."""
         exp_id = scratch("zz_stubborn", _stubborn_hang)
+        ok = scratch("zz_ok_stubborn", _rows)
         start = time.monotonic()
-        (outcome,) = ParallelExecutor(1, timeout=0.3, kill_grace=0.3).run(
-            [exp_id]
+        outcome, _ = SupervisedPool(2, timeout=0.3, kill_grace=0.3).run(
+            _tasks(exp_id, ok, timeout=0.3)
         )
         assert time.monotonic() - start < 10.0
         assert outcome.status == "failed"
@@ -255,8 +358,8 @@ class TestExecutor:
     def test_stop_on_failure_skips_unstarted(self, scratch):
         scratch("zz_f1", _fail)
         scratch("zz_ok1", _rows)
-        outcomes = ParallelExecutor(1).run(
-            ["zz_f1", "zz_ok1"], stop_on_failure=True
+        outcomes = SupervisedPool(1).run(
+            _tasks("zz_f1", "zz_ok1"), stop_on_failure=True
         )
         assert [o.status for o in outcomes] == ["failed", "skipped"]
 
@@ -380,6 +483,59 @@ class TestCLIParallel:
                 clean_out / f"{exp_id}.json"
             ).read_bytes()
 
+    def test_keyboard_interrupt_propagates_at_jobs_1(self, scratch, tmp_path):
+        """In the parent the pool catches Exception only: Ctrl-C stops a
+        --jobs 1 batch instead of becoming a failure outcome."""
+
+        def interrupted(**kw):
+            raise KeyboardInterrupt
+
+        mark = tmp_path / "after.log"
+        first = scratch("zz_ctrl_c", interrupted)
+        after = scratch("zz_after_ctrl_c", _MarkingRunner(mark))
+        with pytest.raises(KeyboardInterrupt):
+            main([first, after, "--jobs", "1", "--no-cache"])
+        assert _runs(mark) == 0
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc") or not hasattr(os, "killpg"),
+        reason="needs /proc and process groups",
+    )
+    def test_ctrl_c_under_jobs_leaves_no_process(self, tmp_path):
+        """Regression: SIGINT to the process group of a --jobs 2 batch
+        used to leave the parent joining workers blocked on their pipes
+        forever.  The run must exit and take its workers with it."""
+        import repro
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SLOW_BATCH],
+            cwd=tmp_path,
+            env=env,
+            start_new_session=True,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(_group_members(proc.pid)) < 3:  # parent + 2 workers
+                assert proc.poll() is None, "batch exited before its workers"
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.wait(timeout=20.0)
+            assert _group_members(proc.pid) == []
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+
     def test_cache_flag_roundtrip(self, scratch, tmp_path, monkeypatch,
                                   capsys):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
@@ -405,10 +561,10 @@ class TestShardedHarness:
         dist = ExponentialLengths(500.0)
         harness = SyntheticHarness(2000.0, 500.0)
         serial = harness.run(dist, 4000, seedseq_for(3, "t"), n_shards=4)
-        with make_pool(2) as pool:
-            pooled = harness.run(
-                dist, 4000, seedseq_for(3, "t"), n_shards=4, pool=pool
-            )
+        pooled = harness.run(
+            dist, 4000, seedseq_for(3, "t"), n_shards=4,
+            pool=SupervisedPool(2),
+        )
         for label, acc in serial.stats.items():
             assert pooled.stats[label].mean == acc.mean  # bit-equal
             assert pooled.stats[label].sem == acc.sem

@@ -12,11 +12,13 @@ from repro.cli import main
 from repro.errors import (
     ExperimentError,
     ExperimentTimeoutError,
+    InvalidParameterError,
     SimulationError,
 )
 from repro.experiments import EXPERIMENTS, register_experiment, run_experiment
 from repro.experiments.registry import _SPECS
 from repro.experiments.report import render_failures
+from repro.parallel import RetryPolicy
 
 
 @pytest.fixture
@@ -46,6 +48,11 @@ def _ckpt_done(path) -> dict:
     from repro.parallel import recover
 
     return recover(path, truncate=False).done_map()
+
+
+def _fast(retries: int) -> RetryPolicy:
+    """A retry policy with a negligible backoff."""
+    return RetryPolicy(retries=retries, backoff_base=0.001)
 
 
 def _hang(**kw):  # killed only by the watchdog
@@ -91,7 +98,7 @@ class TestWatchdog:
 
         exp_id = scratch("zz_hang_retry", hang)
         with pytest.raises(ExperimentTimeoutError):
-            run_experiment(exp_id, timeout=0.2, retries=3)
+            run_experiment(exp_id, timeout=0.2, retry=RetryPolicy(retries=3))
         assert len(calls) == 1
 
     def test_fast_experiment_unaffected(self, scratch):
@@ -121,7 +128,7 @@ class TestRetries:
             return [{"ok": True}]
 
         exp_id = scratch("zz_flaky", flaky)
-        result = run_experiment(exp_id, retries=3, retry_backoff=0.001)
+        result = run_experiment(exp_id, retry=_fast(3))
         assert result.rows == [{"ok": True}]
         assert len(calls) == 3
 
@@ -134,7 +141,7 @@ class TestRetries:
 
         exp_id = scratch("zz_broken", broken)
         with pytest.raises(SimulationError):
-            run_experiment(exp_id, retries=1, retry_backoff=0.001)
+            run_experiment(exp_id, retry=_fast(1))
         assert len(calls) == 2
 
     def test_no_retries_by_default(self, scratch):
@@ -149,10 +156,9 @@ class TestRetries:
             run_experiment(exp_id)
         assert len(calls) == 1
 
-    def test_negative_retries_rejected(self, scratch):
-        exp_id = scratch("zz_neg", _rows)
-        with pytest.raises(ExperimentError):
-            run_experiment(exp_id, retries=-1)
+    def test_negative_retries_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            RetryPolicy(retries=-1)
 
     def test_engine_raised_timeout_never_retried(self, scratch):
         """The watchdog contract (simlint ERR rules): a timeout raised
@@ -167,7 +173,7 @@ class TestRetries:
 
         exp_id = scratch("zz_engine_to", deadline)
         with pytest.raises(ExperimentTimeoutError):
-            run_experiment(exp_id, retries=5, retry_backoff=0.001)
+            run_experiment(exp_id, retry=_fast(5))
         assert len(calls) == 1
 
     def test_keyboard_interrupt_propagates_unretried(self, scratch):
@@ -181,7 +187,7 @@ class TestRetries:
 
         exp_id = scratch("zz_intr", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_experiment(exp_id, retries=5, retry_backoff=0.001)
+            run_experiment(exp_id, retry=_fast(5))
         assert len(calls) == 1
 
 
@@ -210,6 +216,7 @@ class TestCli:
         assert rc == 1
         assert f"[{good} completed" not in out  # never reached
         assert "FAILED" in err
+        assert f"1 experiment(s) not started after failure: {good}" in err
 
     def test_unknown_id_exit_code(self, capsys):
         assert main(["zz_nope"]) == 2

@@ -5,7 +5,7 @@ parallel lint determinism."""
 from __future__ import annotations
 
 from repro.analysis.engine import lint_sources
-from repro.parallel.pool import make_pool
+from repro.parallel import SupervisedPool
 
 SIM = "src/repro/sim/fixture.py"
 
@@ -140,19 +140,11 @@ class TestParallelLint:
 
     def test_pool_matches_serial(self):
         serial = lint_sources(self._sources())
-        pool = make_pool(2)
-        try:
-            parallel = lint_sources(self._sources(), pool=pool)
-        finally:
-            pool.close()
+        parallel = lint_sources(self._sources(), pool=SupervisedPool(2))
         assert parallel.findings == serial.findings
         assert parallel.suppressed == serial.suppressed
         assert serial.findings  # the fixture actually finds things
 
     def test_serial_pool_path(self):
-        pool = make_pool(1)
-        try:
-            result = lint_sources(self._sources(), pool=pool)
-        finally:
-            pool.close()
+        result = lint_sources(self._sources(), pool=SupervisedPool(1))
         assert result.findings == lint_sources(self._sources()).findings

@@ -6,8 +6,17 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.htm import Machine, MachineParams, RandDelay
-from repro.sim.trace import NullTracer, TraceEvent, Tracer
+from repro.obs import TraceBus, use_bus
+from repro.sim.trace import TraceEvent, Tracer
 from repro.workloads import CounterWorkload
+
+
+def _traced_machine(n_cores: int, tracer: Tracer) -> Machine:
+    """A machine whose own bus feeds ``tracer`` (a per-machine timeline)."""
+    machine = Machine(MachineParams(n_cores=n_cores), lambda i: RandDelay())
+    machine.bus = TraceBus()
+    machine.bus.subscribe(tracer)
+    return machine
 
 
 class TestTracer:
@@ -68,21 +77,10 @@ class TestTracer:
         assert "reason=cycle" in event.format()
 
 
-class TestNullTracer:
-    def test_noop(self):
-        tracer = NullTracer()
-        tracer.emit(1.0, "x", 0)
-        assert len(tracer) == 0
-        assert tracer.events() == []
-        assert tracer.counts() == {}
-        assert not tracer.enabled
-
-
 class TestMachineIntegration:
     def test_timeline_recorded(self):
         tracer = Tracer()
-        machine = Machine(MachineParams(n_cores=4), lambda i: RandDelay())
-        machine.tracer = tracer
+        machine = _traced_machine(4, tracer)
         workload = CounterWorkload()
         machine.load(workload, seed=1)
         stats = machine.run(60_000.0)
@@ -94,8 +92,10 @@ class TestMachineIntegration:
 
     def test_commit_count_matches_stats(self):
         tracer = Tracer(capacity=1_000_000)
-        machine = Machine(MachineParams(n_cores=2), lambda i: RandDelay())
-        machine.tracer = tracer
+        bus = TraceBus()
+        bus.subscribe(tracer)
+        with use_bus(bus):  # the bus a machine picks up at construction
+            machine = Machine(MachineParams(n_cores=2), lambda i: RandDelay())
         workload = CounterWorkload(ops_limit=100)
         machine.load(workload, seed=1)
         stats = machine.run(200_000.0)
@@ -103,8 +103,7 @@ class TestMachineIntegration:
 
     def test_conflict_events_carry_decision(self):
         tracer = Tracer(kinds={"conflict"})
-        machine = Machine(MachineParams(n_cores=4), lambda i: RandDelay())
-        machine.tracer = tracer
+        machine = _traced_machine(4, tracer)
         workload = CounterWorkload()
         machine.load(workload, seed=2)
         machine.run(60_000.0)
@@ -118,4 +117,4 @@ class TestMachineIntegration:
 
     def test_default_is_null_tracer(self):
         machine = Machine(MachineParams(n_cores=2), lambda i: RandDelay())
-        assert isinstance(machine.tracer, NullTracer)
+        assert not machine.tracing and not machine.bus.enabled
