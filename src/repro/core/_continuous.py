@@ -60,26 +60,31 @@ class ContinuousDelayPolicy(DelayPolicy):
         return float(self.cdf_vec(np.asarray([x], dtype=float))[0])
 
     def ppf(self, q: np.ndarray | float) -> np.ndarray:
-        """Quantile function (inverse CDF), vectorized.
+        """Quantile function (inverse CDF), vectorized; checks ``q``."""
+        q_arr = np.asarray(q, dtype=float)
+        if np.any((q_arr < 0.0) | (q_arr > 1.0)):
+            raise InvalidParameterError("quantiles must lie in [0, 1]")
+        return self._quantile(q_arr)
+
+    def _quantile(self, q: np.ndarray | float) -> np.ndarray | float:
+        """Unchecked quantile function for ``q`` in ``[0, 1]``.
 
         The default implementation interpolates a cached dense CDF grid;
         subclasses with closed-form inverses override this.
         """
         grid_x, grid_f = self._cdf_grid()
-        q_arr = np.asarray(q, dtype=float)
-        if np.any((q_arr < 0.0) | (q_arr > 1.0)):
-            raise InvalidParameterError("quantiles must lie in [0, 1]")
-        return np.interp(q_arr, grid_f, grid_x)
+        return np.interp(q, grid_f, grid_x)
 
+    # a generator draw lies in [0, 1) by construction: sample unchecked
     def sample(self, rng: np.random.Generator | int | None = None) -> float:
         gen = ensure_rng(rng)
-        return float(self.ppf(gen.random()))
+        return float(self._quantile(gen.random()))
 
     def sample_many(
         self, n: int, rng: np.random.Generator | int | None = None
     ) -> np.ndarray:
         gen = ensure_rng(rng)
-        return np.atleast_1d(self.ppf(gen.random(n)))
+        return np.atleast_1d(self._quantile(gen.random(n)))
 
     def expected_delay(self) -> float:
         xs = np.linspace(self._lo, self._hi, 8193)

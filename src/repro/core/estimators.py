@@ -144,34 +144,40 @@ class WindowedMean:
         self._comp = 0.0
         self._since_sync = 0
 
-    def _add(self, x: float) -> None:
-        # Neumaier-compensated accumulation (works for removal too:
-        # the departing sample is added with a flipped sign)
-        t = self._sum + x
-        if abs(self._sum) >= abs(x):
-            self._comp += (self._sum - t) + x
-        else:
-            self._comp += (x - t) + self._sum
-        self._sum = t
-
     def observe(self, x: float) -> None:
         x = float(x)
         if not math.isfinite(x):
             raise InvalidParameterError(
                 f"observation must be finite, got {x!r}"
             )
-        self._buf.append(x)
-        self._add(x)
-        if len(self._buf) > self.window:
-            self._add(-self._buf.popleft())
+        buf = self._buf
+        buf.append(x)
+        # Neumaier-compensated accumulation; removal adds the departing
+        # sample with a flipped sign
+        s = self._sum
+        t = s + x
+        if abs(s) >= abs(x):
+            comp = self._comp + ((s - t) + x)
+        else:
+            comp = self._comp + ((x - t) + s)
+        if len(buf) > self.window:
+            y = -buf.popleft()
+            s = t
+            t = s + y
+            if abs(s) >= abs(y):
+                comp += (s - t) + y
+            else:
+                comp += (y - t) + s
+        self._sum = t
+        self._comp = comp
         self._since_sync += 1
         if self._since_sync >= self.window:
             # exact resync: keep the part of the exact sum that does
             # not fit in one float in the compensation term, so a huge
             # transient cannot erase the tiny samples riding under it
-            s = math.fsum(self._buf)
+            s = math.fsum(buf)
             self._sum = s
-            self._comp = math.fsum([-s, *self._buf])
+            self._comp = math.fsum([-s, *buf])
             self._since_sync = 0
 
     @property

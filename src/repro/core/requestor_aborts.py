@@ -113,11 +113,8 @@ class ExponentialRA(ContinuousDelayPolicy):
         raw = np.expm1(clipped / self.B) / (self.E - 1.0)
         return np.where(x >= self._hi, 1.0, np.where(x <= 0.0, 0.0, raw))
 
-    def ppf(self, q: np.ndarray | float) -> np.ndarray:
-        q_arr = np.asarray(q, dtype=float)
-        if np.any((q_arr < 0.0) | (q_arr > 1.0)):
-            raise InvalidParameterError("quantiles must lie in [0, 1]")
-        return self.B * np.log1p(q_arr * (self.E - 1.0))
+    def _quantile(self, q: np.ndarray | float) -> np.ndarray | float:
+        return self.B * np.log1p(q * (self.E - 1.0))
 
     @property
     def competitive_ratio(self) -> float:

@@ -133,11 +133,8 @@ class UniformRW(ContinuousDelayPolicy):
         x = np.asarray(x, dtype=float)
         return np.clip(x * (self.k - 1) / self.B, 0.0, 1.0)
 
-    def ppf(self, q: np.ndarray | float) -> np.ndarray:
-        q_arr = np.asarray(q, dtype=float)
-        if np.any((q_arr < 0.0) | (q_arr > 1.0)):
-            raise InvalidParameterError("quantiles must lie in [0, 1]")
-        return q_arr * self._hi
+    def _quantile(self, q: np.ndarray | float) -> np.ndarray | float:
+        return q * self._hi
 
     def expected_delay(self) -> float:
         return self._hi / 2.0
@@ -310,15 +307,13 @@ class PolynomialRW(ContinuousDelayPolicy):
             raw = (ratio_pow - 1.0) / (self.R - 1.0)
         return np.where(x >= self._hi, 1.0, np.where(x <= 0.0, 0.0, raw))
 
-    def ppf(self, q: np.ndarray | float) -> np.ndarray:
+    def _quantile(self, q: np.ndarray | float) -> np.ndarray | float:
         if self.constrained:
-            return super().ppf(q)  # numeric inversion
-        q_arr = np.asarray(q, dtype=float)
-        if np.any((q_arr < 0.0) | (q_arr > 1.0)):
-            raise InvalidParameterError("quantiles must lie in [0, 1]")
-        # closed-form inverse of ((1+x/B)^{k-1} - 1)/(R-1)
+            return super()._quantile(q)  # numeric inversion
+        # closed-form inverse of ((1+x/B)^{k-1} - 1)/(R-1); np.power,
+        # not ``**``: on a float they round differently
         return self.B * (
-            np.power(1.0 + q_arr * (self.R - 1.0), 1.0 / (self.k - 1)) - 1.0
+            np.power(1.0 + q * (self.R - 1.0), 1.0 / (self.k - 1)) - 1.0
         )
 
     # -- analysis ----------------------------------------------------------

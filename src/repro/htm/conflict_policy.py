@@ -344,6 +344,8 @@ class RegimeAdaptiveDelay(CyclePolicy):
         self._decisions = 0
         self._snapshot = self.estimator.snapshot()
         self._cache: dict[tuple[int, int, int], object] = {}
+        #: ``_bucket`` memo per argument: abort costs and rounded µ̂
+        self._buckets: dict[int, int] = {}
 
     # -- estimator feeds ---------------------------------------------------
     def observe_commit(self, duration: float) -> None:
@@ -379,25 +381,33 @@ class RegimeAdaptiveDelay(CyclePolicy):
         return int(round(1.25 ** round(math.log(B, 1.25))))
 
     def decide(self, ctx: ConflictContext, rng: np.random.Generator) -> int:
-        self.estimator.observe_conflict(ctx.abort_cost, ctx.chain_k)
+        cost = ctx.abort_cost
+        k = ctx.chain_k
+        self.estimator.observe_conflict(cost, k)
         self._decisions += 1
         if self._decisions % self.refresh_every == 1 or self.refresh_every == 1:
             self._refresh()
         if self.regime == "bootstrap":
-            return int(ctx.abort_cost // (ctx.chain_k - 1))
-        B = self._bucket(max(ctx.abort_cost, 1))
-        mu = self._snapshot.mu_hat if self.regime == "mean" else None
-        # quantize µ̂ so the per-(B, k, µ-bucket) policy cache stays
-        # small while the density still tracks the drifting estimate
-        mu_key = -1 if mu is None else self._bucket(max(int(round(mu)), 1))
-        key = (B, ctx.chain_k, mu_key)
+            return int(cost // (k - 1))
+        buckets = self._buckets
+        B = buckets.get(cost)
+        if B is None:
+            B = buckets[cost] = self._bucket(cost)
+        if self.regime == "mean":
+            # quantize µ̂ so the per-(B, k, µ-bucket) policy cache stays
+            # small while the density still tracks the drifting estimate
+            mu = max(int(round(self._snapshot.mu_hat)), 1)
+            mu_key = buckets.get(mu)
+            if mu_key is None:
+                mu_key = buckets[mu] = self._bucket(mu)
+        else:
+            mu_key = -1
+        key = (B, k, mu_key)
         policy = self._cache.get(key)
         if policy is None:
             get_registry().counter("policy_builds").inc()
             policy = optimal_requestor_wins(
-                float(B),
-                ctx.chain_k,
-                None if mu_key < 0 else float(mu_key),
+                float(B), k, None if mu_key < 0 else float(mu_key)
             )
             self._cache[key] = policy
         return int(policy.sample(rng))

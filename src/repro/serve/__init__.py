@@ -1,8 +1,8 @@
 """The conflict-policy decision service (docs/SERVING.md).
 
 The batch experiments evaluate the paper's policies offline; this
-package runs them as a *service*: a long-running asyncio loop that
-answers "grant grace Δ or abort?" per conflict request, with the
+package runs them as a *service*: an asyncio server that answers
+"grant grace Δ or abort?" per conflict request, with the
 policy inputs (B, k, µ) estimated online from the request stream
 (:mod:`repro.core.estimators`) and the regime re-dispatched live as
 they drift (:class:`repro.htm.conflict_policy.RegimeAdaptiveDelay`).

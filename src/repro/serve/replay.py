@@ -10,7 +10,7 @@ backpressure so millions of events stream through constant memory.
 
 The report carries the two things the ROADMAP's serving milestone
 asks for: **sustained decisions/sec** (conflict decisions over the
-serve-loop wall clock) and **p50/p99 decision latency** read from the
+replay's wall clock) and **p50/p99 decision latency** read from the
 service's fixed-edge histograms via
 :meth:`~repro.obs.metrics.Histogram.quantile` — plus the canonical
 decision log whose byte-identity across seeds/concurrency the tests

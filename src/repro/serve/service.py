@@ -11,14 +11,15 @@ shared, monotonically-increasing sequence space —
   the live µ feed for the online estimators.  Acknowledged, never
   logged.
 
-**Determinism.**  The service serves strictly in ``seq`` order: a
-reorder buffer holds early arrivals until their predecessors are
-decided, so any number of concurrent clients produces the *same*
-decision sequence — same estimator trajectory, same RNG consumption,
-same regime switches.  The decision log is therefore byte-identical at
-any concurrency level, which is the property the loadgen determinism
-gate diffs in CI.  Wall-clock only ever feeds the latency histograms
-(metrics), never a decision.
+**Determinism.**  The service serves strictly in ``seq`` order.  The
+``submit`` whose event is next in order decides it in the calling
+coroutine, then every parked successor; a reorder buffer holds only
+early arrivals until their predecessors are decided.  Any number of
+concurrent clients therefore produces the *same* decision sequence —
+same estimator trajectory, same RNG consumption, same regime switches.
+The decision log is byte-identical at any concurrency level, which is
+the property the loadgen determinism gate diffs in CI.  Wall-clock
+only ever feeds the latency histograms (metrics), never a decision.
 
 Per-decision latency lands in two fixed-edge
 :class:`~repro.obs.metrics.Histogram`\\ s: ``decide`` (the policy
@@ -30,11 +31,16 @@ reorder wait) — p50/p99 come from
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from dataclasses import dataclass
 
-from repro.errors import InvalidParameterError, SimulationError
+from repro.errors import (
+    ExperimentTimeoutError,
+    InvalidParameterError,
+    SimulationError,
+)
 from repro.htm.conflict_policy import (
     RegimeAdaptiveDelay,
     ConflictContext,
@@ -115,22 +121,24 @@ class Decision:
     policy: str
 
 
+@functools.lru_cache(maxsize=1024)
+def _json_string(value: str) -> str:
+    return json.dumps(value)
+
+
 def decision_line(decision: Decision) -> str:
     """Canonical one-line JSON for a decision (no trailing newline).
 
-    Same canonicalization contract as the trace bus: two decision logs
-    are equal iff their bytes are equal.
+    Same canonicalization contract as the trace bus (sorted keys,
+    compact separators): two decision logs are equal iff their bytes
+    are equal.
     """
-    return json.dumps(
-        {
-            "seq": decision.seq,
-            "action": decision.action,
-            "grace": decision.grace,
-            "regime": decision.regime,
-            "policy": decision.policy,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    return (
+        f'{{"action":{_json_string(decision.action)},'
+        f'"grace":{decision.grace},'
+        f'"policy":{_json_string(decision.policy)},'
+        f'"regime":{_json_string(decision.regime)},'
+        f'"seq":{decision.seq}}}'
     )
 
 
@@ -149,8 +157,8 @@ class DecisionService:
     any interleaving; each client must submit its own events in
     ascending ``seq`` order (the load generator's round-robin sharding
     guarantees this), and every sequence number below the highest
-    submitted one must eventually be submitted by someone or the
-    serving loop would wait for the gap forever.
+    submitted one must eventually be submitted by someone, or the
+    events parked behind the gap wait until :meth:`stop` fails them.
     """
 
     def __init__(
@@ -164,11 +172,10 @@ class DecisionService:
         self.params = params if params is not None else MachineParams()
         self.policy = policy if policy is not None else RegimeAdaptiveDelay()
         self._rng = stream_for(seed, "serve", "decisions")
+        #: early arrivals: seq -> (event, future, submit time)
         self._pending: dict[int, tuple[object, asyncio.Future, float]] = {}
         self._next_seq = 0
-        self._wakeup: asyncio.Event | None = None
-        self._loop_task: asyncio.Task | None = None
-        self._stopping = False
+        self._started = False
         #: canonical decision-log lines, conflict decisions only
         self.decision_log: list[str] = []
         self.decide_latency = Histogram("decide_latency_us", latency_edges)
@@ -182,21 +189,18 @@ class DecisionService:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        if self._loop_task is not None:
+        if self._started:
             raise SimulationError("decision service already started")
-        self._stopping = False
-        self._wakeup = asyncio.Event()
-        self._loop_task = asyncio.create_task(self._serve_loop())
+        self._started = True
 
     async def stop(self) -> None:
-        """Drain: serve everything already submitted, then shut down."""
-        if self._loop_task is None:
+        """Shut down.  Every event whose predecessors all arrived has
+        been decided already; events parked behind a sequence gap fail
+        with :class:`SimulationError` instead of hanging."""
+        if not self._started:
             return
-        self._stopping = True
-        self._wakeup.set()
-        await self._loop_task
-        self._loop_task = None
-        if self._pending:  # gap before a drained tail: refuse silently
+        self._started = False
+        if self._pending:
             stuck = sorted(self._pending)
             for seq in stuck:
                 _, fut, _ = self._pending.pop(seq)
@@ -210,46 +214,70 @@ class DecisionService:
 
     # -- the request path --------------------------------------------------
     async def submit(self, event) -> Decision:
-        """Queue one event; resolves with its :class:`Decision`."""
-        if self._wakeup is None:
-            raise SimulationError("decision service is not started")
-        if event.seq < self._next_seq or event.seq in self._pending:
-            raise InvalidParameterError(
-                f"seq {event.seq} already served or pending"
-            )
-        fut = asyncio.get_running_loop().create_future()
-        self._pending[event.seq] = (event, fut, time.perf_counter())
-        self._wakeup.set()
-        return await fut
+        """Decide one event; resolves with its :class:`Decision`.
 
-    async def _serve_loop(self) -> None:
-        while True:
-            entry = self._pending.pop(self._next_seq, None)
-            if entry is None:
-                if self._stopping:
-                    return
-                self._wakeup.clear()
-                await self._wakeup.wait()
-                continue
+        The event that is next in ``seq`` order is decided here, and so
+        is every parked successor it unblocks; an early event parks
+        until the submit of its predecessor decides it.  An event whose
+        decision raises counts as served, stays out of the decision
+        log, and raises in its own submit.
+        """
+        submitted = time.perf_counter()
+        if not self._started:
+            raise SimulationError("decision service is not started")
+        seq = event.seq
+        if seq != self._next_seq:
+            if seq < self._next_seq or seq in self._pending:
+                raise InvalidParameterError(
+                    f"seq {seq} already served or pending"
+                )
+            fut = asyncio.get_running_loop().create_future()
+            self._pending[seq] = (event, fut, submitted)
+            return await fut
+        decision, error = self._serve(event, submitted)
+        if self._pending:
+            self._drain()
+        if error is not None:
+            raise error
+        return decision
+
+    def _serve(self, event, submitted: float) -> tuple:
+        """Decide the next event in order: ``(decision, None)``, or
+        ``(None, error)`` when deciding raised."""
+        try:
+            outcome = self._decide(event), None
+        except ExperimentTimeoutError:
+            raise
+        except Exception as exc:
+            outcome = None, exc
+        self.service_latency.observe((time.perf_counter() - submitted) * 1e6)
+        self._next_seq += 1
+        return outcome
+
+    def _drain(self) -> None:
+        """Decide parked events while the next one in order is parked."""
+        pending = self._pending
+        while (entry := pending.pop(self._next_seq, None)) is not None:
             event, fut, submitted = entry
-            decision = self._decide(event)
-            self.service_latency.observe(
-                (time.perf_counter() - submitted) * 1e6
-            )
-            if not fut.done():  # client may have been cancelled
+            decision, error = self._serve(event, submitted)
+            if fut.done():  # client may have been cancelled
+                continue
+            if error is None:
                 fut.set_result(decision)
-            self._next_seq += 1
+            else:
+                fut.set_exception(error)
 
     # -- deciding ----------------------------------------------------------
     def _decide(self, event) -> Decision:
         t0 = time.perf_counter()
+        policy = self.policy
         if isinstance(event, CommitReport):
-            observe = getattr(self.policy, "observe_commit", None)
+            observe = getattr(policy, "observe_commit", None)
             if observe is not None:
                 observe(event.duration)
             self.commits += 1
             decision = Decision(event.seq, "ack", 0, self._last_regime,
-                                self.policy.name)
+                                policy.name)
         else:
             ctx = ConflictContext(
                 tx_age=event.tx_age,
@@ -257,8 +285,8 @@ class DecisionService:
                 params=self.params,
                 requestor_age=event.requestor_age,
             )
-            grace = int(self.policy.decide(ctx, self._rng))
-            regime = getattr(self.policy, "regime", "-")
+            grace = int(policy.decide(ctx, self._rng))
+            regime = getattr(policy, "regime", "-")
             if grace > 0:
                 self.grants += 1
                 action = "grant"
@@ -266,8 +294,7 @@ class DecisionService:
                 self.aborts += 1
                 action = "abort"
             self.conflicts += 1
-            decision = Decision(event.seq, action, grace, regime,
-                                self.policy.name)
+            decision = Decision(event.seq, action, grace, regime, policy.name)
             self.decision_log.append(decision_line(decision))
             if regime != self._last_regime:
                 self.regime_switches += 1
@@ -281,7 +308,9 @@ class DecisionService:
                         seq=event.seq,
                     )
                 self._last_regime = regime
-            get_registry().counter(f"decisions_{action}").inc()
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter(f"decisions_{action}").inc()
         self.decide_latency.observe((time.perf_counter() - t0) * 1e6)
         bus = get_bus()
         if bus.enabled:

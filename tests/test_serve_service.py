@@ -1,9 +1,11 @@
 """Decision service semantics + the adaptive policy's regime dispatch.
 
-The service half pins the seq-ordered protocol: out-of-order arrivals
-wait in the reorder buffer, duplicates and stale seqs are rejected,
-drain-on-stop fails stuck futures instead of hanging, and commit
-reports are acked but never logged.  The policy half pins
+The service half pins the seq-ordered protocol: the in-order submit
+decides in its caller and resolves parked successors, out-of-order
+arrivals wait in the reorder buffer, duplicates and stale seqs are
+rejected, a request whose decision raises fails alone, stop fails
+stuck futures instead of hanging, and commit reports are acked but
+never logged.  The policy half pins
 :class:`repro.htm.conflict_policy.RegimeAdaptiveDelay`'s classification
 (bootstrap / mean / rand as the estimates move) and its switch
 accounting, which the serve layer surfaces as ``regime_switch`` trace
@@ -18,6 +20,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimators import EstimateSnapshot
 from repro.core.ratios import rw_mean_regime_threshold
@@ -28,6 +32,7 @@ from repro.htm.conflict_policy import (
     policy_from_name,
 )
 from repro.htm.params import MachineParams
+from repro.serve.loadgen import default_config, generate
 from repro.serve.service import (
     CommitReport,
     ConflictRequest,
@@ -176,6 +181,120 @@ class TestServiceProtocol:
         assert service.service_latency.n == 10
         assert not math.isnan(service.decide_latency.quantile(0.5))
 
+    @pytest.mark.parametrize("order", [(2, 1, 0), (0, 2, 1)])
+    def test_raising_request_fails_alone(self, order):
+        """A decision that raises (here ``ConflictContext`` rejects a
+        negative age) fails only its own submit, whether it was parked
+        and decided by another client's drain or decided in order."""
+
+        async def scenario():
+            service = DecisionService(seed=1)
+            await service.start()
+            tasks = {}
+            for seq in order:  # three clients, one event each
+                event = conflict(seq, age=-5 if seq == 1 else 500, client=seq)
+                tasks[seq] = asyncio.create_task(service.submit(event))
+                await asyncio.sleep(0)
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*tasks.values(), return_exceptions=True), 2.0
+            )
+            with pytest.raises(InvalidParameterError, match="seq 1"):
+                await service.submit(conflict(1))  # counted as served
+            after = await asyncio.wait_for(service.submit(conflict(3)), 2.0)
+            await asyncio.wait_for(service.stop(), 2.0)
+            return service, dict(zip(tasks, outcomes)), after
+
+        service, outcomes, after = run(scenario())
+        assert outcomes[0].seq == 0 and outcomes[2].seq == 2
+        assert isinstance(outcomes[1], InvalidParameterError)
+        assert "tx_age" in str(outcomes[1])
+        assert after.seq == 3
+        assert [json.loads(line)["seq"] for line in service.decision_log] == [
+            0,
+            2,
+            3,
+        ]
+        assert service.conflicts == 3 and service.decide_latency.n == 3
+
+    def test_in_order_submit_resolves_parked_client(self):
+        async def scenario():
+            service = DecisionService(seed=1)
+            await service.start()
+            parked = asyncio.create_task(service.submit(conflict(1)))
+            await asyncio.sleep(0)
+            assert not parked.done() and service.decision_log == []
+            # no serving task: only this caller and the parked client
+            assert asyncio.all_tasks() == {asyncio.current_task(), parked}
+            d0 = await service.submit(conflict(0))
+            # decided by this caller, before the parked client resumes
+            assert len(service.decision_log) == 2
+            assert service.service_latency.n == 2
+            d1 = await parked
+            await service.stop()
+            return d0, d1
+
+        d0, d1 = run(scenario())
+        assert (d0.seq, d1.seq) == (0, 1)
+
+    def test_cancelled_parked_client_does_not_stall(self):
+        async def scenario():
+            service = DecisionService(seed=1)
+            await service.start()
+            parked = asyncio.create_task(service.submit(conflict(1)))
+            await asyncio.sleep(0)
+            parked.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await parked
+            await service.submit(conflict(0))
+            d2 = await asyncio.wait_for(service.submit(conflict(2)), 2.0)
+            await service.stop()
+            return service, d2
+
+        service, d2 = run(scenario())
+        assert d2.seq == 2
+        # the cancelled client's event still took its place in order
+        assert [json.loads(line)["seq"] for line in service.decision_log] == [
+            0,
+            1,
+            2,
+        ]
+
+    def test_closed_loop_counts_every_request(self):
+        events = list(generate(3, default_config(quick=True).scaled(300)))
+
+        async def scenario():
+            service = DecisionService(seed=3)
+            await service.start()
+
+            async def client(mine):
+                for event in mine:
+                    await service.submit(event)
+
+            await asyncio.gather(*(client(events[i::8]) for i in range(8)))
+            await service.stop()
+            return service
+
+        service = run(scenario())
+        assert service.service_latency.n == len(events)
+        assert service.decide_latency.n == len(events)
+        assert service.conflicts + service.commits == len(events)
+
+    def test_stop_leaves_no_task_and_refuses_later_submits(self):
+        async def scenario():
+            before = asyncio.all_tasks()
+            service = DecisionService(seed=1)
+            await service.start()
+            parked = asyncio.create_task(service.submit(conflict(2)))
+            for i in range(2):
+                await service.submit(conflict(i))
+            await parked
+            await service.stop()
+            assert asyncio.all_tasks() == before
+            with pytest.raises(SimulationError, match="not started"):
+                await asyncio.wait_for(service.submit(conflict(3)), 2.0)
+
+        run(scenario())
+
     def test_same_seed_same_decisions(self):
         async def scenario():
             service = DecisionService(seed=5)
@@ -195,6 +314,29 @@ class TestDecisionLine:
             '{"action":"grant","grace":120,"policy":"X",'
             '"regime":"mean","seq":4}'
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seq=st.integers(),
+        action=st.sampled_from(["grant", "abort", "ack"]) | st.text(),
+        grace=st.integers(),
+        regime=st.sampled_from(["-", "bootstrap", "rand", "mean"])
+        | st.text(),
+        policy=st.text(),
+    )
+    @example(seq=0, action="grant", grace=1, regime="mean",
+             policy='P"ol\\icy\u00e9\u2603')
+    def test_matches_sorted_json_reference(
+        self, seq, action, grace, regime, policy
+    ):
+        reference = json.dumps(
+            {"seq": seq, "action": action, "grace": grace,
+             "regime": regime, "policy": policy},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        line = decision_line(Decision(seq, action, grace, regime, policy))
+        assert line == reference
 
 
 def snap(b=1000.0, k=2.0, mu=100.0, n_conflicts=100, n_commits=100):
