@@ -2,8 +2,9 @@
 
 Demonstrates the extension surface: subclass
 :class:`~repro.core._continuous.ContinuousDelayPolicy`, give it a
-(vectorized) density, and the verification machinery prices it against
-any adversary — no closed-form analysis needed.
+vectorized density and its CDF on the support (``_cdf_inside``), and
+the verification machinery prices it against any adversary — no
+closed-form analysis needed; sampling inverts the CDF numerically.
 
 The example policy is a triangular density peaking at B/2 ("hedge
 toward the middle").  Spoiler: it is worse than the uniform optimum,
@@ -43,14 +44,11 @@ class TriangularDelay(ContinuousDelayPolicy):
         vals = np.where(x <= half, up, down)
         return np.where(self._in_support(x), vals, 0.0)
 
-    def cdf_vec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        clipped = np.clip(x, 0.0, self.B)
+    def _cdf_inside(self, x: np.ndarray) -> np.ndarray:
         half = self.B / 2.0
-        left = clipped**2 / (half * self.B)
-        right = 1.0 - (self.B - clipped) ** 2 / (half * self.B)
-        raw = np.where(clipped <= half, left, right)
-        return np.where(x >= self.B, 1.0, np.where(x <= 0, 0.0, raw))
+        left = x**2 / (half * self.B)
+        right = 1.0 - (self.B - x) ** 2 / (half * self.B)
+        return np.where(x <= half, left, right)
 
 
 def main() -> None:

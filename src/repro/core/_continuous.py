@@ -2,12 +2,15 @@
 
 Each optimal randomized policy in the paper is a continuous distribution
 on ``[0, B/(k-1)]`` with a closed-form PDF.  This module provides a base
-class that turns a vectorized PDF/CDF pair into a sampler:
+class that turns a vectorized PDF and an in-support CDF into a sampler:
 
+* subclasses implement ``_cdf_inside``, the CDF formula on points inside
+  the support; ``cdf_vec`` clamps to the support and pins the endpoints;
 * closed-form inverse CDFs are used where available (subclass override);
-* otherwise sampling inverts the CDF numerically on a dense precomputed
-  grid (a single vectorized ``np.interp`` per batch — no Python-level
-  loops, per the HPC guides' "vectorize the hot path" rule).
+* otherwise sampling inverts the CDF numerically on a dense grid, built
+  on first use by a few in-place passes of ``_cdf_inside`` (a single
+  vectorized ``np.interp`` per batch — no Python-level loops, per the
+  HPC guides' "vectorize the hot path" rule).
 
 The grid inversion is accurate to ``support_width / GRID_POINTS`` which
 at the default 16384 points is far below any simulation timestep used in
@@ -31,9 +34,9 @@ GRID_POINTS = 16384
 class ContinuousDelayPolicy(DelayPolicy):
     """A delay policy defined by a continuous density on ``[lo, hi]``.
 
-    Subclasses implement :meth:`pdf_vec` and :meth:`cdf_vec` (vectorized
-    over NumPy arrays) and set ``_lo`` / ``_hi``.  Scalar ``pdf``/``cdf``
-    and sampling come for free.
+    Subclasses implement :meth:`pdf_vec` and :meth:`_cdf_inside`
+    (vectorized over NumPy arrays) and set ``_lo`` / ``_hi``.
+    :meth:`cdf_vec`, scalar ``pdf``/``cdf`` and sampling come for free.
     """
 
     _lo: float = 0.0
@@ -44,9 +47,17 @@ class ContinuousDelayPolicy(DelayPolicy):
         """Vectorized PDF; zero outside the support."""
         raise NotImplementedError
 
-    def cdf_vec(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized CDF."""
+    def _cdf_inside(self, x: np.ndarray) -> np.ndarray:
+        """The CDF on an (at least 1-d) array of points inside
+        ``[lo, hi]``, as a new array; ``x`` itself stays unchanged."""
         raise NotImplementedError
+
+    def cdf_vec(self, x: np.ndarray) -> np.ndarray:
+        """Vectorized CDF: 0 at and below ``lo``, 1 at and above ``hi``."""
+        x = np.asarray(x, dtype=float)
+        inside = self._cdf_inside(np.atleast_1d(np.clip(x, self._lo, self._hi)))
+        inside = np.where(x <= self._lo, 0.0, inside.reshape(x.shape))
+        return np.where(x >= self._hi, 1.0, inside)
 
     # -- DelayPolicy interface ------------------------------------------
     @property
@@ -95,13 +106,14 @@ class ContinuousDelayPolicy(DelayPolicy):
         cached = getattr(self, "_grid_cache", None)
         if cached is None:
             xs = np.linspace(self._lo, self._hi, GRID_POINTS)
-            fs = self.cdf_vec(xs)
-            # Guard against tiny numeric non-monotonicity so np.interp's
-            # precondition (sorted xp) holds exactly.
-            fs = np.maximum.accumulate(fs)
+            fs = self._cdf_inside(xs)
             fs[0], fs[-1] = 0.0, 1.0
-            cached = (xs, fs)
-            self._grid_cache = cached
+            # np.interp needs sorted xp: a dip (or a NaN, which fails
+            # the check too) takes the running max, then re-pins
+            if not (fs[1:] >= fs[:-1]).all():
+                np.maximum.accumulate(fs, out=fs)
+                fs[-1] = 1.0
+            cached = self._grid_cache = (xs, fs)
         return cached
 
     def _in_support(self, x: np.ndarray) -> np.ndarray:

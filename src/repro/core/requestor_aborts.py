@@ -107,11 +107,11 @@ class ExponentialRA(ContinuousDelayPolicy):
         vals = np.exp(safe / self.B) / (self.B * (self.E - 1.0))
         return np.where(inside, vals, 0.0)
 
-    def cdf_vec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        clipped = np.clip(x, 0.0, self._hi)
-        raw = np.expm1(clipped / self.B) / (self.E - 1.0)
-        return np.where(x >= self._hi, 1.0, np.where(x <= 0.0, 0.0, raw))
+    def _cdf_inside(self, x: np.ndarray) -> np.ndarray:
+        out = x / self.B
+        np.expm1(out, out=out)
+        out /= self.E - 1.0
+        return out
 
     def _quantile(self, q: np.ndarray | float) -> np.ndarray | float:
         return self.B * np.log1p(q * (self.E - 1.0))
@@ -173,15 +173,13 @@ class ChainRA(ContinuousDelayPolicy):
         vals = (self.k - 1) * np.expm1(safe / self.B) / (self.B * self.Z)
         return np.where(inside, vals, 0.0)
 
-    def cdf_vec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        clipped = np.clip(x, 0.0, self._hi)
-        raw = (
-            (self.k - 1)
-            * (np.expm1(clipped / self.B) - clipped / self.B)
-            / self.Z
-        )
-        return np.where(x >= self._hi, 1.0, np.where(x <= 0.0, 0.0, raw))
+    def _cdf_inside(self, x: np.ndarray) -> np.ndarray:
+        scaled = x / self.B
+        out = np.expm1(scaled)
+        out -= scaled
+        out *= self.k - 1
+        out /= self.Z
+        return out
 
     # -- analysis ----------------------------------------------------------
     @property

@@ -195,14 +195,14 @@ class MeanConstrainedRW(ContinuousDelayPolicy):
         vals = np.log1p(safe / self.B) / (self.B * _LN4M1)
         return np.where(inside, vals, 0.0)
 
-    def cdf_vec(self, x: np.ndarray) -> np.ndarray:
+    def _cdf_inside(self, x: np.ndarray) -> np.ndarray:
         # integral of ln(1 + t/B) dt = (B + x) ln((B+x)/B) - x
-        x = np.asarray(x, dtype=float)
-        clipped = np.clip(x, 0.0, self.B)
-        raw = ((self.B + clipped) * np.log1p(clipped / self.B) - clipped) / (
-            self.B * _LN4M1
-        )
-        return np.where(x >= self.B, 1.0, np.where(x <= 0.0, 0.0, raw))
+        out = x / self.B
+        np.log1p(out, out=out)
+        out *= self.B + x
+        out -= x
+        out /= self.B * _LN4M1
+        return out
 
     @property
     def competitive_ratio(self) -> float:
@@ -295,17 +295,19 @@ class PolynomialRW(ContinuousDelayPolicy):
             vals = (self.k - 1) / (self.B * (self.R - 1.0)) * base
         return np.where(inside, vals, 0.0)
 
-    def cdf_vec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        clipped = np.clip(x, self._lo, self._hi)
-        ratio_pow = np.power(1.0 + clipped / self.B, self.k - 1)
+    def _cdf_inside(self, x: np.ndarray) -> np.ndarray:
+        out = x / self.B
+        out += 1.0
+        np.power(out, self.k - 1, out=out)
+        out -= 1.0
         if self.constrained:
-            raw = (ratio_pow - 1.0 - (self.k - 1) * clipped / self.B) / (
-                self.R - 2.0
-            )
+            linear = (self.k - 1) * x
+            linear /= self.B
+            out -= linear
+            out /= self.R - 2.0
         else:
-            raw = (ratio_pow - 1.0) / (self.R - 1.0)
-        return np.where(x >= self._hi, 1.0, np.where(x <= 0.0, 0.0, raw))
+            out /= self.R - 1.0
+        return out
 
     def _quantile(self, q: np.ndarray | float) -> np.ndarray | float:
         if self.constrained:

@@ -53,6 +53,14 @@ __all__ = [
 ]
 
 
+def _bucket(B: int) -> int:
+    """Round ``B`` to the nearest power of 1.25 (1 for ``B < 1``): the
+    policy caches' B key, small while the density tracks B."""
+    if B < 1:
+        return 1
+    return int(round(1.25 ** round(math.log(B, 1.25))))
+
+
 @dataclass(frozen=True)
 class ConflictContext:
     """Everything the receiver knows at conflict time.
@@ -178,13 +186,8 @@ class RRWMeanDelay(CyclePolicy):
         self.mu_cycles = float(mu_cycles)
         self._cache: dict[tuple[int, int], object] = {}
 
-    def _bucket(self, B: int) -> int:
-        if B < 1:
-            return 1
-        return int(round(1.25 ** round(math.log(B, 1.25))))
-
     def decide(self, ctx: ConflictContext, rng: np.random.Generator) -> int:
-        B = self._bucket(max(ctx.abort_cost, 1))
+        B = _bucket(max(ctx.abort_cost, 1))
         key = (B, ctx.chain_k)
         policy = self._cache.get(key)
         if policy is None:
@@ -216,15 +219,10 @@ class RequestorAbortsDelay(CyclePolicy):
         self.mu_cycles = mu_cycles
         self._cache: dict[tuple[int, int], object] = {}
 
-    def _bucket(self, B: int) -> int:
-        if B < 1:
-            return 1
-        return int(round(1.25 ** round(math.log(B, 1.25))))
-
     def decide(self, ctx: ConflictContext, rng: np.random.Generator) -> int:
         from repro.core.requestor_aborts import optimal_requestor_aborts
 
-        B = self._bucket(max(ctx.abort_cost, 1))
+        B = _bucket(max(ctx.abort_cost, 1))
         key = (B, ctx.chain_k)
         policy = self._cache.get(key)
         if policy is None:
@@ -271,7 +269,7 @@ class HybridDelay(CyclePolicy):
         # unconstrained requestor-wins optimum
         from repro.core.requestor_wins import optimal_requestor_wins
 
-        B = self._ra._bucket(max(ctx.abort_cost, 1))
+        B = _bucket(max(ctx.abort_cost, 1))
         key = (B, ctx.chain_k)
         policy = self._rw_plain_cache.get(key)
         if policy is None:
@@ -374,12 +372,6 @@ class RegimeAdaptiveDelay(CyclePolicy):
             self.regime_switches += 1
             self.regime = new
 
-    @staticmethod
-    def _bucket(B: int) -> int:
-        if B < 1:
-            return 1
-        return int(round(1.25 ** round(math.log(B, 1.25))))
-
     def decide(self, ctx: ConflictContext, rng: np.random.Generator) -> int:
         cost = ctx.abort_cost
         k = ctx.chain_k
@@ -392,14 +384,14 @@ class RegimeAdaptiveDelay(CyclePolicy):
         buckets = self._buckets
         B = buckets.get(cost)
         if B is None:
-            B = buckets[cost] = self._bucket(cost)
+            B = buckets[cost] = _bucket(cost)
         if self.regime == "mean":
             # quantize µ̂ so the per-(B, k, µ-bucket) policy cache stays
             # small while the density still tracks the drifting estimate
             mu = max(int(round(self._snapshot.mu_hat)), 1)
             mu_key = buckets.get(mu)
             if mu_key is None:
-                mu_key = buckets[mu] = self._bucket(mu)
+                mu_key = buckets[mu] = _bucket(mu)
         else:
             mu_key = -1
         key = (B, k, mu_key)

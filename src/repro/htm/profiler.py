@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.requestor_wins import optimal_requestor_wins
 from repro.errors import InvalidParameterError
-from repro.htm.conflict_policy import ConflictContext, CyclePolicy
+from repro.htm.conflict_policy import ConflictContext, CyclePolicy, _bucket
 from repro.obs.metrics import get_registry
 from repro.sim.stats import Welford
 
@@ -110,11 +110,6 @@ class AdaptiveDelay(CyclePolicy):
         self._cache: dict[tuple[int, int], object] = {}
         self._cache_n = -1
 
-    def _bucket(self, B: int) -> int:
-        if B < 1:
-            return 1
-        return int(round(1.25 ** round(math.log(B, 1.25))))
-
     def decide(self, ctx: ConflictContext, rng: np.random.Generator) -> int:
         mu = None
         if self.profiler.n >= self.warmup:
@@ -128,7 +123,7 @@ class AdaptiveDelay(CyclePolicy):
             self._cache_n = self.profiler.n
         elif self._cache_n < 0:
             self._cache_n = self.profiler.n
-        B = self._bucket(max(ctx.abort_cost, 1))
+        B = _bucket(max(ctx.abort_cost, 1))
         key = (B, ctx.chain_k)
         policy = self._cache.get(key)
         if policy is None:

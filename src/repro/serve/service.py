@@ -60,14 +60,14 @@ __all__ = [
     "LATENCY_EDGES_US",
 ]
 
-#: Fixed decision-latency bucket edges (microseconds).  Fixed edges
-#: keep histograms mergeable and run-to-run comparable
-#: (docs/OBSERVABILITY.md); the top edge clamps the p99 read for
-#: pathological stalls.
-LATENCY_EDGES_US = (
-    1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
-    1_000.0, 2_000.0, 5_000.0, 10_000.0, 50_000.0, 100_000.0,
-)
+#: Fixed decision-latency bucket edges (microseconds): 16 log-linear
+#: sub-buckets per power of two, 1 µs to 2**17 µs (273 edges), so a
+#: quantile read (a bucket's upper edge) is at most 1/16 above its
+#: sample.  Fixed edges keep histograms mergeable and run-to-run
+#: comparable (docs/OBSERVABILITY.md); the top edge clamps the p99 read.
+LATENCY_EDGES_US = tuple(
+    (16 + i) * 2.0**e / 16 for e in range(17) for i in range(16)
+) + (2.0**17,)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,7 +131,19 @@ class TestQuantileEdgeCases:
 
     def test_service_edges_cover_typical_decisions(self):
         """The serve layer's fixed edges bracket sub-millisecond
-        decisions with sub-bucket error < one decade."""
+        decisions without under- or overflow."""
         h = filled([3.0, 17.0, 80.0, 450.0], LATENCY_EDGES_US)
         assert h.overflow == 0 and h.underflow == 0
         assert h.quantile(0.5) in LATENCY_EDGES_US
+
+    def test_service_edges_read_within_one_sixteenth(self):
+        """16 log-linear sub-buckets per power of two: on a log-uniform
+        sample over the whole edge range, every quantile read is at
+        most 1/16 above the nearest-rank sample, and never below it."""
+        values = list(2.0 ** np.random.default_rng(2018).uniform(0.0, 17.0, 4000))
+        h = filled(values, LATENCY_EDGES_US)
+        for q in np.arange(1, 1001) / 1000:
+            ref = nearest_rank(values, q)
+            assert ref < h.quantile(q) <= ref * (1 + 1 / 16)
+        for q in (0.01, 0.5, 0.99, 1.0):
+            assert_bracketed(values, q, LATENCY_EDGES_US)
