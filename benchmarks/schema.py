@@ -144,7 +144,9 @@ def _is_sha256(value) -> bool:
 #: ``decision_log_sha256`` fingerprints the canonical decision log so
 #: the committed artifact itself witnesses the determinism contract:
 #: re-running with the payload's seed must reproduce the digest.
-#: ``seed`` is -1 when the run used the default seed.
+#: ``seed`` is -1 when the run used the default seed.  ``grid_builds``
+#: counts the inverse-CDF grids the serving policy built (0 for a
+#: policy that does not keep the count); it is deterministic too.
 _SERVE_SPEC = {
     "schema_version": (int, True, lambda v: v == 1),
     "suite": (str, True, lambda v: v == "serve"),
@@ -171,6 +173,7 @@ _SERVE_SPEC = {
     "p99_us": ((int, float), True, _is_latency_us),
     "service_p50_us": ((int, float), False, _is_latency_us),
     "service_p99_us": ((int, float), False, _is_latency_us),
+    "grid_builds": (int, True, lambda v: v >= 0),
     "decision_log_sha256": (str, True, _is_sha256),
 }
 

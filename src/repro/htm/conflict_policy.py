@@ -113,6 +113,29 @@ class CyclePolicy(abc.ABC):
         return f"<{type(self).__name__} {self.name}>"
 
 
+class _RWTablePolicy(CyclePolicy):
+    """Draws optimal requestor-wins delays: ``_cache`` maps a subclass's
+    key to one of ``_dists``, built once per ``(B, k, family)``.  The
+    densities hold no µ (Theorems 5 and 6); µ only picks the family:
+    ``RRW`` (closed-form inverse) or ``RRW(mu)`` (an inverse-CDF grid)."""
+
+    def __init__(self) -> None:
+        self._cache: dict[tuple, object] = {}
+        self._dists: dict[tuple[int, int, str], object] = {}
+        #: inverse-CDF grids built: one per ``RRW(mu)`` distribution
+        self.grid_builds = 0
+
+    def _pick(self, key: tuple, B: int, k: int, mu: float | None):
+        policy = optimal_requestor_wins(float(B), k, mu)
+        family = (B, k, policy.name)
+        if family not in self._dists:
+            get_registry().counter("policy_builds").inc()
+            self.grid_builds += policy.name == "RRW(mu)"
+            self._dists[family] = policy
+        self._cache[key] = self._dists[family]
+        return self._cache[key]
+
+
 class NoDelay(CyclePolicy):
     """Abort the receiver immediately — baseline requestor-wins HTM."""
 
@@ -234,7 +257,7 @@ class RequestorAbortsDelay(CyclePolicy):
         return max(1, int(policy.sample(rng)))
 
 
-class HybridDelay(CyclePolicy):
+class HybridDelay(_RWTablePolicy):
     """Extension: the paper's "Implications" hybrid, live in the HTM.
 
     Per conflict, picks the resolution strategy with the better optimal
@@ -246,9 +269,8 @@ class HybridDelay(CyclePolicy):
     name = "DELAY_HYBRID"
 
     def __init__(self, mu_cycles: float | None = None) -> None:
-        self._rw = RRWMeanDelay(mu_cycles) if mu_cycles else None
-        self._ra = RequestorAbortsDelay(mu_cycles)
-        self._rw_plain_cache: dict[tuple[int, int], object] = {}
+        super().__init__()
+        self._ra = RequestorAbortsDelay(mu_cycles)  # rejects mu <= 0
         self.mu_cycles = mu_cycles
 
     @staticmethod
@@ -264,22 +286,15 @@ class HybridDelay(CyclePolicy):
             get_registry().counter("hybrid_ra_choices").inc()
             return self._ra.decide(ctx, rng)
         get_registry().counter("hybrid_rw_choices").inc()
-        if self._rw is not None:
-            return self._rw.decide(ctx, rng)
-        # unconstrained requestor-wins optimum
-        from repro.core.requestor_wins import optimal_requestor_wins
-
         B = _bucket(max(ctx.abort_cost, 1))
         key = (B, ctx.chain_k)
-        policy = self._rw_plain_cache.get(key)
+        policy = self._cache.get(key)
         if policy is None:
-            get_registry().counter("policy_builds").inc()
-            policy = optimal_requestor_wins(float(B), ctx.chain_k)
-            self._rw_plain_cache[key] = policy
+            policy = self._pick(key, B, ctx.chain_k, self.mu_cycles)
         return int(policy.sample(rng))
 
 
-class RegimeAdaptiveDelay(CyclePolicy):
+class RegimeAdaptiveDelay(_RWTablePolicy):
     """Online-estimated adaptive policy: live regime dispatch.
 
     Where :class:`RRWMeanDelay` trusts an operator-profiled ``µ``, this
@@ -332,6 +347,7 @@ class RegimeAdaptiveDelay(CyclePolicy):
             raise InvalidParameterError(
                 f"refresh_every must be >= 1, got {refresh_every}"
             )
+        super().__init__()
         self.estimator = (
             estimator if estimator is not None else OnlineEstimator(window)
         )
@@ -341,7 +357,6 @@ class RegimeAdaptiveDelay(CyclePolicy):
         self.regime_switches = 0
         self._decisions = 0
         self._snapshot = self.estimator.snapshot()
-        self._cache: dict[tuple[int, int, int], object] = {}
         #: ``_bucket`` memo per argument: abort costs and rounded µ̂
         self._buckets: dict[int, int] = {}
 
@@ -386,8 +401,8 @@ class RegimeAdaptiveDelay(CyclePolicy):
         if B is None:
             B = buckets[cost] = _bucket(cost)
         if self.regime == "mean":
-            # quantize µ̂ so the per-(B, k, µ-bucket) policy cache stays
-            # small while the density still tracks the drifting estimate
+            # quantize µ̂ for the regime test; a drift that keeps the
+            # family keeps its distribution
             mu = max(int(round(self._snapshot.mu_hat)), 1)
             mu_key = buckets.get(mu)
             if mu_key is None:
@@ -397,11 +412,7 @@ class RegimeAdaptiveDelay(CyclePolicy):
         key = (B, k, mu_key)
         policy = self._cache.get(key)
         if policy is None:
-            get_registry().counter("policy_builds").inc()
-            policy = optimal_requestor_wins(
-                float(B), k, None if mu_key < 0 else float(mu_key)
-            )
-            self._cache[key] = policy
+            policy = self._pick(key, B, k, None if mu_key < 0 else float(mu_key))
         return int(policy.sample(rng))
 
 

@@ -20,10 +20,8 @@ import math
 
 import numpy as np
 
-from repro.core.requestor_wins import optimal_requestor_wins
 from repro.errors import InvalidParameterError
-from repro.htm.conflict_policy import ConflictContext, CyclePolicy, _bucket
-from repro.obs.metrics import get_registry
+from repro.htm.conflict_policy import ConflictContext, _RWTablePolicy, _bucket
 from repro.sim.stats import Welford
 
 __all__ = ["CommitProfiler", "AdaptiveDelay"]
@@ -79,7 +77,7 @@ class CommitProfiler:
         return self.durations.mean * self.remaining_fraction
 
 
-class AdaptiveDelay(CyclePolicy):
+class AdaptiveDelay(_RWTablePolicy):
     """Mean-constrained optimal delays with a *live* profiled mean.
 
     Parameters
@@ -89,8 +87,8 @@ class AdaptiveDelay(CyclePolicy):
     warmup:
         Committed transactions required before trusting the estimate.
     refresh:
-        Rebuild the cached policy after this many new commits (the mean
-        drifts as the workload warms up).
+        Re-pick each ``(B, k)``'s family from the drifting mean after
+        this many new commits; one the ending epoch drew from is reused.
     """
 
     name = "DELAY_ADAPTIVE"
@@ -104,21 +102,23 @@ class AdaptiveDelay(CyclePolicy):
     ) -> None:
         if warmup < 1 or refresh < 1:
             raise InvalidParameterError("warmup and refresh must be >= 1")
+        super().__init__()
         self.profiler = profiler
         self.warmup = warmup
         self.refresh = refresh
-        self._cache: dict[tuple[int, int], object] = {}
         self._cache_n = -1
 
     def decide(self, ctx: ConflictContext, rng: np.random.Generator) -> int:
         mu = None
         if self.profiler.n >= self.warmup:
             mu = self.profiler.mu_estimate()
-        # invalidate the policy cache when enough new data arrived
+        # enough new data starts an epoch: each (B, k) re-picks its family
         if (
             self._cache_n >= 0
             and self.profiler.n - self._cache_n >= self.refresh
         ):
+            live = list(self._cache.values())  # what the new epoch may reuse
+            self._dists = {f: d for f, d in self._dists.items() if d in live}
             self._cache.clear()
             self._cache_n = self.profiler.n
         elif self._cache_n < 0:
@@ -127,7 +127,5 @@ class AdaptiveDelay(CyclePolicy):
         key = (B, ctx.chain_k)
         policy = self._cache.get(key)
         if policy is None:
-            get_registry().counter("policy_builds").inc()
-            policy = optimal_requestor_wins(float(B), ctx.chain_k, mu)
-            self._cache[key] = policy
+            policy = self._pick(key, B, ctx.chain_k, mu)
         return int(policy.sample(rng))

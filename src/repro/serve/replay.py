@@ -25,7 +25,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import InvalidParameterError
+from repro.errors import ExperimentTimeoutError, InvalidParameterError, SimulationError
 from repro.htm.conflict_policy import CyclePolicy
 from repro.htm.params import MachineParams
 from repro.obs.tracebus import get_bus
@@ -56,6 +56,7 @@ class ReplayReport:
     p99_us: float
     service_p50_us: float
     service_p99_us: float
+    grid_builds: int
     decision_log: list[str] = field(repr=False)
     decide_latency: dict = field(repr=False)
     service_latency: dict = field(repr=False)
@@ -68,14 +69,6 @@ class ReplayReport:
         return digest.hexdigest()
 
 
-async def _submitter(service: DecisionService, queue: asyncio.Queue) -> None:
-    while True:
-        event = await queue.get()
-        if event is None:
-            return
-        await service.submit(event)
-
-
 async def _replay_async(
     seed: int | None,
     config: LoadGenConfig,
@@ -84,29 +77,41 @@ async def _replay_async(
     window: int,
 ) -> None:
     queues = [asyncio.Queue(maxsize=window) for _ in range(clients)]
-    tasks = [
-        asyncio.create_task(_submitter(service, q)) for q in queues
-    ]
-    bus = get_bus()
-    last_phase = -1
-    i = 0
-    for event in generate(seed, config):
-        if bus.enabled and event.phase != last_phase:
-            bus.emit(
-                float(event.seq),
-                "loadgen_phase",
-                phase=event.phase,
-                first_seq=event.seq,
-                mu=config.phases[event.phase].mu_cycles,
-                rate=config.phases[event.phase].rate,
-            )
-            last_phase = event.phase
-        await queues[i % clients].put(event)
-        i += 1
-    for q in queues:
-        await q.put(None)
-    await asyncio.gather(*tasks)
+    errors: dict[int, Exception] = {}
+
+    async def produce() -> None:
+        bus = get_bus()
+        last_phase = -1
+        for i, event in enumerate(generate(seed, config)):
+            if bus.enabled and event.phase != last_phase:
+                bus.emit(
+                    float(event.seq),
+                    "loadgen_phase",
+                    phase=event.phase,
+                    first_seq=event.seq,
+                    mu=config.phases[event.phase].mu_cycles,
+                    rate=config.phases[event.phase].rate,
+                )
+                last_phase = event.phase
+            await queues[i % clients].put(event)
+        for q in queues:
+            await q.put(None)
+
+    async def submit(queue: asyncio.Queue) -> None:
+        while (event := await queue.get()) is not None:
+            try:
+                await service.submit(event)
+            except ExperimentTimeoutError:
+                raise
+            except Exception as exc:  # keep draining; raised once served
+                errors[event.seq] = exc
+
+    # a task that dies fails the gather at once; the loop cancels the rest
+    await asyncio.gather(produce(), *map(submit, queues))
     await service.stop()
+    if errors:
+        seq, exc = min(errors.items())
+        raise SimulationError(f"the decision for seq {seq} raised {exc!r}") from exc
 
 
 def run_replay(
@@ -124,6 +129,8 @@ def run_replay(
     ``clients`` is the number of concurrent in-process submitters the
     stream is multiplexed over (the simulated client-id space is the
     config's, up to millions); the decision log is invariant to it.
+    A decision that raises fails the replay, naming its seq, once the
+    stream is served (:class:`SimulationError`).
     """
     if clients < 1:
         raise InvalidParameterError(f"clients must be >= 1, got {clients}")
@@ -159,6 +166,7 @@ def run_replay(
         p99_us=service.decide_latency.quantile(0.99),
         service_p50_us=service.service_latency.quantile(0.50),
         service_p99_us=service.service_latency.quantile(0.99),
+        grid_builds=getattr(service.policy, "grid_builds", 0),
         decision_log=service.decision_log,
         decide_latency=service.decide_latency.snapshot(),
         service_latency=service.service_latency.snapshot(),
@@ -199,5 +207,6 @@ def bench_payload(
         "p99_us": report.p99_us,
         "service_p50_us": report.service_p50_us,
         "service_p99_us": report.service_p99_us,
+        "grid_builds": report.grid_builds,
         "decision_log_sha256": report.decision_log_sha256(),
     }

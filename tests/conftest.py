@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core._continuous import ContinuousDelayPolicy
 from repro.core.model import ConflictKind, ConflictModel
 
 
@@ -23,6 +24,23 @@ def _no_result_cache(monkeypatch):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def grid_log(monkeypatch) -> list:
+    """Every inverse-CDF grid built while the test runs, as
+    ``(family, B, k)``: a build is a ``_cdf_grid`` call on a policy
+    that has no grid yet."""
+    built = []
+    build = ContinuousDelayPolicy._cdf_grid
+
+    def logged(self):
+        if getattr(self, "_grid_cache", None) is None:
+            built.append((type(self).__name__, self.B, self.k))
+        return build(self)
+
+    monkeypatch.setattr(ContinuousDelayPolicy, "_cdf_grid", logged)
+    return built
 
 
 @pytest.fixture

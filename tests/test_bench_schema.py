@@ -76,6 +76,7 @@ def serve_payload(**overrides) -> dict:
         "p99_us": 200.0,
         "service_p50_us": 50.0,
         "service_p99_us": 1000.0,
+        "grid_builds": 44,
         "decision_log_sha256": "ab" * 32,
     }
     payload.update(overrides)
@@ -230,6 +231,15 @@ class TestServeSchema:
                     serve_payload(decision_log_sha256=bad)
                 )
 
+    def test_grid_builds_required_and_non_negative(self):
+        bad = serve_payload()
+        del bad["grid_builds"]
+        with pytest.raises(schema.BenchSchemaError, match="grid_builds"):
+            schema.validate_serve_payload(bad)
+        for value in (-1, 4.0, True):
+            with pytest.raises(schema.BenchSchemaError, match="grid_builds"):
+                schema.validate_serve_payload(serve_payload(grid_builds=value))
+
     def test_negative_latency_fails(self):
         with pytest.raises(schema.BenchSchemaError, match="p50_us"):
             schema.validate_serve_payload(serve_payload(p50_us=-1.0))
@@ -333,6 +343,7 @@ class TestCommittedBaseline:
         assert report.decision_log_sha256() == doc["decision_log_sha256"]
         assert report.conflicts == doc["conflicts"]
         assert report.regime_switches == doc["regime_switches"]
+        assert report.grid_builds == doc["grid_builds"]
 
     def test_committed_baseline_records_vectorization_win(self):
         """The acceptance evidence: at least one grid-shaped bench in

@@ -1,10 +1,15 @@
-"""Docs drift: the speedups README.md and docs/PERFORMANCE.md quote from
-``BENCH_core.json`` must be the artifact's numbers.
+"""Docs drift: the figures README.md and docs/PERFORMANCE.md quote from
+``BENCH_core.json`` and ``BENCH_serve.json`` must be the artifacts'
+numbers.
 
-Each quote is located by the words around it, and its figure must equal
-the bench's recorded ``speedup`` rounded to one decimal, or the recorded
-value itself (the regimes grid's 1.15x).  Regenerating the artifact
+Each quote is located by the words around it.  A ``BENCH_core.json``
+speedup must equal the bench's recorded ``speedup`` rounded to one
+decimal, or the recorded value itself (the regimes grid's 1.15x).  A
+``BENCH_serve.json`` quote must equal the field as the artifact writes
+it (the digest may be quoted by a prefix).  Regenerating an artifact
 without updating the docs, or editing a figure by hand, fails here.
+Only current quotes are listed: an earlier figure the docs keep as
+history sits in other words and matches none of the contexts.
 """
 
 from __future__ import annotations
@@ -40,16 +45,36 @@ QUOTES = [
 ]
 
 
+#: (document, ``BENCH_serve.json`` field, the words around the quote)
+SERVE_QUOTES = [
+    ("docs/PERFORMANCE.md", "p99_us",
+     "The committed artifact reads `p99_us: {x}`,"),
+    ("docs/PERFORMANCE.md", "grid_builds",
+     "`grid_builds: {x}` and the digest"),
+    ("docs/PERFORMANCE.md", "decision_log_sha256",
+     "and the digest `{x}…`"),
+]
+
+#: per quoted field: how the figure is written, and whether it matches
+SERVE_FIGURES = {
+    "p99_us": (r"([0-9]+\.[0-9]+)", lambda figure, v: figure == repr(v)),
+    "grid_builds": (r"([0-9]+)", lambda figure, v: figure == str(v)),
+    "decision_log_sha256": (
+        r"([0-9a-f]{8,64})", lambda figure, v: v.startswith(figure)
+    ),
+}
+
+
 def speedups() -> dict[str, float]:
     benches = json.loads((ROOT / "BENCH_core.json").read_text())["benches"]
     return {name: b["speedup"] for name, b in benches.items()
             if "speedup" in b}
 
 
-def quote_pattern(context: str) -> re.Pattern:
+def quote_pattern(context: str, figure: str = r"([0-9]+\.[0-9]+)"
+                  ) -> re.Pattern:
     """``context`` as a regex: its words, any whitespace between them
-    (the docs wrap lines), and the figure as the capture group."""
-    figure = r"([0-9]+\.[0-9]+)"
+    (the docs wrap lines), and ``figure`` as the capture group."""
     words = [re.escape(w).replace(r"\{x\}", figure) for w in context.split()]
     return re.compile(r"\s+".join(words))
 
@@ -73,3 +98,20 @@ def test_quoted_speedup_matches_artifact(doc, bench, context):
 def test_every_recorded_speedup_is_checked():
     """A bench that gains a ``speedup`` must be quoted and listed here."""
     assert {bench for _, bench, _ in QUOTES} == set(speedups())
+
+
+@pytest.mark.parametrize(
+    "doc,field,context", SERVE_QUOTES,
+    ids=[f"{doc}:{field}" for doc, field, _ in SERVE_QUOTES],
+)
+def test_quoted_serve_figure_matches_artifact(doc, field, context):
+    text = (ROOT / doc).read_text(encoding="utf-8")
+    figure, matches = SERVE_FIGURES[field]
+    found = quote_pattern(context, figure).findall(text)
+    assert found, f"{doc}: no quote of BENCH_serve.json {field} ({context!r})"
+    recorded = json.loads((ROOT / "BENCH_serve.json").read_text())[field]
+    for quoted in found:
+        assert matches(quoted, recorded), (
+            f"{doc} quotes BENCH_serve.json {field} as {quoted}; the "
+            f"artifact records {recorded!r}"
+        )

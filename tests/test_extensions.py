@@ -25,7 +25,11 @@ from repro.htm import (
     RandDelay,
     RequestorAbortsDelay,
 )
-from repro.htm.conflict_policy import ConflictContext, policy_from_name
+from repro.htm.conflict_policy import (
+    ConflictContext,
+    _bucket,
+    policy_from_name,
+)
 from repro.htm.profiler import AdaptiveDelay, CommitProfiler
 from repro.workloads import CounterWorkload, QueueWorkload, TxAppWorkload
 
@@ -198,19 +202,55 @@ class TestProfiler:
         # mean tx duration must exceed the body work
         assert profiler.durations.mean > 100.0
 
-    def test_refresh_invalidates_cache(self, rng):
+    def test_refresh_with_unchanged_family_rebuilds_no_grid(self, grid_log):
+        """A new epoch whose µ keeps the family reuses the built
+        distribution: no grid build, and the delays a fresh policy at
+        the same µ would draw."""
         profiler = CommitProfiler()
         policy = AdaptiveDelay(profiler, warmup=1, refresh=5)
         ctx = ConflictContext(100, 2, MachineParams())
         profiler.observe_commit(50.0)
-        policy.decide(ctx, rng)
-        first_cache = dict(policy._cache)
-        for _ in range(10):
-            profiler.observe_commit(500.0)
-        policy.decide(ctx, rng)
-        assert policy._cache.keys() != first_cache.keys() or (
-            list(policy._cache.values())[0] is not list(first_cache.values())[0]
-        )
+        policy.decide(ctx, np.random.default_rng(0))  # epoch from n = 1
+        for _ in range(5):
+            profiler.observe_commit(50.0)  # n = 6: the next decide refreshes
+        rng = np.random.default_rng(3)
+        delays = [policy.decide(ctx, rng) for _ in range(40)]
+        assert len(grid_log) == 1 and policy.grid_builds == 1
+        fresh = AdaptiveDelay(profiler, warmup=1, refresh=5)
+        ref_rng = np.random.default_rng(3)
+        assert delays == [fresh.decide(ctx, ref_rng) for _ in range(40)]
+        assert len(grid_log) == 2  # the fresh policy built its own
+
+    def test_family_switch_waits_for_the_next_epoch(self):
+        """A µ that crosses the regime threshold mid-epoch switches the
+        (B, k)'s family at the next refresh, not before."""
+        profiler = CommitProfiler()
+        policy = AdaptiveDelay(profiler, warmup=1, refresh=5)
+        ctx = ConflictContext(100, 2, MachineParams())
+        B = float(_bucket(ctx.abort_cost))
+        profiler.observe_commit(50.0)
+        policy.decide(ctx, np.random.default_rng(0))  # epoch from n = 1
+
+        def draws(sampler, n=20):
+            return [int(sampler(np.random.default_rng(s))) for s in range(n)]
+
+        def decisions():
+            return draws(lambda g: policy.decide(ctx, g))
+
+        for _ in range(3):
+            profiler.observe_commit(10_000.0)
+        assert not MeanConstrainedRW.regime_holds(B, profiler.mu_estimate())
+        assert decisions() == draws(MeanConstrainedRW(B, 25.0).sample)
+        for _ in range(2):
+            profiler.observe_commit(10_000.0)  # n = 6: a new epoch
+        assert decisions() == draws(UniformRW(B).sample)
+        assert policy.grid_builds == 1
+        for _ in range(200):
+            profiler.observe_commit(1.0)  # µ back inside the regime
+        mu = profiler.mu_estimate()
+        assert decisions() == draws(MeanConstrainedRW(B, mu).sample)
+        # the uniform epoch drew from no constrained grid, so none was kept
+        assert policy.grid_builds == 2
 
 
 class TestGreedyCM:

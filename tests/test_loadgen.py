@@ -17,11 +17,13 @@ from __future__ import annotations
 import difflib
 import json
 import pathlib
+import threading
 
 import numpy as np
 import pytest
 
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, SimulationError
+from repro.htm.conflict_policy import CyclePolicy
 from repro.serve.loadgen import (
     LoadGenConfig,
     PhaseSpec,
@@ -32,7 +34,7 @@ from repro.serve.loadgen import (
     zipf_cdf,
 )
 from repro.serve.replay import run_replay
-from repro.serve.service import CommitReport
+from repro.serve.service import CommitReport, ConflictRequest
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -162,6 +164,52 @@ class TestDecisionLogConcurrencyInvariance:
                 == line
             )
             assert doc["action"] in ("grant", "abort")
+
+
+class _RaisesOnce(CyclePolicy):
+    """Grants one cycle per conflict, except that decision ``at`` raises."""
+
+    name = "RAISES_ONCE"
+
+    def __init__(self, at: int) -> None:
+        self.at = at
+        self.calls = 0
+
+    def decide(self, ctx, rng) -> int:
+        self.calls += 1
+        if self.calls == self.at:
+            raise RuntimeError("policy failed")
+        return 1
+
+
+class TestReplayFailure:
+    def test_raising_decision_fails_the_replay_without_hanging(self):
+        """A decision that raises kills no client: the replay serves the
+        rest of the stream, then raises naming the seq.  (A client that
+        died would leave its bounded queue full and the producer
+        blocked on ``put`` forever.)"""
+        config = default_config(quick=True)
+        policy = _RaisesOnce(at=100)
+        outcome = {}
+
+        def replay() -> None:
+            try:
+                outcome["report"] = run_replay(
+                    3, clients=4, quick=True, policy=policy
+                )
+            except SimulationError as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=replay, daemon=True)
+        thread.start()
+        thread.join(60.0)
+        assert not thread.is_alive(), "run_replay hung on a raising decision"
+        assert "report" not in outcome, "run_replay reported success"
+        seq = [e.seq for e in generate(3, config)
+               if isinstance(e, ConflictRequest)][99]
+        assert f"seq {seq} raised" in str(outcome["error"])
+        assert isinstance(outcome["error"].__cause__, RuntimeError)
+        assert policy.calls == config.total_conflicts  # served to the end
 
 
 class TestGenerators:

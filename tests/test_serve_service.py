@@ -25,14 +25,17 @@ from hypothesis import strategies as st
 
 from repro.core.estimators import EstimateSnapshot
 from repro.core.ratios import rw_mean_regime_threshold
+from repro.core.requestor_wins import optimal_requestor_wins
 from repro.errors import InvalidParameterError, SimulationError
 from repro.htm.conflict_policy import (
     RegimeAdaptiveDelay,
     ConflictContext,
+    _bucket,
     policy_from_name,
 )
 from repro.htm.params import MachineParams
 from repro.serve.loadgen import default_config, generate
+from repro.serve.replay import run_replay
 from repro.serve.service import (
     CommitReport,
     ConflictRequest,
@@ -405,6 +408,54 @@ class TestRegimeAdaptiveDelay:
         for _ in range(50):
             grace = policy.decide(ctx, rng)
             assert 0 <= grace <= 4 * ctx.abort_cost
+
+    def test_mu_drift_in_mean_regime_builds_one_grid(self, grid_log):
+        """µ̂ crossing three µ buckets inside the mean regime at a fixed
+        (B, k) builds one grid, and draws, draw for draw, what a cache
+        of ``optimal_requestor_wins(B, k, µ-bucket)`` per key draws;
+        leaving the regime still switches to the closed-form family."""
+        window, draws = 16, 25
+        steps = (40, 80, 160, 10**6)  # the last µ leaves the regime
+        ctx = ConflictContext(tx_age=900, chain_k=2, params=MachineParams())
+        B = _bucket(ctx.abort_cost)
+        # the reference: one policy per (B, k, µ-bucket)
+        ref_rng = np.random.default_rng(11)
+        reference: dict[int, object] = {}
+        expected = []
+        for mu in steps:
+            mean = mu / ctx.abort_cost < rw_mean_regime_threshold(2)
+            mu_key = _bucket(mu) if mean else -1
+            if mu_key not in reference:
+                reference[mu_key] = optimal_requestor_wins(
+                    float(B), 2, float(mu_key) if mean else None
+                )
+            sampler = reference[mu_key]
+            expected += [int(sampler.sample(ref_rng)) for _ in range(draws)]
+        assert len(reference) == 4
+        assert type(reference[-1]).__name__ == "UniformRW"
+
+        grid_log.clear()
+        policy = RegimeAdaptiveDelay(
+            window=window, min_samples=1, refresh_every=1
+        )
+        rng = np.random.default_rng(11)
+        graces, regimes = [], []
+        for mu in steps:
+            for _ in range(window):  # the window now holds only µ
+                policy.observe_commit(float(mu))
+            graces += [policy.decide(ctx, rng) for _ in range(draws)]
+            regimes.append(policy.regime)
+        assert regimes == ["mean", "mean", "mean", "rand"]
+        assert graces == expected
+        assert grid_log == [("MeanConstrainedRW", float(B), 2)]
+        assert policy.grid_builds == 1
+
+    def test_quick_replay_builds_no_grid_twice(self, grid_log):
+        """The seed-2018 quick stream builds each (family, B, k) grid
+        once, and the policy's own count agrees."""
+        report = run_replay(2018, clients=4, quick=True)
+        assert grid_log and len(grid_log) == len(set(grid_log))
+        assert report.grid_builds == len(grid_log)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError, match="min_samples"):
