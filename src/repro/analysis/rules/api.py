@@ -74,7 +74,7 @@ class FrozenMutationRule(Rule):
     id = "API002"
     summary = "object.__setattr__ outside construction"
     rationale = (
-        "frozen dataclasses (ConflictContext, FaultPlan, Event specs) "
+        "frozen dataclasses (ConflictRequest, FaultPlan, EstimateSnapshot) "
         "are shared as immutable values; object.__setattr__ outside "
         "__init__/__post_init__ silently breaks that contract."
     )

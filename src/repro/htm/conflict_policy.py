@@ -61,9 +61,12 @@ def _bucket(B: int) -> int:
     return int(round(1.25 ** round(math.log(B, 1.25))))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConflictContext:
     """Everything the receiver knows at conflict time.
+
+    Slotted, not frozen, like the ISA records: one is built per
+    conflict, and nothing mutates it after construction.
 
     Attributes
     ----------

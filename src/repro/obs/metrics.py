@@ -121,13 +121,18 @@ class Histogram:
         self._parent = parent
 
     def observe(self, x: float) -> None:
-        self.n += 1
         if x < self.edges[0]:
             self.underflow += 1
         elif x >= self.edges[-1]:
             self.overflow += 1
         else:
-            self.counts[bisect.bisect_right(self.edges, x) - 1] += 1
+            try:  # NaN fails both tests and bisects past the last bucket
+                self.counts[bisect.bisect_right(self.edges, x) - 1] += 1
+            except IndexError:
+                raise InvalidParameterError(
+                    f"histogram {self.name!r} cannot observe {x!r}"
+                ) from None
+        self.n += 1
         if self._parent is not None:
             self._parent.observe(x)
 

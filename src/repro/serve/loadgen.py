@@ -242,25 +242,29 @@ def generate(
         commit_u = rng.random(n)
         durations = rng.exponential(phase.mu_cycles, n)
         gaps = rng.exponential(1.0, n) / _burst_rates(phase)
-        for i in range(n):
-            arrival += float(gaps[i])
+        draws = (clients, keys, ages, chain_ks, commit_u, durations, gaps)
+        # .tolist(): Python numbers with the same bits, not numpy scalars
+        for client, key, age, chain_k, u, duration, gap in zip(
+            *(draw.tolist() for draw in draws)
+        ):
+            arrival += gap
             at = round(arrival, 3)
             yield ConflictRequest(
                 seq=seq,
-                client_id=int(clients[i]),
-                key=int(keys[i]),
-                tx_age=int(ages[i]),
-                chain_k=int(chain_ks[i]),
+                client_id=client,
+                key=key,
+                tx_age=int(age),
+                chain_k=chain_k,
                 phase=phase_idx,
                 arrival_us=at,
             )
             seq += 1
-            if commit_u[i] < phase.commit_ratio:
+            if u < phase.commit_ratio:
                 yield CommitReport(
                     seq=seq,
-                    client_id=int(clients[i]),
-                    key=int(keys[i]),
-                    duration=round(float(durations[i]), 3),
+                    client_id=client,
+                    key=key,
+                    duration=round(duration, 3),
                     phase=phase_idx,
                     arrival_us=at,
                 )

@@ -103,7 +103,7 @@ class CommitReport:
     arrival_us: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Decision:
     """The service's answer to one event.
 
@@ -111,7 +111,8 @@ class Decision:
     the receiver) or ``"abort"`` (grace 0, abort immediately) for
     conflicts, ``"ack"`` for commit reports.  ``regime`` is the
     adaptive policy's dispatch at decision time (``"-"`` for static
-    policies).
+    policies).  Slotted, not frozen (one per event); the requests stay
+    frozen because a parked one is held by reference until decided.
     """
 
     seq: int

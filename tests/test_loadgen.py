@@ -15,6 +15,7 @@ Three layers of the serving determinism contract (docs/SERVING.md):
 from __future__ import annotations
 
 import difflib
+import hashlib
 import json
 import pathlib
 import threading
@@ -80,6 +81,15 @@ class TestStreamDeterminism:
         phases = [e.phase for e in generate(3, SMALL)]
         assert phases == sorted(phases)
         assert set(phases) == {0, 1, 2}
+
+    def test_whole_quick_stream_is_pinned(self):
+        """All three phases of the seed-3 quick stream (14,007 events),
+        where the golden files hold the first 20 of phase 0."""
+        text = trace(3, default_config(quick=True))
+        assert text.count("\n") == 14_007
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "be259f87a99a366d57216a62c0de67675918a400aef23708eee7eadc9d495d36"
+        )
 
 
 GOLDEN_CASES = {

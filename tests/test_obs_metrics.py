@@ -60,6 +60,17 @@ class TestInstruments:
         with pytest.raises(InvalidParameterError):
             Histogram("h", (2.0, 1.0))
 
+    def test_histogram_rejects_nan_before_counting_it(self):
+        parent = Histogram("lat", (1.0, 2.0, 4.0))
+        h = Histogram("lat", (1.0, 2.0, 4.0), parent)
+        h.observe(1.5)
+        with pytest.raises(InvalidParameterError, match="nan"):
+            h.observe(float("nan"))
+        for hist in (h, parent):
+            assert hist.n == 1
+            assert (hist.underflow, hist.counts, hist.overflow) == (0, [1, 0], 0)
+            assert hist.quantile(1.0) == 2.0
+
     def test_histogram_parent_chaining(self):
         parent = Histogram("h", (0.0, 1.0))
         child = Histogram("h", (0.0, 1.0), parent)
