@@ -1,4 +1,4 @@
-"""Baseline file for deep-pass findings.
+"""Baseline file for FLOW findings.
 
 A FLOW finding that is understood and accepted (e.g. the chaos
 harness deliberately corrupting artifacts) is recorded in a committed

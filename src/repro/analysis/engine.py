@@ -1,19 +1,18 @@
 """simlint engine: file discovery, parsing, suppression, rule dispatch.
 
-The engine parses every target file once, runs the single-file rules
-(optionally fanned out over a :class:`repro.parallel.SupervisedPool`),
+The engine parses every target file once, runs the single-file rules,
 then hands the whole parsed set to the project rules (cross-file
-contracts).  Under ``deep=True`` it additionally runs the
-whole-program pass (:mod:`repro.analysis.flow`): call-graph purity
-inference and seed-provenance tracking, with findings filtered
-through the committed baseline.
+contracts) and, when a FLOW rule is selected, to the whole-program
+pass (:mod:`repro.analysis.flow`): call-graph purity inference and
+seed-provenance tracking, with findings filtered through the
+committed baseline.
 
 Suppression is line-scoped and per-rule::
 
-    deadline = time.monotonic() + t  # simlint: disable=DET001 -- watchdog
+    deadline = time.monotonic() + t  # simlint: disable=FLOW001 -- watchdog
 
 ``# simlint: disable`` (no ``=``) suppresses every rule on that line;
-``# simlint: disable=DET001,ORD001`` suppresses several; spaces
+``# simlint: disable=FLOW001,ORD001`` suppresses several; spaces
 around ``=`` and the commas are tolerated.  ``# simlint: skip-file``
 near the top of a file excludes it entirely.  The text after ``--`` is
 the justification and is carried into the JSON report, so
@@ -32,6 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro.analysis.baseline import apply_baseline
+from repro.analysis.flow import analyze
 from repro.analysis.rules import (
     ALL_RULES,
     FileContext,
@@ -41,6 +42,7 @@ from repro.analysis.rules import (
     SCOPED_DIRS,
     resolve_selection,
 )
+from repro.analysis.rules.flow import FlowRuleInfo
 
 __all__ = ["LintResult", "SuppressedFinding", "lint_paths", "lint_sources"]
 
@@ -75,13 +77,11 @@ class LintResult:
     suppressed: list[SuppressedFinding] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: list[str] = field(default_factory=list)
-    #: raw deep-pass findings that survived baseline + suppression
+    #: raw FLOW findings that survived baseline + suppression
     #: (dicts with entry/chain/site detail; see repro.analysis.flow).
     flow: list[dict] = field(default_factory=list)
-    #: deep findings accepted by the baseline, with justifications.
+    #: FLOW findings accepted by the baseline, with justifications.
     baselined: list[dict] = field(default_factory=list)
-    #: analysis-cache statistics (file_hits/file_misses/run_hit).
-    analysis_stats: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -185,15 +185,6 @@ def _parse_pragmas_full(
     return skip_file, suppressions, reasons, problems
 
 
-def _parse_pragmas(
-    source: str,
-) -> tuple[bool, dict[int, set[str] | None], dict[int, str]]:
-    """(skip_file, suppressions, reasons) — problem-free view, used by
-    the deep pass's extractor to honor site-level suppressions."""
-    skip_file, suppressions, reasons, _problems = _parse_pragmas_full(source)
-    return skip_file, suppressions, reasons
-
-
 def _in_scope(path: str) -> bool:
     parts = Path(path).parts
     return bool(SCOPED_DIRS.intersection(parts))
@@ -227,42 +218,13 @@ def _make_context(path: str, source: str) -> FileContext | Finding:
     )
 
 
-def _is_deep(rule: Rule) -> bool:
-    return bool(getattr(rule, "deep", False))
-
-
-def _file_rule_task(
-    path: str, source: str, rule_ids: Sequence[str]
-) -> list[Finding]:
-    """Pool task: run the selected single-file rules over one source.
-
-    Re-parses in the worker (sources are strings, contexts are not
-    picklable) and returns *unrouted* findings — the parent owns
-    suppression, so pragma handling stays in one place.
-    """
-    made = _make_context(path, source)
-    if isinstance(made, Finding) or made.skip_file:
-        return []
-    wanted = set(rule_ids)
-    out: list[Finding] = []
-    for rule in ALL_RULES:
-        if rule.id not in wanted or isinstance(rule, ProjectRule):
-            continue
-        if rule.scoped and not made.in_scope:
-            continue
-        out.extend(rule.check(made))
-    return out
-
-
 def _run_rules(
     ctxs: list[FileContext],
     rules: Sequence[Rule],
     pre_findings: list[Finding],
-    *,
-    deep_findings: Sequence[Finding] = (),
-    pool=None,
+    flow_findings: Sequence[Finding],
+    flow_sites: Sequence[dict],
 ) -> LintResult:
-    exec_rules = [r for r in rules if not _is_deep(r)]
     result = LintResult(
         findings=list(pre_findings),
         files_scanned=len(ctxs) + len(pre_findings),
@@ -288,36 +250,41 @@ def _run_rules(
                 return
         result.findings.append(finding)
 
-    file_rules = [r for r in exec_rules if not isinstance(r, ProjectRule)]
-    if pool is not None and getattr(pool, "jobs", 1) > 1 and len(live) > 1:
-        rule_ids = [r.id for r in file_rules]
-        raw_lists = pool.starmap(
-            _file_rule_task,
-            [(ctx.path, ctx.source, rule_ids) for ctx in live],
-        )
-        for raw in raw_lists:
-            for finding in raw:
+    file_rules = [
+        r for r in rules if not isinstance(r, (ProjectRule, FlowRuleInfo))
+    ]
+    for ctx in live:
+        for rule in file_rules:
+            if rule.scoped and not ctx.in_scope:
+                continue
+            for finding in rule.check(ctx):
                 route(finding)
-    else:
-        for ctx in live:
-            for rule in file_rules:
-                if rule.scoped and not ctx.in_scope:
-                    continue
-                for finding in rule.check(ctx):
-                    route(finding)
     if any(r.id == PRAGMA_RULE for r in rules):
         for ctx in live:
             for finding in ctx.pragma_findings:
                 route(finding)
-    for rule in exec_rules:
+    for rule in rules:
         if isinstance(rule, ProjectRule):
             for finding in rule.check_project(live):
                 route(finding)
-    for finding in deep_findings:
+    for finding in flow_findings:
         route(finding)
+    for site in flow_sites:  # stopped by a pragma at the effect's site
+        ctx = by_path[site["path"]]
+        if not ctx.skip_file:
+            finding = Finding(
+                site["path"], site["line"], 1, site["rule"], site["detail"]
+            )
+            result.suppressed.append(
+                SuppressedFinding(finding, ctx.reasons.get(site["line"], ""))
+            )
     result.findings = sorted(set(result.findings))
     result.suppressed = sorted(set(result.suppressed))
     return result
+
+
+def _flow_finding(raw: dict) -> Finding:
+    return Finding(raw["path"], raw["line"], 1, raw["rule"], raw["message"])
 
 
 def lint_sources(
@@ -325,20 +292,15 @@ def lint_sources(
     *,
     select: list[str] | None = None,
     ignore: list[str] | None = None,
-    deep: bool = False,
-    pool=None,
-    cache_dir: str | Path | None = None,
     baseline_entries: list[dict] | None = None,
 ) -> LintResult:
     """Lint in-memory sources (path -> text).  Test/fixture entry point;
     paths behave like repo-relative paths for scoping purposes.
 
-    ``deep=True`` additionally runs the whole-program FLOW pass.
-    ``pool`` (a SupervisedPool) parallelizes per-file rules and deep
-    extraction; findings are sorted, so output is identical at any
-    ``--jobs``.  ``cache_dir`` enables the content-addressed analysis
-    cache; ``baseline_entries`` (see :mod:`repro.analysis.baseline`)
-    accept known deep findings with justifications.
+    When a FLOW rule is selected the whole-program pass runs too;
+    ``baseline_entries`` (see :mod:`repro.analysis.baseline`) accept
+    known FLOW findings with justifications.  A pragma that stopped a
+    FLOW effect at its site is listed under ``suppressed``.
     """
     rules = resolve_selection(select, ignore)
     ctxs: list[FileContext] = []
@@ -350,40 +312,24 @@ def lint_sources(
         else:
             ctxs.append(made)
 
-    deep_findings: list[Finding] = []
-    flow_kept: list[dict] = []
-    baselined: list[dict] = []
-    stats: dict = {}
-    if deep:
-        from repro.analysis.baseline import apply_baseline
-        from repro.analysis.flow import analyze_sources
-
-        raw, stats = analyze_sources(
-            {ctx.path: ctx.source for ctx in ctxs},
-            cache_dir=cache_dir,
-            pool=pool,
-        )
-        selected = {r.id for r in rules}
-        raw = [f for f in raw if f["rule"] in selected]
-        flow_kept, baselined = apply_baseline(raw, baseline_entries or [])
-        deep_findings = [
-            Finding(f["path"], f["line"], 1, f["rule"], f["message"])
-            for f in flow_kept
-        ]
-
-    result = _run_rules(
-        ctxs, rules, errors, deep_findings=deep_findings, pool=pool
+    flow_ids = {r.id for r in rules if isinstance(r, FlowRuleInfo)}
+    raw: list[dict] = []
+    sites: list[dict] = []
+    if flow_ids:
+        raw, sites = analyze(ctxs)
+    flow_kept, baselined = apply_baseline(
+        [f for f in raw if f["rule"] in flow_ids], baseline_entries or []
     )
-    if deep:
-        final = set(result.findings)
-        result.flow = [
-            f
-            for f in flow_kept
-            if Finding(f["path"], f["line"], 1, f["rule"], f["message"])
-            in final
-        ]
-        result.baselined = baselined
-        result.analysis_stats = stats
+    result = _run_rules(
+        ctxs,
+        rules,
+        errors,
+        [_flow_finding(f) for f in flow_kept],
+        [site for site in sites if site["rule"] in flow_ids],
+    )
+    final = set(result.findings)
+    result.flow = [f for f in flow_kept if _flow_finding(f) in final]
+    result.baselined = baselined
     return result
 
 
@@ -429,9 +375,6 @@ def lint_paths(
     *,
     select: list[str] | None = None,
     ignore: list[str] | None = None,
-    deep: bool = False,
-    pool=None,
-    cache_dir: str | Path | None = None,
     baseline_entries: list[dict] | None = None,
 ) -> LintResult:
     """Lint files/directories on disk.  Raises ``FileNotFoundError``
@@ -444,8 +387,5 @@ def lint_paths(
         sources,
         select=select,
         ignore=ignore,
-        deep=deep,
-        pool=pool,
-        cache_dir=cache_dir,
         baseline_entries=baseline_entries,
     )

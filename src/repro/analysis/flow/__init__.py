@@ -1,27 +1,20 @@
-"""Whole-program determinism analysis (the ``--deep`` pass).
+"""Whole-program determinism analysis: the FLOW rules.
 
 Call-graph purity inference + RNG seed-provenance tracking over the
 whole project: :mod:`extract` summarizes each module once,
 :mod:`graph` resolves calls and propagates effect signatures to
-fixpoint, :mod:`driver` orchestrates with a content-addressed cache
-(:mod:`cache`).  Findings carry rule ids from the FLOW family
+fixpoint, and :mod:`driver` runs both over the engine's parsed files.
+Findings carry rule ids from the FLOW family
 (:mod:`repro.analysis.rules.flow`) and print full call chains.
 """
 
-from repro.analysis.flow.cache import (
-    AnalysisCache,
-    DEFAULT_ANALYSIS_CACHE_DIR,
-)
-from repro.analysis.flow.driver import analyze_sources, module_names
-from repro.analysis.flow.extract import ANALYSIS_VERSION, extract_module
+from repro.analysis.flow.driver import analyze, module_names
+from repro.analysis.flow.extract import extract_module
 from repro.analysis.flow.graph import ProjectGraph
 
 __all__ = [
-    "ANALYSIS_VERSION",
-    "AnalysisCache",
-    "DEFAULT_ANALYSIS_CACHE_DIR",
     "ProjectGraph",
-    "analyze_sources",
+    "analyze",
     "extract_module",
     "module_names",
 ]

@@ -1,18 +1,19 @@
-"""Per-module extraction for the deep (``--deep``) analysis pass.
+"""Per-module extraction for the FLOW analysis.
 
 One parse of one file produces a **module summary**: every function
 with its intrinsic effect sites, its outgoing call references (still
 symbolic — resolution needs the whole project), its seed-provenance
-sites, plus the module's imports, classes, registry registrations and
-module-level generators.  Summaries are plain JSON-able dicts on
-purpose: they are exactly what the analysis cache stores
-(:mod:`repro.analysis.flow.cache`) and what pool workers ship back
-when extraction is parallelized.
+sites, plus the module's imports and classes.
+The module's own top-level statements are scanned like a function
+body, as the pseudo-function ``<module>``: import-time code runs on
+every import, so it is an entry point like any public function.
 
 Pragmas are honored at the *site*: an intrinsic effect whose line
-carries ``# simlint: disable=DET001`` (or the matching FLOW id) is a
-documented exception and is never recorded, so a sanctioned watchdog
-read does not taint every entry point that reaches ``Machine.run``.
+carries ``# simlint: disable=FLOW001`` (the effect's FLOW id, or the
+matching per-file id where one exists) is a documented exception and
+never enters the graph, so a sanctioned watchdog read does not taint
+every entry point that reaches ``Machine.run``.  The summary lists
+each such site under ``suppressed`` so the report can show it.
 """
 
 from __future__ import annotations
@@ -20,34 +21,60 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.analysis.engine import _parse_pragmas
 from repro.analysis.rules.base import dotted_name
-from repro.analysis.rules.det import _NP_LEGACY, _WALL_CLOCK
 
-__all__ = ["extract_module", "extract_task", "ENTRY_DIRS", "ANALYSIS_VERSION"]
+__all__ = ["extract_module", "ENTRY_DIRS", "MODULE_BODY"]
 
-#: Bump to invalidate every cached module summary / run record.
-ANALYSIS_VERSION = 1
-
-#: Directories whose modules hold sim-critical *entry points* for the
-#: deep pass: the simulation packages the scoped DET rules cover, plus
-#: ``core`` (closed-form math feeding every table) — per-line rules
-#: stay out of ``core`` (wall clock there is legal in the runner), but
-#: an entry point reaching an impure effect is not.
+#: Directories whose modules hold sim-critical *entry points*: the
+#: simulation packages, ``core`` (closed-form math feeding every
+#: table), and the experiment and synthetic drivers whose pool workers
+#: must draw only from their seed arguments.
 ENTRY_DIRS = frozenset(
-    {"sim", "htm", "core", "workloads", "adversary", "faults", "distributions"}
+    {"sim", "htm", "core", "workloads", "adversary", "faults",
+     "distributions", "experiments", "synthetic"}
 )
 
-#: Effect -> rule ids whose line-scoped suppression sanctions the site.
+#: Qualified name of a module's import-time body.
+MODULE_BODY = "<module>"
+
+#: Effect -> the FLOW rule it feeds, then any per-file rule whose
+#: line-scoped suppression also sanctions the site.
 _SITE_SUPPRESS = {
-    "wall-clock": frozenset({"DET001", "FLOW001"}),
-    "ambient-rng": frozenset({"DET002", "DET003", "FLOW002"}),
-    "unordered-iter": frozenset({"ORD001", "FLOW003"}),
-    "global-mutation": frozenset({"FLOW004"}),
-    "fs-write": frozenset({"ERR004", "FLOW005"}),
-    "seed-provenance": frozenset({"DET003", "FLOW006"}),
-    "rng-boundary": frozenset({"FLOW007"}),
+    "wall-clock": ("FLOW001",),
+    "ambient-rng": ("FLOW002",),
+    "unordered-iter": ("FLOW003", "ORD001"),
+    "global-mutation": ("FLOW004",),
+    "fs-write": ("FLOW005", "ERR004"),
+    "seed-provenance": ("FLOW006",),
+    "rng-boundary": ("FLOW007",),
 }
+
+#: ``module.function`` suffixes that read the host wall clock.
+_WALL_CLOCK = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "datetime.now",
+        "datetime.utcnow",
+        "datetime.today",
+        "date.today",
+    }
+)
+
+#: Legacy ``numpy.random`` singleton functions (global hidden state).
+_NP_LEGACY = frozenset(
+    {
+        "seed", "random", "rand", "randn", "randint", "random_sample",
+        "ranf", "sample", "choice", "shuffle", "permutation", "uniform",
+        "normal", "standard_normal", "exponential", "poisson", "binomial",
+        "beta", "gamma", "get_state", "set_state",
+    }
+)
 
 _GEN_CTORS = frozenset({"default_rng", "SeedSequence", "Generator"})
 _CLEAN_RNG_FNS = frozenset(
@@ -92,18 +119,21 @@ class _ModuleScanner:
     """Walks one parsed module, producing the summary dict."""
 
     def __init__(
-        self, path: str, module: str, tree: ast.Module, source: str
+        self,
+        path: str,
+        module: str,
+        tree: ast.Module,
+        suppressions: dict[int, set[str] | None],
     ) -> None:
         self.path = path
         self.module = module
         self.tree = tree
-        _, self.suppressions, _ = _parse_pragmas(source)
+        self.suppressions = suppressions
         self.imports: dict[str, str] = {}
         self.local_defs: set[str] = set()
         self.functions: dict[str, dict] = {}
         self.classes: dict[str, dict] = {}
-        self.registered: list[dict] = []
-        self.module_rng: list[dict] = []
+        self.suppressed: list[dict] = []
         is_init = path.endswith("__init__.py")
         self.package = module if is_init else module.rpartition(".")[0]
 
@@ -139,12 +169,16 @@ class _ModuleScanner:
             return f"{self.module}.{dotted}"
         return dotted
 
-    def _suppressed(self, line: int, effect: str) -> bool:
+    def _suppressed(self, line: int, effect: str, detail: str) -> bool:
+        """True when a pragma on ``line`` sanctions ``effect``; the
+        site is then recorded under ``suppressed`` instead."""
         ids = self.suppressions.get(line, "missing")
-        if ids is None:
-            return True  # blanket disable
-        if isinstance(ids, set):
-            return bool(ids & _SITE_SUPPRESS[effect])
+        rules = _SITE_SUPPRESS[effect]
+        if ids is None or (isinstance(ids, set) and ids.intersection(rules)):
+            self.suppressed.append(
+                {"rule": rules[0], "line": line, "detail": detail}
+            )
+            return True
         return False
 
     # -- top-level walk -----------------------------------------------
@@ -155,58 +189,24 @@ class _ModuleScanner:
                 self.local_defs.add(node.name)
             elif isinstance(node, ast.ClassDef):
                 self.local_defs.add(node.name)
+        import_time: list[ast.stmt] = []
         for node in self.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._scan_function(node, prefix="", cls=None)
             elif isinstance(node, ast.ClassDef):
                 self._scan_class(node)
             else:
-                self._scan_module_stmt(node)
+                import_time.append(node)
+        self._scan_body(MODULE_BODY, None, [], 1, import_time, [])
         return {
-            "version": ANALYSIS_VERSION,
             "module": self.module,
             "path": self.path,
             "entry_scope": in_entry_scope(self.path),
             "imports": dict(sorted(self.imports.items())),
             "functions": self.functions,
             "classes": self.classes,
-            "registered": self.registered,
-            "module_rng": self.module_rng,
+            "suppressed": self.suppressed,
         }
-
-    def _scan_module_stmt(self, node: ast.stmt) -> None:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                self._maybe_register(sub)
-                dotted = dotted_name(sub.func)
-                if dotted is None:
-                    continue
-                tail = self._expand(dotted).rsplit(".", 1)[-1]
-                if tail in _GEN_CTORS and isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    line = sub.lineno
-                    if not self._suppressed(line, "rng-boundary"):
-                        target = node.targets[0] if isinstance(node, ast.Assign) else node.target
-                        name = dotted_name(target) or "<anonymous>"
-                        self.module_rng.append(
-                            {
-                                "line": line,
-                                "name": name,
-                                "detail": f"module-level {tail}(...) bound to {name!r}",
-                            }
-                        )
-
-    def _maybe_register(self, call: ast.Call) -> None:
-        dotted = dotted_name(call.func)
-        if dotted is None or not self._expand(dotted).endswith(
-            "register_experiment"
-        ):
-            return
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            ref = dotted_name(arg)
-            if ref is not None and not isinstance(arg, ast.Constant):
-                self.registered.append(
-                    {"kind": "name", "ref": self._expand(ref), "line": call.lineno}
-                )
 
     # -- classes ------------------------------------------------------
     def _scan_class(self, node: ast.ClassDef) -> None:
@@ -231,42 +231,48 @@ class _ModuleScanner:
         prefix: str,
         cls: str | None,
     ) -> None:
-        qual = f"{prefix}{node.name}"
         args = node.args
         params = [
             a.arg
             for a in args.posonlyargs + args.args + args.kwonlyargs
         ] + [s.arg for s in (args.vararg, args.kwarg) if s is not None]
+        self._scan_body(
+            f"{prefix}{node.name}", cls, params, node.lineno, node.body,
+            node.decorator_list,
+        )
+
+    def _scan_body(
+        self,
+        qual: str,
+        cls: str | None,
+        params: list[str],
+        line: int,
+        body: list[ast.stmt],
+        decorators: list[ast.expr],
+    ) -> None:
         fn = _FunctionScan(self, qual, cls, params)
-        info = {
-            "line": node.lineno,
-            "public": not any(p.startswith("_") for p in qual.split(".")),
-            "params": params,
-            "intrinsic": [],
-            "calls": [],
-            "return_refs": [],
-            "rng_sites": [],
-            "ambient_return": False,
-        }
-        self.functions[qual] = info
-        for deco in node.decorator_list:
+        for deco in decorators:
             target = deco.func if isinstance(deco, ast.Call) else deco
             dotted = dotted_name(target)
             if dotted is not None:
                 fn.add_call(
-                    {"kind": "name", "ref": self._expand(dotted),
-                     "line": node.lineno}
+                    {"kind": "name", "ref": self._expand(dotted), "line": line}
                 )
-        fn.scan_body(node.body)
-        info["intrinsic"] = sorted(
-            fn.intrinsic, key=lambda e: (e["effect"], e["line"], e["detail"])
-        )
-        info["calls"] = fn.calls
-        info["return_refs"] = fn.return_refs
-        info["rng_sites"] = sorted(
-            fn.rng_sites, key=lambda s: (s["line"], s["rule"], s["detail"])
-        )
-        info["ambient_return"] = fn.ambient_return
+        fn.scan_body(body)
+        self.functions[qual] = {
+            "line": line,
+            "public": not any(p.startswith("_") for p in qual.split(".")),
+            "intrinsic": sorted(
+                fn.intrinsic,
+                key=lambda e: (e["effect"], e["line"], e["detail"]),
+            ),
+            "calls": fn.calls,
+            "return_refs": fn.return_refs,
+            "rng_sites": sorted(
+                fn.rng_sites, key=lambda s: (s["line"], s["rule"], s["detail"])
+            ),
+            "ambient_return": fn.ambient_return,
+        }
         # nested defs become their own nodes, with an edge parent->child
         for child in fn.nested:
             self._scan_function(child, prefix=f"{qual}.", cls=cls)
@@ -296,6 +302,9 @@ class _FunctionScan:
         #: local name -> expanded ctor dotted name (``m = Machine()``),
         #: so ``m.run()`` resolves as a bound-method call.
         self.instance_types: dict[str, str] = {}
+        #: local name -> the reference it is bound to
+        #: (``monotonic = time.monotonic``), so ``monotonic()`` is that call.
+        self.aliases: dict[str, str] = {}
         self._seen_calls: set[tuple] = set()
 
     # -- helpers ------------------------------------------------------
@@ -307,14 +316,23 @@ class _FunctionScan:
 
     def _effect(self, effect: str, node: ast.AST, detail: str) -> None:
         line = getattr(node, "lineno", 1)
-        if not self.mod._suppressed(line, effect):
+        if not self.mod._suppressed(line, effect, detail):
             self.intrinsic.append(
                 {"effect": effect, "line": line, "detail": detail}
             )
 
+    def _dotted(self, expr: ast.AST) -> str | None:
+        """:func:`dotted_name` with a local alias replaced by its target."""
+        dotted = dotted_name(expr)
+        if dotted is None:
+            return None
+        root, sep, rest = dotted.partition(".")
+        target = self.aliases.get(root)
+        return f"{target}{sep}{rest}" if target else dotted
+
     def _ref_for(self, expr: ast.AST, line: int) -> dict | None:
         """Symbolic call/callback reference for a Name/Attribute chain."""
-        dotted = dotted_name(expr)
+        dotted = self._dotted(expr)
         if dotted is None:
             return None
         parts = dotted.split(".")
@@ -374,7 +392,7 @@ class _FunctionScan:
         return ("unknown", None)
 
     def _classify_call(self, call: ast.Call) -> tuple[str, object]:
-        dotted = dotted_name(call.func)
+        dotted = self._dotted(call.func)
         if dotted is None:
             return ("unknown", None)
         expanded = self.mod._expand(dotted)
@@ -441,7 +459,7 @@ class _FunctionScan:
             )
             return
         if isinstance(stmt, ast.ClassDef):
-            return  # local classes: out of scope for the deep pass
+            return  # local classes: out of scope for the FLOW analysis
         if isinstance(stmt, ast.Global):
             self.globals.update(stmt.names)
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
@@ -464,7 +482,7 @@ class _FunctionScan:
 
     def _returns_generator(self, expr: ast.AST) -> bool:
         if isinstance(expr, ast.Call):
-            dotted = dotted_name(expr.func)
+            dotted = self._dotted(expr.func)
             if dotted is not None:
                 tail = self.mod._expand(dotted).rsplit(".", 1)[-1]
                 return tail in _GEN_CTORS or tail in _CLEAN_RNG_FNS
@@ -506,6 +524,16 @@ class _FunctionScan:
                         "attr_types", {}
                     )
                     attrs.setdefault(t.attr, self.mod._expand(dotted))
+        ref = None
+        if value is not None and not isinstance(stmt, ast.AugAssign):
+            ref = self._dotted(value)
+            if self.qual == MODULE_BODY:
+                name = dotted_name(targets[0]) or "<anonymous>"
+                self._shared_generators(name, value)
+        for name in names:
+            self.aliases.pop(name, None)
+            if ref is not None:
+                self.aliases[name] = ref
         if value is None or not names:
             return
         if isinstance(value, ast.Call):
@@ -525,15 +553,35 @@ class _FunctionScan:
             # whether the callee returns an ambient generator (resolved
             # against the whole graph by the driver)
             line = getattr(stmt, "lineno", 1)
-            if not self.mod._suppressed(line, "seed-provenance"):
+            site = f"{' = '.join(names)} assigned from call"
+            if not self.mod._suppressed(line, "seed-provenance", site):
                 self.rng_sites.append(
                     {
                         "rule": "FLOW006",
                         "line": line,
                         "provenance": "call",
                         "ref": detail,
-                        "detail": f"{' = '.join(names)} assigned from call",
+                        "detail": site,
                     }
+                )
+
+    def _shared_generators(self, name: str, value: ast.expr) -> None:
+        """FLOW007: a generator bound at import time is shared by every
+        caller and worker that imports the module."""
+        for sub in ast.walk(value):
+            if not isinstance(sub, ast.Call):
+                continue
+            dotted = dotted_name(sub.func)
+            if dotted is None:
+                continue
+            tail = self.mod._expand(dotted).rsplit(".", 1)[-1]
+            if tail not in _GEN_CTORS:
+                continue
+            detail = f"module-level {tail}(...) bound to {name!r}"
+            if not self.mod._suppressed(sub.lineno, "rng-boundary", detail):
+                self.rng_sites.append(
+                    {"rule": "FLOW007", "line": sub.lineno,
+                     "provenance": "shared", "detail": detail}
                 )
 
     def _scan_exprs(self, stmt: ast.stmt) -> None:
@@ -574,8 +622,7 @@ class _FunctionScan:
         self._scan_call(node)
 
     def _scan_call(self, call: ast.Call) -> None:
-        self.mod._maybe_register(call)
-        dotted = dotted_name(call.func)
+        dotted = self._dotted(call.func)
         if dotted is None:
             # ``super().meth(...)``: the func is an Attribute over a Call,
             # so it has no dotted name — catch it before bailing out.
@@ -608,18 +655,20 @@ class _FunctionScan:
         if tail in _GEN_CTORS:
             kind, detail = self._classify_call(call)
             line = call.lineno
-            if not self.mod._suppressed(line, "seed-provenance"):
-                if kind == "ambient":
+            if kind == "ambient":
+                site = f"{tail}(...) seeded from {detail}"
+                if not self.mod._suppressed(line, "seed-provenance", site):
                     self.rng_sites.append(
                         {"rule": "FLOW006", "line": line,
-                         "provenance": "ambient",
-                         "detail": f"{tail}(...) seeded from {detail}"}
+                         "provenance": "ambient", "detail": site}
                     )
-                elif kind == "call":
+            elif kind == "call":
+                site = f"{tail}(...) seeded from a call"
+                if not self.mod._suppressed(line, "seed-provenance", site):
                     self.rng_sites.append(
                         {"rule": "FLOW006", "line": line,
                          "provenance": "call", "ref": detail,
-                         "detail": f"{tail}(...) seeded from a call"}
+                         "detail": site}
                     )
         # ---- call-graph references
         if isinstance(call.func, ast.Name) and call.func.id == "super":
@@ -666,17 +715,16 @@ class _FunctionScan:
                     if isinstance(n, ast.Name) and n.id not in bound
                 }
         captured = sorted(free & self.gen_locals)
-        if captured and not self.mod._suppressed(line, "rng-boundary"):
+        if not captured:
+            return
+        detail = (
+            f"generator {captured[0]!r} captured by a closure crossing a "
+            f"pool/worker boundary"
+        )
+        if not self.mod._suppressed(line, "rng-boundary", detail):
             self.rng_sites.append(
-                {
-                    "rule": "FLOW007",
-                    "line": line,
-                    "provenance": "capture",
-                    "detail": (
-                        f"generator {captured[0]!r} captured by a closure "
-                        f"crossing a pool/worker boundary"
-                    ),
-                }
+                {"rule": "FLOW007", "line": line, "provenance": "capture",
+                 "detail": detail}
             )
 
     def _is_fs_write(
@@ -698,13 +746,13 @@ class _FunctionScan:
         return False
 
 
-def extract_module(path: str, source: str, module: str) -> dict:
-    """Summary dict for one module (see module docstring).  The file
-    must already be known to parse; callers filter out E999 files."""
-    tree = ast.parse(source, filename=path)
-    return _ModuleScanner(path, module, tree, source).run()
-
-
-def extract_task(path: str, source: str, module: str) -> dict:
-    """Module-level pool entry point for parallel extraction."""
-    return extract_module(path, source, module)
+def extract_module(
+    path: str,
+    tree: ast.Module,
+    module: str,
+    suppressions: dict[int, set[str] | None],
+) -> dict:
+    """Summary dict for one parsed module (see module docstring);
+    ``suppressions`` maps a line to the rule ids its pragma disables
+    (``None`` for a blanket disable), as the engine parses them."""
+    return _ModuleScanner(path, module, tree, suppressions).run()

@@ -1,9 +1,10 @@
-"""Project call graph + effect propagation for the deep pass.
+"""Project call graph + effect propagation for the FLOW analysis.
 
 Takes the per-module summaries from :mod:`extract`, resolves the
 symbolic call references into a node graph (``module:qualname``),
 propagates intrinsic effects to fixpoint, and emits the raw FLOW
-findings — plain dicts, so the run-level cache can store them as-is.
+findings as plain dicts (the engine applies selection and the
+baseline).
 
 Everything here is deterministic by construction: modules, functions,
 edges and worklists are always iterated in sorted order, and chains
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.analysis.flow.extract import MODULE_BODY
 from repro.analysis.rules.flow import EFFECT_RULES
 
 __all__ = ["ProjectGraph"]
@@ -231,20 +233,30 @@ class ProjectGraph:
 
     # -- entry points -------------------------------------------------
     def entries(self) -> list[str]:
-        """Sim-critical entry points: public functions in entry-scope
-        modules, plus anything registered with ``register_experiment``."""
-        out: set[str] = set()
-        for module in sorted(self.summaries):
-            summ = self.summaries[module]
-            if summ["entry_scope"]:
-                for qual, info in summ["functions"].items():
-                    if info["public"]:
-                        out.add(_node(module, qual))
-            for ref in summ["registered"]:
-                target = self.resolve(module, ref)
-                if target is not None:
-                    out.add(target)
-        return sorted(out)
+        """Sim-critical entry points, in entry-scope modules: the
+        import-time body, every public function, and every private one
+        with an intrinsic effect (a helper reached through a dict or a
+        callback is still reached)."""
+        return sorted(
+            node_id
+            for node_id, (module, _qual, info) in self.functions.items()
+            if self.summaries[module]["entry_scope"]
+            and (info["public"] or info["intrinsic"])
+        )
+
+    def _anchor(self, entry: str, chain: list[str], site: dict) -> int:
+        """The line a purity finding is reported at: the entry's ``def``,
+        or for import-time code the statement that starts the chain."""
+        module, qual, info = self.functions[entry]
+        if qual != MODULE_BODY:
+            return info["line"]
+        if len(chain) == 1:
+            return site["line"]
+        return min(
+            ref["line"]
+            for ref in info["calls"]
+            if self.resolve(module, ref) == chain[1]
+        )
 
     # -- findings -----------------------------------------------------
     def findings(self) -> list[dict]:
@@ -259,7 +271,7 @@ class ProjectGraph:
     def _purity_findings(self) -> list[dict]:
         out: list[dict] = []
         for entry in self.entries():
-            module, qual, info = self.functions[entry]
+            module = self.functions[entry][0]
             for effect in sorted(self.effects[entry] & set(EFFECT_RULES)):
                 chain = self.chain(entry, effect)
                 if chain is None:  # pragma: no cover - effects imply a chain
@@ -280,7 +292,7 @@ class ProjectGraph:
                     {
                         "rule": EFFECT_RULES[effect],
                         "path": self.summaries[module]["path"],
-                        "line": info["line"],
+                        "line": self._anchor(entry, chain, site),
                         "entry": entry,
                         "effect": effect,
                         "chain": chain,
@@ -310,28 +322,6 @@ class ProjectGraph:
                     )
                     if finding is not None:
                         out.append(finding)
-            for site in summ["module_rng"]:
-                out.append(
-                    {
-                        "rule": "FLOW007",
-                        "path": path,
-                        "line": site["line"],
-                        "entry": f"{module}:<module>",
-                        "effect": "rng-boundary",
-                        "chain": [f"{module}:<module>"],
-                        "site": {
-                            "path": path,
-                            "line": site["line"],
-                            "detail": site["detail"],
-                        },
-                        "message": (
-                            f"{module}: {site['detail']} — module-level "
-                            f"generators are shared across every caller and "
-                            f"worker; derive one per call from a seed "
-                            f"argument (rngutil.seedseq_for)"
-                        ),
-                    }
-                )
         return out
 
     def _seed_site_finding(
@@ -357,6 +347,17 @@ class ProjectGraph:
                     f"{_pretty(node_id)}: {site['detail']} — every "
                     f"generator in sim-critical code must derive from a "
                     f"seed parameter or rngutil.seedseq_for"
+                ),
+            }
+        if site["provenance"] == "shared":
+            return {
+                **base,
+                "effect": "rng-boundary",
+                "chain": [node_id],
+                "message": (
+                    f"{module}: {site['detail']} — module-level generators "
+                    f"are shared across every caller and worker; derive one "
+                    f"per call from a seed argument (rngutil.seedseq_for)"
                 ),
             }
         if site["provenance"] == "capture":

@@ -3,9 +3,6 @@
 Rules are grouped by contract family:
 
 ========  ==========================================================
-``DET``   determinism: no wall clock / unseeded randomness inside
-          simulation-critical packages (all randomness flows through
-          :mod:`repro.rngutil`)
 ``ORD``   ordering: no iteration/accumulation over unordered sets
 ``ERR``   error handling: the watchdog's ``ExperimentTimeoutError``
           and ``KeyboardInterrupt`` always propagate; checkpoint/cache
@@ -17,14 +14,15 @@ Rules are grouped by contract family:
 ``OBS``   observability: sim-critical code reports through the
           metrics registry / trace bus, never bare print or logging
 ``PRG``   pragma hygiene: suppressions must name real rules
-``FLOW``  whole-program determinism (``--deep`` only): transitive
-          effect reachability + RNG seed provenance over the project
-          call graph (:mod:`repro.analysis.flow`)
+``FLOW``  determinism: no wall clock, unseeded randomness, unordered
+          iteration, global mutation or file write reachable from
+          sim-critical code, and every generator derived from a seed
+          — transitive over the project call graph
+          (:mod:`repro.analysis.flow`)
 ========  ==========================================================
 
-FLOW rules carry ``deep = True``: they appear in the catalog and in
-selection validation, but findings only exist under ``repro lint
---deep`` — their ``check`` is a no-op.
+FLOW rules are catalog descriptors: their findings come from the
+whole-program pass the engine runs whenever a FLOW rule is selected.
 """
 
 from __future__ import annotations
@@ -42,12 +40,6 @@ from repro.analysis.rules.contracts import (
     ProtocolMethodsRule,
     RegistrationRule,
     RegistryNameRule,
-)
-from repro.analysis.rules.det import (
-    NumpySingletonRule,
-    StdlibRandomRule,
-    WallClockRule,
-    WorkerSeedRule,
 )
 from repro.analysis.rules.errors import (
     AtomicArtifactWriteRule,
@@ -74,10 +66,6 @@ __all__ = [
 #: Every registered rule, id-ordered.  Instantiated once — rules are
 #: stateless AST queries.
 ALL_RULES: tuple[Rule, ...] = (
-    WallClockRule(),
-    StdlibRandomRule(),
-    NumpySingletonRule(),
-    WorkerSeedRule(),
     SetIterationRule(),
     SetPopRule(),
     BareExceptRule(),
@@ -105,7 +93,7 @@ def resolve_selection(
 ) -> list[Rule]:
     """Rules matching ``select`` minus ``ignore``.
 
-    Entries are full ids (``DET001``) or family prefixes (``DET``).
+    Entries are full ids (``FLOW001``) or family prefixes (``FLOW``).
     Unknown entries raise ``ValueError`` — a typo'd ``--select`` must
     not silently lint nothing.
     """

@@ -28,10 +28,10 @@ __all__ = [
 ]
 
 #: Directories whose code runs inside (or feeds) the discrete-event
-#: simulation.  DET rules only apply here: wall-clock reads and
-#: unseeded randomness in, say, the experiment runner's watchdog are
-#: legitimate, but inside these packages they would silently break the
-#: bit-determinism contract every reproduced claim rests on.
+#: simulation.  Scoped rules (ORD, OBS) only apply here: set iteration
+#: or a bare print in, say, the CLI is harmless, but inside these
+#: packages it would silently break the bit-determinism contract every
+#: reproduced claim rests on.
 SCOPED_DIRS = frozenset(
     {"sim", "htm", "workloads", "adversary", "faults", "distributions"}
 )

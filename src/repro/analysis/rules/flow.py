@@ -1,17 +1,17 @@
-"""FLOW — whole-program determinism rules (the ``--deep`` pass).
+"""FLOW — whole-program determinism rules.
 
 Unlike every other family, FLOW rules are not single-file AST queries:
 they are produced by :mod:`repro.analysis.flow`, which builds a
 project-wide call graph, infers per-function *effect signatures*, and
 propagates them transitively to fixpoint.  A sim-critical entry point
 that calls a wall-clock-reading helper three frames down — across
-modules, through methods, decorators, callbacks, or the experiment
-registry — passes the line-scoped DET rules but fails FLOW.
+modules, through methods, decorators, callbacks, import-time tables
+or a local alias — fails FLOW.
 
 The descriptors here exist so the catalog (``--list-rules``),
 ``--select``/``--ignore`` validation, and pragma checking all know the
-ids; the analysis itself lives in :mod:`repro.analysis.flow` and only
-runs under ``repro lint --deep`` (or ``repro analyze``).
+ids; the analysis itself lives in :mod:`repro.analysis.flow` and runs
+on every ``repro lint`` that selects a FLOW rule.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ __all__ = ["FLOW_RULES", "FlowRuleInfo", "EFFECT_RULES"]
 
 
 class FlowRuleInfo(Rule):
-    """Catalog-only descriptor: FLOW findings come from the deep pass,
-    never from :meth:`check`."""
-
-    #: marks the rule as deep-analysis-only for the engine/selection.
-    deep = True
+    """Catalog-only descriptor: FLOW findings come from the
+    whole-program pass, never from :meth:`check`."""
 
     def check(self, ctx):  # pragma: no cover - descriptors never run
         return iter(())
@@ -36,12 +33,13 @@ class ReachesWallClock(FlowRuleInfo):
     id = "FLOW001"
     summary = "sim-critical entry point transitively reaches a wall-clock read"
     rationale = (
-        "DET001 sees one line at a time; FLOW001 follows the call graph. "
-        "An entry point in htm/, sim/, core/ (or a runner registered via "
-        "register_experiment) that can reach time.time()/monotonic()/"
-        "datetime.now() through any chain of calls makes rows depend on "
-        "host speed.  The finding prints the full call chain to the "
-        "offending read."
+        "Simulated time must come from Simulator.now.  An entry point in "
+        "htm/, sim/, core/, experiments/ (or any other sim-critical dir, "
+        "import-time code included) that can reach time.time()/"
+        "monotonic()/datetime.now() through any chain of calls makes rows "
+        "depend on host speed.  The finding prints the full call chain to "
+        "the offending read; the watchdog deadline reads are the one "
+        "sanctioned suppression."
     )
 
 
@@ -62,8 +60,8 @@ class ReachesUnorderedIteration(FlowRuleInfo):
     rationale = (
         "Iterating a hash-ordered set anywhere under a sim-critical entry "
         "point lets PYTHONHASHSEED pick the event order.  ORD001 covers "
-        "the scoped dirs line-by-line; FLOW003 follows calls into helper "
-        "modules the scoped rules never see."
+        "set-typed locals in the scoped dirs line-by-line; FLOW003 follows "
+        "calls into helper modules the scoped rules never see."
     )
 
 
@@ -96,8 +94,9 @@ class AmbientSeedProvenance(FlowRuleInfo):
         "parameter or rngutil.seedseq_for/stream_for/spawn_streams.  A "
         "generator built from entropy (unseeded default_rng/SeedSequence), "
         "from the wall clock or pid, or returned by a helper that does so, "
-        "breaks seed-provenance — DET004 checks the signature shape, "
-        "FLOW006 checks the actual dataflow."
+        "breaks seed-provenance.  Pool workers in experiments/ and "
+        "synthetic/ are in scope, so a worker that builds its own "
+        "unseeded generator fails here."
     )
 
 

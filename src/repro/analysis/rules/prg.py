@@ -20,9 +20,10 @@ class PragmaHygieneRule(Rule):
     id = "PRG001"
     summary = "simlint pragma names an unknown rule id or is malformed"
     rationale = (
-        "A ``# simlint: disable=DET01`` typo suppresses nothing but "
-        "reads like an audited exception; a malformed pragma "
-        "(``disable DET001`` without ``=``) used to silently disable "
+        "A ``# simlint: disable=FLOW01`` typo, or an id retired since "
+        "(DET001), suppresses nothing but reads like an audited "
+        "exception; a malformed pragma "
+        "(``disable FLOW001`` without ``=``) used to silently disable "
         "every rule on the line.  Both now warn so the pragma ledger "
         "stays trustworthy."
     )

@@ -1,13 +1,13 @@
 """SARIF 2.1.0 rendering for simlint results.
 
 One run, one tool (``simlint``), the full rule catalog in
-``tool.driver.rules``, one result per finding.  Baselined deep
+``tool.driver.rules``, one result per finding.  Baselined FLOW
 findings are emitted as suppressed results (``suppressions`` with
 ``kind: external``) so SARIF viewers show them greyed out with their
 justification instead of hiding them.
 
 Output is deterministic — sorted keys, no timestamps, no absolute
-paths — so a cached re-run of an unchanged tree is byte-identical.
+paths — so a re-run of an unchanged tree is byte-identical.
 """
 
 from __future__ import annotations

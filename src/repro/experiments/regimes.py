@@ -29,7 +29,7 @@ def _cell_worker(
     """One B/µ point — the unit of parallel fan-out.
 
     Module-level (picklable) with its seed as an argument (simlint
-    DET004); the cell's stream depends only on ``(seed, ratio)``, so
+    FLOW006); the cell's stream depends only on ``(seed, ratio)``, so
     the row is identical wherever it executes.
     """
     B = mu * ratio

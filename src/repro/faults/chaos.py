@@ -101,7 +101,7 @@ class ChaosPlan:
         return cls(**config)
 
 
-def apply_worker_chaos(plan: ChaosPlan, exp_id: str, attempt: int) -> None:  # simlint: disable=DET004 -- the plan's seed IS the randomness source; draws are pure hashes of (seed, exp_id, attempt)
+def apply_worker_chaos(plan: ChaosPlan, exp_id: str, attempt: int) -> None:
     """The worker-side injection point: maybe die, maybe freeze.
 
     SIGKILL models an OOM kill / operator ``kill -9`` — the parent sees

@@ -218,7 +218,7 @@ class Machine:
 
             # watchdog deadline only — wall time never reaches simulated
             # time or any scheduling decision
-            deadline = time.monotonic() + wall_timeout  # simlint: disable=DET001 -- watchdog wall-clock budget
+            deadline = time.monotonic() + wall_timeout  # simlint: disable=FLOW001 -- watchdog wall-clock budget
         self.draining = False
         for core in self.cores:
             core.start()

@@ -10,7 +10,7 @@ counter.
 **Determinism note**: the profiler reads the host clock, but nothing it
 measures ever feeds back into the simulation — it is pure observation,
 attached after construction and consulted after the run.  That is why
-this module lives in ``repro.obs`` (outside the simlint DET scope) and
+this module lives in ``repro.obs`` (outside simlint's FLOW entry dirs) and
 the kernel only ever calls it through an attached handle.
 
 Occupancy = handler time / loop wall time.  The remainder is kernel

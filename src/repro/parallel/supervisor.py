@@ -42,7 +42,7 @@ SIGKILL-riddled run against a fault-free one.  Supervision events
 to the bus that is active when the pool runs, never into the
 per-experiment captures of worker processes.  Functions handed to
 ``starmap`` must be module-level (picklable) and take their seed or
-stream as an argument — simlint rule DET004 (docs/STATIC_ANALYSIS.md).
+stream as an argument — simlint rule FLOW006 (docs/STATIC_ANALYSIS.md).
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def _execute_task(task, pool=None, catch=BaseException) -> tuple[str, object]:
         if cap is not None:
             return "ok", (result, cap.snapshot(), cap.events)
         return "ok", result
-    except BaseException as exc:  # simlint: disable=ERR002,ERR003 -- process/serialization boundary: the supervisor re-raises this as a failure outcome; a worker must never die silently
+    except BaseException as exc:  # process/serialization boundary: the supervisor re-raises this as a failure outcome; a worker must never die silently
         if not isinstance(exc, catch):
             raise
         return "failed", (type(exc).__name__, str(exc))
@@ -267,7 +267,7 @@ def _call_error(outcome: ExperimentOutcome) -> errors.ReproError:
     return errors.ExperimentError(f"{outcome.error_type}: {outcome.error}")
 
 
-def _pool_worker(conn, worker_id: int, heartbeat_interval: float, chaos_config: dict | None) -> None:  # simlint: disable=DET004 -- seeds ride inside each ExperimentTask payload; run_experiment derives every stream from them
+def _pool_worker(conn, worker_id: int, heartbeat_interval: float, chaos_config: dict | None) -> None:
     """Persistent worker loop: recv task, run, send result, repeat.
 
     A side thread heartbeats over the same pipe (send-locked) so the
@@ -568,7 +568,7 @@ class SupervisedPool:
                 ),
             )
 
-        def on_worker_death(worker: _Worker, *, cause: str | None = None, kill: bool = False) -> None:  # simlint: disable=DET004 -- parent-side supervision bookkeeping; no randomness, rows unaffected
+        def on_worker_death(worker: _Worker, *, cause: str | None = None, kill: bool = False) -> None:
             now = time.monotonic()
             exitcode = self._reap(worker, kill=kill)
             cause = cause or classify_exit(exitcode)

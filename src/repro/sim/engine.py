@@ -289,7 +289,7 @@ class Simulator:
                 if (
                     wall_deadline is not None
                     and fired % watchdog_every == 0
-                    and monotonic() >= wall_deadline  # simlint: disable=DET001 -- watchdog wall-clock budget
+                    and monotonic() >= wall_deadline  # simlint: disable=FLOW001 -- watchdog wall-clock budget
                 ):
                     raise ExperimentTimeoutError(
                         f"simulation exceeded its wall-clock budget at "

@@ -1,4 +1,4 @@
-"""Fixture: a fully deterministic sim module — the deep pass must
+"""Fixture: a fully deterministic sim module — the FLOW analysis must
 report nothing here."""
 
 

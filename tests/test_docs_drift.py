@@ -115,3 +115,31 @@ def test_quoted_serve_figure_matches_artifact(doc, field, context):
             f"{doc} quotes BENCH_serve.json {field} as {quoted}; the "
             f"artifact records {recorded!r}"
         )
+
+
+#: a rule id in a table cell of docs/STATIC_ANALYSIS.md
+RULE_ID = re.compile(r"\b[A-Z]{3,4}[0-9]{3}\b")
+
+
+def documented_rule_ids() -> set[str]:
+    """Every rule id named in any cell of any table in the rule docs."""
+    text = (ROOT / "docs" / "STATIC_ANALYSIS.md").read_text(encoding="utf-8")
+    rows = [line for line in text.splitlines() if line.startswith("|")]
+    return {rule for row in rows for rule in RULE_ID.findall(row)}
+
+
+def test_every_rule_is_in_a_docs_table():
+    from repro.analysis import all_rule_ids
+
+    missing = set(all_rule_ids()) - documented_rule_ids()
+    assert not missing, f"docs/STATIC_ANALYSIS.md tables omit {sorted(missing)}"
+
+
+def test_no_docs_table_names_a_retired_rule():
+    from repro.analysis import all_rule_ids
+
+    unknown = documented_rule_ids() - set(all_rule_ids())
+    assert not unknown, (
+        f"docs/STATIC_ANALYSIS.md tables name {sorted(unknown)}, which the "
+        f"rule catalog lacks"
+    )

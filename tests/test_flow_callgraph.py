@@ -1,7 +1,7 @@
-"""Call-graph construction edge cases for the deep (FLOW) pass:
+"""Call-graph construction edge cases for the FLOW analysis:
 decorated functions, bound methods (self / attribute-typed /
-local-instance / inherited / super), lambdas as callbacks,
-registry-mediated dispatch, and import cycles.
+local-instance / inherited / super), lambdas as callbacks, import-time
+registry tables, and import cycles.
 
 Fixture mini-packages live under ``tests/fixtures/flow/``; each is
 analyzed on its own so its internal imports resolve.
@@ -9,19 +9,17 @@ analyzed on its own so its internal imports resolve.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
-from repro.analysis.engine import lint_paths
-from repro.analysis.flow import ProjectGraph, analyze_sources, module_names
-from repro.analysis.flow.extract import extract_module
+from repro.analysis.engine import lint_paths, lint_sources
+from repro.analysis.flow import ProjectGraph, extract_module, module_names
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 
 
 def flow_findings(fixture: str) -> list[dict]:
-    result = lint_paths(
-        [FIXTURES / fixture], select=["FLOW"], deep=True
-    )
+    result = lint_paths([FIXTURES / fixture], select=["FLOW"])
     return result.flow
 
 
@@ -76,8 +74,8 @@ class TestBoundMethods:
                 "        return time.time()\n"
             ),
         }
-        findings, _stats = analyze_sources(sources)
-        by_entry = chains([f for f in findings if f["rule"] == "FLOW001"])
+        findings = lint_sources(sources, select=["FLOW001"]).flow
+        by_entry = chains(findings)
         assert by_entry["sim.child:Child.run"] == (
             "sim.child:Child.run -> lib.parent:Parent.tick"
         )
@@ -95,8 +93,8 @@ class TestBoundMethods:
                 "        return super().setup() + 1\n"
             ),
         }
-        findings, _stats = analyze_sources(sources)
-        by_entry = chains([f for f in findings if f["rule"] == "FLOW001"])
+        findings = lint_sources(sources, select=["FLOW001"]).flow
+        by_entry = chains(findings)
         assert by_entry["sim.machines:Derived.setup"] == (
             "sim.machines:Derived.setup -> sim.machines:Base.setup"
         )
@@ -119,15 +117,37 @@ class TestCallbacks:
 
 
 class TestRegistryDispatch:
-    def test_registered_runner_is_entry_despite_unscoped_dir(self):
-        findings = flow_findings("registry")
-        (finding,) = [f for f in findings if f["rule"] == "FLOW001"]
-        assert finding["entry"] == "reg.exp:runner"
+    def test_import_time_table_reaches_unscoped_runner(self):
+        sources = {
+            "pkg/experiments/__init__.py": "",
+            "pkg/experiments/registry.py": (
+                "from tools.runner import run_clock\n\n\n"
+                "class _Spec:\n"
+                "    def __init__(self, name, fn):\n"
+                "        self.fn = fn\n\n\n"
+                "_TABLE = [\n"
+                "    _Spec('clock', run_clock),\n"
+                "]\n"
+            ),
+            "pkg/tools/__init__.py": "",
+            "pkg/tools/runner.py": (
+                "import time\n\n\n"
+                "def run_clock(seed):\n"
+                "    return _mid(seed)\n\n\n"
+                "def _mid(seed):\n"
+                "    return seed + time.monotonic()\n"
+            ),
+        }
+        findings = lint_sources(sources, select=["FLOW"]).flow
+        (finding,) = findings
+        assert finding["entry"] == "experiments.registry:<module>"
         assert finding["chain"] == [
-            "reg.exp:runner", "reg.exp:_mid", "reg.clock:stamp",
+            "experiments.registry:<module>",
+            "tools.runner:run_clock",
+            "tools.runner:_mid",
         ]
-        # private helpers never become entries on their own
-        assert not any(f["entry"] == "reg.exp:_mid" for f in findings)
+        # anchored at the table row that names the runner
+        assert finding["line"] == 10
 
 
 class TestImportCycles:
@@ -155,11 +175,13 @@ class TestModuleNames:
 
     def test_single_directory_package(self):
         paths = [
-            "tests/fixtures/flow/registry/reg/__init__.py",
-            "tests/fixtures/flow/registry/reg/exp.py",
+            "tests/fixtures/flow/callbacks/sim/__init__.py",
+            "tests/fixtures/flow/callbacks/sim/driver.py",
         ]
         names = module_names(paths)
-        assert names["tests/fixtures/flow/registry/reg/exp.py"] == "reg.exp"
+        assert names["tests/fixtures/flow/callbacks/sim/driver.py"] == (
+            "sim.driver"
+        )
 
     def test_loose_script_uses_stem(self):
         assert module_names(["benchmarks/bench_suite.py"]) == {
@@ -175,7 +197,8 @@ class TestGraphDeterminism:
         sources = {p: Path(p).read_text(encoding="utf-8") for p in paths}
         names = module_names(paths)
         summaries = [
-            extract_module(p, sources[p], names[p]) for p in paths
+            extract_module(p, ast.parse(sources[p]), names[p], {})
+            for p in paths
         ]
         forward = ProjectGraph(summaries).findings()
         backward = ProjectGraph(list(reversed(summaries))).findings()

@@ -1,12 +1,15 @@
-"""Acceptance pins for the deep pass: the purity analysis detects a
+"""Acceptance pins for the FLOW rules: the purity analysis detects a
 sim-critical entry reaching ``time.time()`` / ambient ``np.random``
 through >= 2 intermediate same- and cross-module calls and prints the
 full chain; the seed-provenance analysis catches ambient, laundered,
-shared and captured generators while passing clean ones."""
+shared and captured generators while passing clean ones; and the
+pass reports the shapes a per-line check cannot see."""
 
 from __future__ import annotations
 
 from pathlib import Path
+
+import pytest
 
 from repro.analysis.baseline import (
     apply_baseline,
@@ -20,8 +23,7 @@ FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 
 
 def deep(fixture: str, **kwargs):
-    return lint_paths([FIXTURES / fixture], select=["FLOW"], deep=True,
-                      **kwargs)
+    return lint_paths([FIXTURES / fixture], select=["FLOW"], **kwargs)
 
 
 class TestPurityChains:
@@ -114,14 +116,19 @@ class TestPragmaHonoring:
             "sim/run.py": (
                 "import time\n\n\n"
                 "def loop(budget):\n"
-                "    deadline = time.monotonic() + budget"
-                "  # simlint: disable=DET001 -- watchdog\n"
-                "    return deadline\n"
+                "    return _deadline(budget)\n\n\n"
+                "def _deadline(budget):\n"
+                "    return time.monotonic() + budget"
+                "  # simlint: disable=FLOW001 -- watchdog\n"
             ),
         }
-        result = lint_sources(sources, select=["FLOW"], deep=True)
+        result = lint_sources(sources, select=["FLOW"])
         assert result.ok
         assert result.flow == []
+        # the sanctioned site stays auditable
+        (sup,) = result.suppressed
+        assert (sup.finding.path, sup.finding.line) == ("sim/run.py", 9)
+        assert (sup.finding.rule, sup.reason) == ("FLOW001", "watchdog")
 
     def test_flow_id_suppresses_site_too(self):
         sources = {
@@ -132,7 +139,7 @@ class TestPragmaHonoring:
                 "  # simlint: disable=FLOW001 -- sanctioned\n"
             ),
         }
-        result = lint_sources(sources, select=["FLOW"], deep=True)
+        result = lint_sources(sources, select=["FLOW"])
         assert result.ok
 
     def test_unsuppressed_site_still_found(self):
@@ -143,7 +150,7 @@ class TestPragmaHonoring:
                 "    return time.monotonic() + budget\n"
             ),
         }
-        result = lint_sources(sources, select=["FLOW"], deep=True)
+        result = lint_sources(sources, select=["FLOW"])
         assert not result.ok
         assert result.findings[0].rule == "FLOW001"
 
@@ -159,7 +166,7 @@ class TestBaseline:
         }
 
     def test_baselined_finding_is_accepted_and_surfaced(self):
-        result = lint_sources(self._sources(), select=["FLOW"], deep=True)
+        result = lint_sources(self._sources(), select=["FLOW"])
         entries = [
             {
                 "rule": f["rule"],
@@ -170,7 +177,7 @@ class TestBaseline:
             for f in result.flow
         ]
         again = lint_sources(
-            self._sources(), select=["FLOW"], deep=True,
+            self._sources(), select=["FLOW"],
             baseline_entries=entries,
         )
         assert again.ok
@@ -180,13 +187,13 @@ class TestBaseline:
         )
 
     def test_fingerprint_is_line_independent(self):
-        result = lint_sources(self._sources(), select=["FLOW"], deep=True)
+        result = lint_sources(self._sources(), select=["FLOW"])
         raw = result.flow[0]
         shifted = dict(raw, line=raw["line"] + 10)
         assert fingerprint(raw) == fingerprint(shifted)
 
     def test_render_and_load_roundtrip(self, tmp_path):
-        result = lint_sources(self._sources(), select=["FLOW"], deep=True)
+        result = lint_sources(self._sources(), select=["FLOW"])
         path = tmp_path / "baseline.json"
         path.write_text(render_baseline(result.flow), encoding="utf-8")
         entries = load_baseline(path)
@@ -211,7 +218,7 @@ class TestRealTree:
         repo = Path(__file__).resolve().parent.parent
         entries = load_baseline(repo / ".simlint-baseline.json")
         result = lint_paths(
-            [repo / "src"], select=["FLOW"], deep=True,
+            [repo / "src"], select=["FLOW"],
             baseline_entries=entries,
         )
         assert result.ok, [f.message for f in result.findings]
@@ -220,3 +227,59 @@ class TestRealTree:
             "repro.faults.chaos:tear_tail",
             "repro.faults.chaos:corrupt_bytes",
         }
+        # and the two watchdog reads as sanctioned sites
+        sites = {
+            (Path(s.finding.path).as_posix().split("src/")[-1],
+             s.finding.line, s.finding.rule)
+            for s in result.suppressed
+        }
+        assert sites == {
+            ("repro/htm/machine.py", 221, "FLOW001"),
+            ("repro/sim/engine.py", 292, "FLOW001"),
+        }
+
+
+#: (id, path, source, rule, entry): shapes a per-line check cannot see —
+#: import-time code, aliased imports and locals, a private helper reached
+#: through a dict, and a pool worker outside the simulation dirs.
+SHAPES = [
+    ("import_time_read", "htm/clock.py",
+     "import time\n_T0 = time.time()\n",
+     "FLOW001", "clock:<module>"),
+    ("aliased_time_module", "htm/clock.py",
+     "import time as _t\n_T0 = _t.time()\n",
+     "FLOW001", "clock:<module>"),
+    ("aliased_time_in_function", "htm/clock.py",
+     "import time as _t\n\n\ndef stamp():\n    return _t.time()\n",
+     "FLOW001", "clock:stamp"),
+    ("aliased_numpy_reseed", "workloads/app.py",
+     "import numpy as _np\n_np.random.seed(0)\n",
+     "FLOW002", "app:<module>"),
+    ("private_dict_dispatched_helper", "workloads/app.py",
+     "import random\n\n\n"
+     "def _jitter(x):\n    return x + random.random()\n\n\n"
+     "_DISPATCH = {'jitter': _jitter}\n\n\n"
+     "def apply(kind, x):\n    return _DISPATCH[kind](x)\n",
+     "FLOW002", "app:_jitter"),
+    ("unseeded_rng_in_experiment_worker", "experiments/regimes.py",
+     "import numpy as np\n\n\n"
+     "def _cell_worker(mu, seed):\n"
+     "    return np.random.default_rng().exponential(mu)\n",
+     "FLOW006", "regimes:_cell_worker"),
+    ("local_alias_of_clock", "sim/engine.py",
+     "import time\n\n\n"
+     "def run(deadline):\n"
+     "    monotonic = time.monotonic\n"
+     "    return monotonic() >= deadline\n",
+     "FLOW001", "engine:run"),
+]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "path,source,rule,entry", [case[1:] for case in SHAPES],
+        ids=[case[0] for case in SHAPES],
+    )
+    def test_reports_shape(self, path, source, rule, entry):
+        result = lint_sources({path: source}, select=["FLOW"])
+        assert (rule, entry) in {(f["rule"], f["entry"]) for f in result.flow}

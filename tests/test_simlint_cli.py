@@ -17,12 +17,14 @@ REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 @pytest.fixture
 def violation_tree(tmp_path):
-    """A fake package tree with one DET002 + one ORD001 violation in a
-    simulation-critical directory."""
+    """A fake package tree with an import-time ambient draw (FLOW002)
+    and a set iteration (ORD001 + FLOW003) in a simulation-critical
+    directory."""
     pkg = tmp_path / "htm"
     pkg.mkdir()
     (pkg / "bad.py").write_text(
         "import random\n"
+        "x = random.random()\n"
         "for x in {1, 2}:\n"
         "    consume(x)\n"
     )
@@ -44,17 +46,18 @@ class TestLintCli:
         assert rc == 1
         out = capsys.readouterr().out
         # file:line:col: RULE message
-        assert "bad.py:1:1: DET002" in out
-        assert "bad.py:2:10: ORD001" in out
+        assert "bad.py:2:1: FLOW002" in out
+        assert "bad.py:3:1: FLOW003" in out
+        assert "bad.py:3:10: ORD001" in out
 
     def test_select_limits_rules(self, violation_tree, capsys):
         assert lint_main([str(violation_tree), "--select", "ORD"]) == 1
         out = capsys.readouterr().out
-        assert "ORD001" in out and "DET002" not in out
+        assert "ORD001" in out and "FLOW002" not in out
 
     def test_ignore_all_relevant_rules_passes(self, violation_tree):
         rc = lint_main(
-            [str(violation_tree), "--ignore", "DET002,ORD001"]
+            [str(violation_tree), "--ignore", "FLOW,ORD001"]
         )
         assert rc == 0
 
@@ -62,7 +65,7 @@ class TestLintCli:
         assert lint_main([str(violation_tree), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["counts"]["DET002"] == 1
+        assert payload["counts"]["FLOW002"] == 1
         assert payload["findings"][0]["path"].endswith("bad.py")
         assert {"path", "line", "col", "rule", "message"} <= set(
             payload["findings"][0]
@@ -72,12 +75,13 @@ class TestLintCli:
         pkg = tmp_path / "sim"
         pkg.mkdir()
         (pkg / "ok.py").write_text(
-            "import random  # simlint: disable=DET002 -- fixture\n"
+            "import random\n"
+            "x = random.random()  # simlint: disable=FLOW002 -- fixture\n"
         )
         assert lint_main([str(tmp_path), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert payload["suppressed"][0]["rule"] == "DET002"
+        assert payload["suppressed"][0]["rule"] == "FLOW002"
         assert payload["suppressed"][0]["reason"] == "fixture"
 
     def test_unknown_rule_is_usage_error(self, violation_tree, capsys):
@@ -91,11 +95,12 @@ class TestLintCli:
     def test_list_rules_catalog(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for family in ("DET001", "ORD001", "ERR001", "API001", "POL001"):
+        for family in ("FLOW001", "ORD001", "ERR001", "API001", "POL001"):
             assert family in out
 
     def test_show_suppressed_lists_justifications(self, capsys):
         assert lint_main([str(REPO_SRC), "--show-suppressed"]) == 0
         out = capsys.readouterr().out
-        # the two sanctioned watchdog wall-clock reads
-        assert "watchdog" in out
+        # the two sanctioned watchdog wall-clock reads, stopped at the site
+        assert "repro/htm/machine.py:221: FLOW001 -- watchdog" in out
+        assert "repro/sim/engine.py:292: FLOW001 -- watchdog" in out

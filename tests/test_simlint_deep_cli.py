@@ -1,6 +1,5 @@
-"""CLI surface of the deep pass: --deep, the analyze alias, SARIF
-output, --jobs invariance, the baseline workflow, and the cache-hit
-counter on stderr."""
+"""CLI surface of the FLOW rules: full call chains in the report,
+SARIF output, and the baseline workflow."""
 
 from __future__ import annotations
 
@@ -8,7 +7,6 @@ import json
 from pathlib import Path
 
 from repro.analysis.cli import main as lint_main
-from repro.cli import main as repro_main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 TRANSITIVE = str(FIXTURES / "transitive")
@@ -21,12 +19,8 @@ def run(capsys, argv):
 
 
 class TestDeepCli:
-    def test_deep_prints_full_chain(self, capsys, tmp_path):
-        code, out, _err = run(
-            capsys,
-            [TRANSITIVE, "--deep", "--select", "FLOW",
-             "--cache-dir", str(tmp_path)],
-        )
+    def test_deep_prints_full_chain(self, capsys):
+        code, out, _err = run(capsys, [TRANSITIVE, "--select", "FLOW"])
         assert code == 1
         assert (
             "htm.engine.step -> htm.engine._advance -> "
@@ -34,59 +28,22 @@ class TestDeepCli:
         ) in out
 
     def test_shallow_run_has_no_flow_findings(self, capsys):
-        code, out, _err = run(
-            capsys, [TRANSITIVE, "--select", "FLOW", "--no-cache"]
-        )
+        code, out, _err = run(capsys, [TRANSITIVE, "--ignore", "FLOW"])
         assert code == 0
         assert "FLOW" not in out.partition("simlint:")[2]
 
-    def test_analyze_alias(self, capsys, tmp_path):
-        code = repro_main(
-            ["analyze", TRANSITIVE, "--select", "FLOW",
-             "--cache-dir", str(tmp_path)]
-        )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "FLOW001" in out
-
-    def test_cache_counter_on_stderr(self, capsys, tmp_path):
-        argv = [TRANSITIVE, "--deep", "--select", "FLOW",
-                "--cache-dir", str(tmp_path)]
-        _code, _out, err1 = run(capsys, argv)
-        assert "run miss" in err1
-        _code, out2, err2 = run(capsys, argv)
-        assert "run hit" in err2
-        assert "file hit" in err2
-        # the counter never contaminates stdout (byte-identity)
-        assert "hit" not in out2
-
-    def test_jobs_invariance(self, capsys, tmp_path):
-        base = [TRANSITIVE, "--deep", "--select", "FLOW",
-                "--format", "json"]
-        _c, out1, _e = run(
-            capsys, base + ["--jobs", "1",
-                            "--cache-dir", str(tmp_path / "a")]
-        )
-        _c, out2, _e = run(
-            capsys, base + ["--jobs", "2",
-                            "--cache-dir", str(tmp_path / "b")]
-        )
-        assert out1 == out2
-
 
 class TestSarif:
-    def test_sarif_structure(self, capsys, tmp_path):
+    def test_sarif_structure(self, capsys):
         _code, out, _err = run(
-            capsys,
-            [TRANSITIVE, "--deep", "--select", "FLOW",
-             "--format", "sarif", "--cache-dir", str(tmp_path)],
+            capsys, [TRANSITIVE, "--select", "FLOW", "--format", "sarif"]
         )
         doc = json.loads(out)
         assert doc["version"] == "2.1.0"
         (sarif_run,) = doc["runs"]
         assert sarif_run["tool"]["driver"]["name"] == "simlint"
         rule_ids = {r["id"] for r in sarif_run["tool"]["driver"]["rules"]}
-        assert {"FLOW001", "FLOW006", "PRG001", "DET001"} <= rule_ids
+        assert {"FLOW001", "FLOW006", "PRG001", "ORD001"} <= rule_ids
         levels = {r["ruleId"]: r["level"] for r in sarif_run["results"]}
         assert levels["FLOW001"] == "error"
         locs = sarif_run["results"][0]["locations"]
@@ -94,9 +51,7 @@ class TestSarif:
 
     def test_sarif_carries_baselined_as_suppressed(self, capsys, tmp_path):
         baseline = tmp_path / "baseline.json"
-        argv = [TRANSITIVE, "--deep", "--select", "FLOW",
-                "--baseline", str(baseline),
-                "--cache-dir", str(tmp_path / "cache")]
+        argv = [TRANSITIVE, "--select", "FLOW", "--baseline", str(baseline)]
         code, _out, _err = run(capsys, argv + ["--write-baseline"])
         assert code == 0
         code, out, _err = run(capsys, argv + ["--format", "sarif"])
@@ -111,12 +66,10 @@ class TestSarif:
 class TestBaselineWorkflow:
     def test_write_then_accept(self, capsys, tmp_path):
         baseline = tmp_path / "baseline.json"
-        argv = [TRANSITIVE, "--deep", "--select", "FLOW",
-                "--baseline", str(baseline),
-                "--cache-dir", str(tmp_path / "cache")]
+        argv = [TRANSITIVE, "--select", "FLOW", "--baseline", str(baseline)]
         code, _out, err = run(capsys, argv + ["--write-baseline"])
         assert code == 0
-        assert "wrote 2 deep finding(s)" in err
+        assert "wrote 2 FLOW finding(s)" in err
         entries = json.loads(baseline.read_text(encoding="utf-8"))
         assert len(entries["entries"]) == 2
         code, out, _err = run(capsys, argv)
@@ -127,9 +80,7 @@ class TestBaselineWorkflow:
         baseline = tmp_path / "bad.json"
         baseline.write_text("[]", encoding="utf-8")
         code, _out, err = run(
-            capsys,
-            [TRANSITIVE, "--deep", "--no-cache",
-             "--baseline", str(baseline)],
+            capsys, [TRANSITIVE, "--baseline", str(baseline)]
         )
         assert code == 2
         assert "simlint: error" in err

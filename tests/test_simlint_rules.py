@@ -1,20 +1,25 @@
 """simlint rule fixtures: for every rule family a snippet that must
 trigger it, a snippet that must pass clean, and a suppression check.
 
-Paths matter: DET rules only apply under simulation-critical
-directories (sim/htm/workloads/adversary/faults/distributions), so
-fixtures use ``src/repro/htm/...`` paths to opt in and ``src/repro/
-core/...`` to opt out.
+Paths matter: the FLOW rules report sim-critical code (sim/htm/core/
+workloads/adversary/faults/distributions/experiments/synthetic), and
+ORD/OBS apply only under the simulation dirs, so fixtures use
+``src/repro/htm/...`` paths to opt in and ``src/repro/serve/...`` to
+opt out.  FLOW runs on every lint, so tests of the other families
+select their own family.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
 from repro.analysis import lint_sources
 
 SIM_PATH = "src/repro/htm/fixture.py"
-UNSCOPED_PATH = "src/repro/core/fixture.py"
+UNSCOPED_PATH = "src/repro/serve/fixture.py"
+WORKER_PATH = "src/repro/experiments/fixture.py"
 
 
 def hits(source, path=SIM_PATH, select=None, **extra_sources):
@@ -22,17 +27,17 @@ def hits(source, path=SIM_PATH, select=None, **extra_sources):
     return [f.rule for f in lint_sources(sources, select=select).findings]
 
 
-def suppressed(source, path=SIM_PATH):
-    return lint_sources({path: source}).suppressed
+def suppressed(source, path=SIM_PATH, select=None):
+    return lint_sources({path: source}, select=select).suppressed
 
 
 # ---------------------------------------------------------------------------
-# DET001 — wall clock
+# FLOW001 — wall clock
 # ---------------------------------------------------------------------------
 class TestWallClock:
     def test_time_call_flagged_in_sim_code(self):
         src = "import time\n\ndef f():\n    return time.time()\n"
-        assert hits(src) == ["DET001"]
+        assert hits(src) == ["FLOW001"]
 
     def test_monotonic_and_from_import_flagged(self):
         src = (
@@ -40,7 +45,7 @@ class TestWallClock:
             "def f():\n"
             "    return mono()\n"
         )
-        assert hits(src) == ["DET001"]
+        assert hits(src) == ["FLOW001"]
 
     def test_datetime_now_flagged(self):
         src = (
@@ -48,7 +53,7 @@ class TestWallClock:
             "def f():\n"
             "    return datetime.datetime.now()\n"
         )
-        assert hits(src) == ["DET001"]
+        assert hits(src) == ["FLOW001"]
 
     def test_unscoped_file_not_flagged(self):
         src = "import time\n\ndef f():\n    return time.time()\n"
@@ -63,23 +68,28 @@ class TestWallClock:
             "import time\n"
             "def f(budget):\n"
             "    return time.monotonic() + budget  "
-            "# simlint: disable=DET001 -- watchdog deadline\n"
+            "# simlint: disable=FLOW001 -- watchdog deadline\n"
         )
         assert hits(src) == []
         (sup,) = suppressed(src)
-        assert sup.finding.rule == "DET001"
+        assert sup.finding.rule == "FLOW001"
+        assert sup.finding.line == 3
         assert sup.reason == "watchdog deadline"
 
 
 # ---------------------------------------------------------------------------
-# DET002 — stdlib random
+# FLOW002 — stdlib random
 # ---------------------------------------------------------------------------
 class TestStdlibRandom:
     def test_import_random_flagged(self):
-        assert hits("import random\n") == ["DET002"]
+        # the draw is flagged, not the import
+        src = "import random\n\ndef f():\n    return random.random()\n"
+        assert hits(src) == ["FLOW002"]
+        assert hits("import random\n") == []
 
     def test_from_random_flagged(self):
-        assert hits("from random import choice\n") == ["DET002"]
+        src = "from random import choice\n\ndef f(xs):\n    return choice(xs)\n"
+        assert hits(src) == ["FLOW002"]
 
     def test_numpy_import_clean(self):
         assert hits("import numpy as np\n") == []
@@ -88,23 +98,30 @@ class TestStdlibRandom:
         assert hits("from repro.rngutil import stream_for\n") == []
 
     def test_suppression(self):
-        assert hits("import random  # simlint: disable=DET002\n") == []
+        src = "import random\nx = random.random()  # simlint: disable=FLOW002\n"
+        assert hits(src) == []
 
 
 # ---------------------------------------------------------------------------
-# DET003 — numpy RNG singleton
+# FLOW002/006/007 — numpy RNG singleton and unseeded generators
 # ---------------------------------------------------------------------------
 class TestNumpySingleton:
     def test_np_random_seed_flagged(self):
         src = "import numpy as np\nnp.random.seed(0)\n"
-        assert hits(src) == ["DET003"]
+        assert hits(src) == ["FLOW002"]
 
     def test_unseeded_default_rng_flagged(self):
+        # import-time: an ambient draw, an ambient-born generator, and
+        # a generator shared by every importer
         src = "import numpy as np\ng = np.random.default_rng()\n"
-        assert hits(src) == ["DET003"]
+        assert hits(src) == ["FLOW002", "FLOW006", "FLOW007"]
 
     def test_seeded_default_rng_clean(self):
-        src = "import numpy as np\ng = np.random.default_rng(42)\n"
+        src = (
+            "import numpy as np\n"
+            "def f():\n"
+            "    return np.random.default_rng(42)\n"
+        )
         assert hits(src) == []
 
     def test_generator_use_clean(self):
@@ -112,44 +129,51 @@ class TestNumpySingleton:
         assert hits(src) == []
 
     def test_stdlib_random_not_mislabeled(self):
-        # random.random() is DET002 territory (the import), not DET003
+        # random.random() is an ambient draw, not a generator born ambient
         src = "import random\nx = random.random()\n"
-        assert hits(src) == ["DET002"]
+        assert hits(src) == ["FLOW002"]
 
     def test_suppression(self):
         src = (
             "import numpy as np\n"
-            "np.random.seed(0)  # simlint: disable=DET003 -- legacy shim\n"
+            "np.random.seed(0)  # simlint: disable=FLOW002 -- legacy shim\n"
         )
         assert hits(src) == []
 
 
 # ---------------------------------------------------------------------------
-# DET004 — worker entry functions carry their seed
+# FLOW002/006 — pool workers draw only from their arguments
 # ---------------------------------------------------------------------------
 class TestWorkerSeed:
-    def test_worker_without_seed_param_flagged(self):
-        src = "def _cell_worker(a, b):\n    return a + b\n"
-        assert hits(src, path=UNSCOPED_PATH) == ["DET004"]
-
     def test_applies_outside_sim_scope(self):
-        # workers live in experiments/, not the DET001-003 scope dirs
-        src = "def _shard_worker(x):\n    return x\n"
-        assert hits(src, path="src/repro/experiments/fixture.py") == [
-            "DET004"
-        ]
+        # workers live in experiments/, outside the simulation dirs; a
+        # private worker with an effect is an entry point of its own
+        src = (
+            "import numpy as np\n"
+            "def _shard_worker(x):\n"
+            "    return x * np.random.default_rng().random()\n"
+        )
+        assert hits(src, path=WORKER_PATH) == ["FLOW002", "FLOW006"]
 
     @pytest.mark.parametrize(
         "params", ["a, seed", "a, base_seed", "rng, n", "a, *, stream",
                    "a, seedseq"]
     )
     def test_seed_bearing_params_clean(self, params):
-        src = f"def _cell_worker({params}):\n    return 0\n"
-        assert hits(src, path=UNSCOPED_PATH) == []
+        seed = next(
+            p for p in re.split(r"[\s,*]+", params)
+            if re.search("rng|seed|stream", p)
+        )
+        src = (
+            "import numpy as np\n"
+            f"def _cell_worker({params}):\n"
+            f"    return np.random.default_rng({seed}).random()\n"
+        )
+        assert hits(src, path=WORKER_PATH) == []
 
     def test_non_worker_function_ignored(self):
         src = "def run_sweep(a, b):\n    return a + b\n"
-        assert hits(src, path=UNSCOPED_PATH) == []
+        assert hits(src, path=WORKER_PATH) == []
 
     def test_unseeded_rng_inside_worker_flagged(self):
         src = (
@@ -157,7 +181,7 @@ class TestWorkerSeed:
             "def _shard_worker(seed):\n"
             "    return np.random.default_rng().random()\n"
         )
-        assert hits(src, path=UNSCOPED_PATH) == ["DET004"]
+        assert hits(src, path=WORKER_PATH) == ["FLOW002", "FLOW006"]
 
     def test_global_singleton_inside_worker_flagged(self):
         src = (
@@ -165,7 +189,7 @@ class TestWorkerSeed:
             "def _shard_worker(seed):\n"
             "    return np.random.uniform()\n"
         )
-        assert hits(src, path=UNSCOPED_PATH) == ["DET004"]
+        assert hits(src, path=WORKER_PATH) == ["FLOW002"]
 
     def test_seeded_rng_inside_worker_clean(self):
         src = (
@@ -173,15 +197,19 @@ class TestWorkerSeed:
             "def _shard_worker(seedseq):\n"
             "    return np.random.default_rng(seedseq).random()\n"
         )
-        assert hits(src, path=UNSCOPED_PATH) == []
+        assert hits(src, path=WORKER_PATH) == []
 
     def test_suppression_with_justification(self):
         src = (
-            "def _worker_entry(conn, task):  "
-            "# simlint: disable=DET004 -- seed rides in the task payload\n"
-            "    return task\n"
+            "import numpy as np\n"
+            "def _worker_entry(conn, task):\n"
+            "    return np.random.default_rng().random()  "
+            "# simlint: disable=FLOW002,FLOW006 -- entropy on purpose\n"
         )
-        assert hits(src, path=UNSCOPED_PATH) == []
+        assert hits(src, path=WORKER_PATH) == []
+        sups = suppressed(src, path=WORKER_PATH)
+        assert [s.finding.rule for s in sups] == ["FLOW002", "FLOW006"]
+        assert {s.reason for s in sups} == {"entropy on purpose"}
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +218,19 @@ class TestWorkerSeed:
 class TestOrdering:
     def test_for_over_set_literal_flagged(self):
         src = "for x in {1, 2, 3}:\n    consume(x)\n"
-        assert hits(src) == ["ORD001"]
+        assert hits(src, select=["ORD"]) == ["ORD001"]
 
     def test_for_over_set_local_flagged(self):
         src = "s = set([3, 1])\nfor x in s:\n    consume(x)\n"
-        assert hits(src) == ["ORD001"]
+        assert hits(src, select=["ORD"]) == ["ORD001"]
 
     def test_comprehension_over_set_flagged(self):
         src = "s = {1, 2}\nout = [x + 1 for x in s]\n"
-        assert hits(src) == ["ORD001"]
+        assert hits(src, select=["ORD"]) == ["ORD001"]
 
     def test_sum_over_set_flagged(self):
         src = "s = {1.5, 2.5}\ntotal = sum(s)\n"
-        assert hits(src) == ["ORD001"]
+        assert hits(src, select=["ORD"]) == ["ORD001"]
 
     def test_annotated_return_tracked_across_call(self):
         src = (
@@ -212,11 +240,11 @@ class TestOrdering:
             "    for h in holders():\n"
             "        consume(h)\n"
         )
-        assert hits(src) == ["ORD001"]
+        assert hits(src, select=["ORD"]) == ["ORD001"]
 
     def test_sorted_iteration_clean(self):
         src = "s = {1, 2}\nfor x in sorted(s):\n    consume(x)\n"
-        assert hits(src) == []
+        assert hits(src, select=["ORD"]) == []
 
     def test_membership_and_len_clean(self):
         src = (
@@ -225,19 +253,19 @@ class TestOrdering:
             "n = len(s)\n"
             "m = min(s)\n"
         )
-        assert hits(src) == []
+        assert hits(src, select=["ORD"]) == []
 
     def test_list_iteration_clean(self):
         src = "xs = [1, 2]\nfor x in xs:\n    consume(x)\n"
-        assert hits(src) == []
+        assert hits(src, select=["ORD"]) == []
 
     def test_set_pop_flagged(self):
         src = "s = {1, 2}\ns.pop()\n"
-        assert hits(src) == ["ORD002"]
+        assert hits(src, select=["ORD"]) == ["ORD002"]
 
     def test_list_pop_clean(self):
         src = "xs = [1, 2]\nxs.pop()\n"
-        assert hits(src) == []
+        assert hits(src, select=["ORD"]) == []
 
     def test_suppression(self):
         src = (
@@ -245,11 +273,11 @@ class TestOrdering:
             "for x in s:  # simlint: disable=ORD001 -- order-free fold\n"
             "    consume(x)\n"
         )
-        assert hits(src) == []
+        assert hits(src, select=["ORD"]) == []
 
     def test_reassignment_clears_tracking(self):
         src = "s = {1, 2}\ns = [1, 2]\nfor x in s:\n    consume(x)\n"
-        assert hits(src) == []
+        assert hits(src, select=["ORD"]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +286,15 @@ class TestOrdering:
 class TestExcepts:
     def test_bare_except_flagged(self):
         src = "try:\n    f()\nexcept:\n    pass\n"
-        assert hits(src) == ["ERR001"]
+        assert hits(src, select=["ERR"]) == ["ERR001"]
 
     def test_broad_except_flagged(self):
         src = "try:\n    f()\nexcept Exception:\n    pass\n"
-        assert hits(src) == ["ERR002"]
+        assert hits(src, select=["ERR"]) == ["ERR002"]
 
     def test_broad_except_with_reraise_clean(self):
         src = "try:\n    f()\nexcept Exception:\n    log()\n    raise\n"
-        assert hits(src) == []
+        assert hits(src, select=["ERR"]) == []
 
     def test_guarded_broad_except_clean(self):
         src = (
@@ -277,11 +305,11 @@ class TestExcepts:
             "except Exception as exc:\n"
             "    record(exc)\n"
         )
-        assert hits(src) == []
+        assert hits(src, select=["ERR"]) == []
 
     def test_narrow_except_clean(self):
         src = "try:\n    f()\nexcept ValueError:\n    pass\n"
-        assert hits(src) == []
+        assert hits(src, select=["ERR"]) == []
 
     def test_swallowed_timeout_flagged(self):
         src = (
@@ -290,7 +318,7 @@ class TestExcepts:
             "except ExperimentTimeoutError:\n"
             "    pass\n"
         )
-        assert hits(src) == ["ERR003"]
+        assert hits(src, select=["ERR"]) == ["ERR003"]
 
     def test_swallowed_interrupt_in_tuple_flagged(self):
         src = (
@@ -299,7 +327,7 @@ class TestExcepts:
             "except (ValueError, KeyboardInterrupt):\n"
             "    pass\n"
         )
-        assert hits(src) == ["ERR003"]
+        assert hits(src, select=["ERR"]) == ["ERR003"]
 
     def test_suppression(self):
         src = (
@@ -309,7 +337,7 @@ class TestExcepts:
             "# simlint: disable=ERR002 -- top-level report boundary\n"
             "    pass\n"
         )
-        assert hits(src) == []
+        assert hits(src, select=["ERR"]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +350,7 @@ class TestAtomicArtifactWrite:
             '    with open(checkpoint_path, "w") as fh:\n'
             "        fh.write(text)\n"
         )
-        assert hits(src) == ["ERR004"]
+        assert hits(src, select=["ERR"]) == ["ERR004"]
 
     def test_mode_keyword_flagged(self):
         src = (
@@ -330,14 +358,14 @@ class TestAtomicArtifactWrite:
             '    with open(ckpt, mode="wb") as fh:\n'
             "        fh.write(blob)\n"
         )
-        assert hits(src) == ["ERR004"]
+        assert hits(src, select=["ERR"]) == ["ERR004"]
 
     def test_write_text_on_cache_entry_flagged(self):
         src = (
             "def save(cache_entry, text):\n"
             "    cache_entry.write_text(text)\n"
         )
-        assert hits(src) == ["ERR004"]
+        assert hits(src, select=["ERR"]) == ["ERR004"]
 
     def test_append_mode_clean(self):
         src = (
@@ -345,7 +373,7 @@ class TestAtomicArtifactWrite:
             '    with open(journal_path, "a") as fh:\n'
             "        fh.write(line)\n"
         )
-        assert hits(src) == []
+        assert hits(src, select=["ERR"]) == []
 
     def test_read_mode_clean(self):
         src = (
@@ -353,7 +381,7 @@ class TestAtomicArtifactWrite:
             "    with open(checkpoint_path) as fh:\n"
             "        return fh.read()\n"
         )
-        assert hits(src) == []
+        assert hits(src, select=["ERR"]) == []
 
     def test_non_artifact_write_clean(self):
         src = (
@@ -361,7 +389,7 @@ class TestAtomicArtifactWrite:
             '    with open(report_path, "w") as fh:\n'
             "        fh.write(text)\n"
         )
-        assert hits(src) == []
+        assert hits(src, select=["ERR"]) == []
 
     def test_suppression_with_justification(self):
         src = (
@@ -369,8 +397,8 @@ class TestAtomicArtifactWrite:
             "    ckpt.write_text(text)  "
             "# simlint: disable=ERR004 -- torn-write test fixture\n"
         )
-        assert hits(src) == []
-        (sup,) = suppressed(src)
+        assert hits(src, select=["ERR"]) == []
+        (sup,) = suppressed(src, select=["ERR"])
         assert sup.finding.rule == "ERR004"
         assert sup.reason == "torn-write test fixture"
 
@@ -380,19 +408,19 @@ class TestAtomicArtifactWrite:
 # ---------------------------------------------------------------------------
 class TestApi:
     def test_mutable_default_flagged(self):
-        assert hits("def f(x=[]):\n    pass\n") == ["API001"]
+        assert hits("def f(x=[]):\n    pass\n", select=["API"]) == ["API001"]
 
     def test_dict_call_default_flagged(self):
-        assert hits("def f(x=dict()):\n    pass\n") == ["API001"]
+        assert hits("def f(x=dict()):\n    pass\n", select=["API"]) == ["API001"]
 
     def test_kwonly_mutable_default_flagged(self):
-        assert hits("def f(*, x={}):\n    pass\n") == ["API001"]
+        assert hits("def f(*, x={}):\n    pass\n", select=["API"]) == ["API001"]
 
     def test_none_default_clean(self):
-        assert hits("def f(x=None):\n    pass\n") == []
+        assert hits("def f(x=None):\n    pass\n", select=["API"]) == []
 
     def test_tuple_default_clean(self):
-        assert hits("def f(x=(1, 2)):\n    pass\n") == []
+        assert hits("def f(x=(1, 2)):\n    pass\n", select=["API"]) == []
 
     def test_setattr_outside_ctor_flagged(self):
         src = (
@@ -400,7 +428,7 @@ class TestApi:
             "    def poke(self):\n"
             "        object.__setattr__(self, 'x', 1)\n"
         )
-        assert hits(src) == ["API002"]
+        assert hits(src, select=["API"]) == ["API002"]
 
     def test_setattr_in_post_init_clean(self):
         src = (
@@ -408,7 +436,7 @@ class TestApi:
             "    def __post_init__(self):\n"
             "        object.__setattr__(self, 'x', 1)\n"
         )
-        assert hits(src) == []
+        assert hits(src, select=["API"]) == []
 
     def test_suppression(self):
         src = (
@@ -417,7 +445,7 @@ class TestApi:
             "        object.__setattr__(self, 'x', 1)  "
             "# simlint: disable=API002 -- cache rebuild\n"
         )
-        assert hits(src) == []
+        assert hits(src, select=["API"]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +564,7 @@ class TestContracts:
 class TestPrintLogging:
     def test_print_flagged_in_sim_code(self):
         src = "def f(x):\n    print(x)\n"
-        assert hits(src) == ["OBS001"]
+        assert hits(src, select=["OBS"]) == ["OBS001"]
 
     def test_logging_import_and_call_flagged(self):
         src = (
@@ -545,15 +573,15 @@ class TestPrintLogging:
             "def f():\n"
             "    logger.info('hi')\n"
         )
-        assert hits(src) == ["OBS001", "OBS001", "OBS001"]
+        assert hits(src, select=["OBS"]) == ["OBS001", "OBS001", "OBS001"]
 
     def test_unscoped_file_not_flagged(self):
         src = "def f(x):\n    print(x)\n"
-        assert hits(src, path=UNSCOPED_PATH) == []
+        assert hits(src, path=UNSCOPED_PATH, select=["OBS"]) == []
 
     def test_math_log_clean(self):
         src = "import math\n\ndef f(x):\n    return math.log(x)\n"
-        assert hits(src) == []
+        assert hits(src, select=["OBS"]) == []
 
     def test_bus_emission_clean(self):
         src = (
@@ -561,15 +589,15 @@ class TestPrintLogging:
             "    registry.counter('commits').inc()\n"
             "    bus.emit(now, 'commit', 0)\n"
         )
-        assert hits(src) == []
+        assert hits(src, select=["OBS"]) == []
 
     def test_obs_suppression(self):
         src = (
             "def f(x):\n"
             "    print(x)  # simlint: disable=OBS001 -- debug aid\n"
         )
-        assert hits(src) == []
-        (sup,) = suppressed(src)
+        assert hits(src, select=["OBS"]) == []
+        (sup,) = suppressed(src, select=["OBS"])
         assert sup.finding.rule == "OBS001"
         assert sup.reason == "debug aid"
 
@@ -579,20 +607,23 @@ class TestPrintLogging:
 # ---------------------------------------------------------------------------
 class TestEngine:
     def test_skip_file_pragma(self):
-        src = "# simlint: skip-file\nimport random\n"
+        src = "# simlint: skip-file\nimport random\nx = random.random()\n"
         assert hits(src) == []
 
     def test_skip_file_pragma_deep_in_file_ignored(self):
-        src = "import random\n" + "x = 1\n" * 12 + "# simlint: skip-file\n"
-        assert hits(src) == ["DET002"]
+        src = (
+            "import random\nx = random.random()\n" + "y = 1\n" * 12
+            + "# simlint: skip-file\n"
+        )
+        assert hits(src) == ["FLOW002"]
 
     def test_blanket_disable(self):
-        src = "import random  # simlint: disable\n"
+        src = "import random\nx = random.random()  # simlint: disable\n"
         assert hits(src) == []
 
     def test_disable_other_rule_does_not_mask(self):
-        src = "import random  # simlint: disable=ORD001\n"
-        assert hits(src) == ["DET002"]
+        src = "import random\nx = random.random()  # simlint: disable=ORD001\n"
+        assert hits(src) == ["FLOW002"]
 
     def test_syntax_error_is_finding(self):
         result = lint_sources({SIM_PATH: "def f(:\n"})
@@ -603,18 +634,26 @@ class TestEngine:
             lint_sources({SIM_PATH: "x = 1\n"}, select=["NOPE999"])
 
     def test_family_prefix_selection(self):
-        src = "import random\nfor x in {1, 2}:\n    print(x)\n"
-        assert hits(src, select=["DET"]) == ["DET002"]
+        src = "import random\nx = random.random()\nfor y in {1, 2}:\n    print(y)\n"
+        assert hits(src, select=["FLOW"]) == ["FLOW002", "FLOW003"]
         assert hits(src, select=["ORD"]) == ["ORD001"]
 
     def test_ignore_family(self):
-        src = "import random\nfor x in {1, 2}:\n    consume(x)\n"
-        result = lint_sources({SIM_PATH: src}, ignore=["ORD"])
-        assert [f.rule for f in result.findings] == ["DET002"]
+        src = "import random\nx = random.random()\nfor y in {1, 2}:\n    consume(y)\n"
+        result = lint_sources({SIM_PATH: src}, ignore=["FLOW"])
+        assert [f.rule for f in result.findings] == ["ORD001"]
 
     def test_findings_sorted_and_deduped(self):
-        src = "import random\nimport secrets\n"
+        src = (
+            "import random\n"
+            "s = {1, 2}\n"
+            "for x in s:\n"
+            "    consume(x)\n"
+            "y = random.random()\n"
+        )
         result = lint_sources({SIM_PATH: src})
+        # FLOW003 sees set literals and set() calls, not set-typed locals
+        assert [f.rule for f in result.findings] == ["ORD001", "FLOW002"]
         lines = [f.line for f in result.findings]
         assert lines == sorted(lines)
         assert len(result.findings) == len(set(result.findings))
