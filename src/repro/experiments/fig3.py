@@ -179,27 +179,39 @@ def run_fig3(
     ]
 
 
-def run_fig3_stack(*, pool=None, **kwargs) -> list[dict[str, object]]:
+def run_fig3_stack(
+    *, seed: int | None = None, pool=None, **kwargs
+) -> list[dict[str, object]]:
     """Figure 3, stack throughput."""
-    return run_fig3(StackWorkload, pool=pool, **kwargs)
+    return run_fig3(StackWorkload, seed=seed, pool=pool, **kwargs)
 
 
-def run_fig3_queue(*, pool=None, **kwargs) -> list[dict[str, object]]:
+def run_fig3_queue(
+    *, seed: int | None = None, pool=None, **kwargs
+) -> list[dict[str, object]]:
     """Figure 3, queue throughput."""
-    return run_fig3(QueueWorkload, pool=pool, **kwargs)
+    return run_fig3(QueueWorkload, seed=seed, pool=pool, **kwargs)
 
 
-def run_fig3_txapp(*, pool=None, **kwargs) -> list[dict[str, object]]:
+def run_fig3_txapp(
+    *, seed: int | None = None, pool=None, **kwargs
+) -> list[dict[str, object]]:
     """Figure 3, transactional application (uniform lengths)."""
     return run_fig3(
-        functools.partial(TxAppWorkload, work_cycles=100), pool=pool, **kwargs
+        functools.partial(TxAppWorkload, work_cycles=100),
+        seed=seed,
+        pool=pool,
+        **kwargs,
     )
 
 
-def run_fig3_bimodal(*, pool=None, **kwargs) -> list[dict[str, object]]:
+def run_fig3_bimodal(
+    *, seed: int | None = None, pool=None, **kwargs
+) -> list[dict[str, object]]:
     """Figure 3, bimodal transactional application."""
     return run_fig3(
         functools.partial(TxAppWorkload, work_cycles=100, bimodal=True),
+        seed=seed,
         pool=pool,
         **kwargs,
     )
@@ -217,19 +229,26 @@ EXT_POLICIES = (
 )
 
 
-def run_ext_bank(*, pool=None, **kwargs) -> list[dict[str, object]]:
+def run_ext_bank(
+    *, seed: int | None = None, pool=None, **kwargs
+) -> list[dict[str, object]]:
     """Extension panel: bank transfers + audits under every resolution."""
     from repro.workloads import BankWorkload
 
     kwargs.setdefault("policies", EXT_POLICIES)
     return run_fig3(
-        functools.partial(BankWorkload, p_audit=0.1), pool=pool, **kwargs
+        functools.partial(BankWorkload, p_audit=0.1),
+        seed=seed,
+        pool=pool,
+        **kwargs,
     )
 
 
-def run_ext_listset(*, pool=None, **kwargs) -> list[dict[str, object]]:
+def run_ext_listset(
+    *, seed: int | None = None, pool=None, **kwargs
+) -> list[dict[str, object]]:
     """Extension panel: sorted linked-list set under every resolution."""
     from repro.workloads import ListSetWorkload
 
     kwargs.setdefault("policies", EXT_POLICIES)
-    return run_fig3(ListSetWorkload, pool=pool, **kwargs)
+    return run_fig3(ListSetWorkload, seed=seed, pool=pool, **kwargs)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import inspect
+import json
 import logging
 import signal
 import threading
@@ -422,6 +423,59 @@ def _watchdog(seconds: float | None, exp_id: str):
 #: executes, never *what* is computed.
 _RUNTIME_ONLY = ("pool", "cache")
 
+#: exp_id -> ((kwargs, quick, seed, runner), rows as JSON text): the
+#: last successful result :func:`run_experiment` returned for each id in
+#: this process, computed or read from the disk cache.  The key is
+#: ResultCache's without the source fingerprint, which cannot change
+#: inside a process; the runner makes ``register_experiment(...,
+#: replace=True)`` safe.  Only the scorecard reads it (through
+#: :func:`_stored_rows`), so ``--no-cache`` still recomputes every
+#: experiment a caller names.  Reading it is safe because rows are a
+#: pure function of the key: it changes wall time, never a row, which
+#: is not the run-order dependence FLOW004 guards against.
+_LAST_ROWS: dict[str, tuple[tuple, str]] = {}
+
+
+def _invocation(exp_id: str, quick: bool, seed: int | None, overrides: dict):
+    """``(spec, runner parameters, kwargs, key)`` for one call: kwargs
+    are the mode defaults, overrides and seed with the runtime-only
+    arguments removed, and the key is what :data:`_LAST_ROWS` matches."""
+    spec = _resolve_spec(exp_id)
+    if spec is None:
+        known = ", ".join(sorted(_SPECS))
+        raise ExperimentError(f"unknown experiment {exp_id!r}; known: {known}")
+    sig_params = inspect.signature(spec.runner).parameters
+    kwargs = dict(spec.quick_kwargs if quick else spec.full_kwargs)
+    kwargs.update(overrides)
+    if seed is not None and "seed" in sig_params:
+        kwargs.setdefault("seed", seed)
+    kwargs = {k: v for k, v in kwargs.items() if k not in _RUNTIME_ONLY}
+    # the key copies kwargs: they become the result's params, which the
+    # caller may change
+    return spec, sig_params, kwargs, (dict(kwargs), quick, seed, spec.runner)
+
+
+def _remember(exp_id: str, key: tuple, rows: list) -> None:
+    """Record ``rows`` as ``exp_id``'s latest; rows that do not
+    serialize (like ``ResultCache.put_rows``) leave no entry."""
+    try:
+        _LAST_ROWS[exp_id] = (key, json.dumps(rows))
+    except (TypeError, ValueError):
+        _LAST_ROWS.pop(exp_id, None)
+
+
+def _stored_rows(
+    exp_id: str, *, quick: bool, seed: int | None
+) -> list[dict[str, object]] | None:
+    """A parsed copy of the rows ``run_experiment(exp_id, quick=quick,
+    seed=seed)`` last returned in this process, or ``None`` when it has
+    not returned them (the latest entry is another invocation's)."""
+    *_, key = _invocation(exp_id, quick, seed, {})
+    entry = _LAST_ROWS.get(exp_id)
+    if entry is None or entry[0] != key:
+        return None
+    return json.loads(entry[1])
+
 
 def run_experiment(
     exp_id: str,
@@ -454,20 +508,16 @@ def run_experiment(
     Neither changes the rows — caching replays them, pooling only
     relocates the computation — and neither appears in the result's
     ``params`` or the cache key.
+
+    The rows of the last successful result per id are kept for the
+    scorecard to grade (see :data:`_LAST_ROWS`); this function itself
+    never returns kept rows, so every call computes or reads ``cache``.
     """
-    spec = _resolve_spec(exp_id)
-    if spec is None:
-        known = ", ".join(sorted(_SPECS))
-        raise ExperimentError(f"unknown experiment {exp_id!r}; known: {known}")
-    sig_params = inspect.signature(spec.runner).parameters
-    kwargs = dict(spec.quick_kwargs if quick else spec.full_kwargs)
-    kwargs.update(overrides)
-    if seed is not None and "seed" in sig_params:
-        kwargs.setdefault("seed", seed)
-    kwargs = {k: v for k, v in kwargs.items() if k not in _RUNTIME_ONLY}
+    spec, sig_params, kwargs, key = _invocation(exp_id, quick, seed, overrides)
     if cache is not None:
         hit = cache.get_rows(exp_id, kwargs, quick=quick, seed=seed)
         if hit is not None:
+            _remember(exp_id, key, hit)
             return ExperimentResult(
                 exp_id=exp_id,
                 title=spec.title,
@@ -495,6 +545,7 @@ def run_experiment(
             time.sleep(retry.attempt_backoff(attempt))
     if cache is not None:
         cache.put_rows(exp_id, rows, kwargs, quick=quick, seed=seed)
+    _remember(exp_id, key, rows)
     return ExperimentResult(
         exp_id=exp_id,
         title=spec.title,

@@ -29,9 +29,10 @@ rows are recomputed.  ``repro cache verify`` / ``repro cache prune``
 tool via :func:`scan_cache_dir`.  Entries are committed with
 :func:`repro.parallel.journal.atomic_write_text`, so a crash mid-write
 leaves the previous entry (or nothing), never a torn file.
-``scorecard`` is the headline consumer: in one ``python -m repro all``
-batch it re-grades sub-experiments from their just-written cache
-entries instead of recomputing them.
+``scorecard`` is the headline consumer across runs: it re-grades
+sub-experiments from a previous batch's entries instead of recomputing
+them.  Inside one ``python -m repro all`` batch it grades the rows the
+process already computed, with or without ``--no-cache``.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -12,7 +14,27 @@ from repro.experiments import (
     render_table,
     run_experiment,
 )
+from repro.experiments.registry import _SPECS
 from repro.experiments.report import ascii_bars
+
+#: analytic experiments: they draw no randomness and take no seed
+SEED_FREE = {
+    "tab_ratios",
+    "tab_abort_prob",
+    "abl_delay_cap",
+    "abl_hybrid",
+    "abl_mean_error",
+}
+
+#: the HTM panels whose seed reaches ``run_fig3``
+HTM_PANELS = (
+    "fig3_stack",
+    "fig3_queue",
+    "fig3_txapp",
+    "fig3_bimodal",
+    "ext_bank",
+    "ext_listset",
+)
 
 
 class TestRegistry:
@@ -44,6 +66,22 @@ class TestRegistry:
     def test_unknown_raises(self):
         with pytest.raises(ExperimentError):
             run_experiment("fig99")
+
+    def test_every_randomized_runner_takes_seed(self):
+        seedless = {
+            exp_id
+            for exp_id, spec in _SPECS.items()
+            if "seed" not in inspect.signature(spec.runner).parameters
+        }
+        assert seedless == SEED_FREE
+
+    @pytest.mark.parametrize("exp_id", HTM_PANELS)
+    def test_seed_reaches_htm_panel(self, exp_id):
+        small = dict(threads=(4,), horizon=5_000.0)
+        one = run_experiment(exp_id, quick=True, seed=1, **small)
+        two = run_experiment(exp_id, quick=True, seed=2, **small)
+        assert one.params["seed"] == 1
+        assert one.rows != two.rows
 
 
 class TestQuickRuns:

@@ -81,6 +81,23 @@ class TestScorecard:
         assert not failures, f"claims not reproduced: {failures}"
         assert total["reproduced"] is True
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_warm_store_grades_like_cold(self, seed, monkeypatch):
+        """The cold scorecard's own sub-runs fill the row store; the
+        warm one grades every artifact from it and computes nothing."""
+        from repro.experiments import registry
+        from repro.experiments.scorecard import run_scorecard
+
+        monkeypatch.setattr(registry, "_LAST_ROWS", {})
+        cold = run_scorecard(quick=True, seed=seed)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the warm scorecard recomputed an artifact")
+
+        monkeypatch.setattr(registry, "run_experiment", no_run)
+        assert run_scorecard(quick=True, seed=seed) == cold
+
 
 class TestCliJson:
     def test_json_written(self, tmp_path):

@@ -117,12 +117,12 @@ class TestCacheCounters:
 class TestCliDeterminism:
     """--metrics-out / --trace-out bytes do not depend on --jobs."""
 
-    def run_cli(self, tmp_path, jobs, label, extra=()):
+    def run_cli(self, tmp_path, jobs, label, extra=(), ids=("fig2a",)):
         metrics = tmp_path / f"metrics-{label}.json"
         trace = tmp_path / f"trace-{label}.jsonl"
         rc = cli_main(
             [
-                "fig2a",
+                *ids,
                 "--quick",
                 "--seed",
                 "3",
@@ -169,6 +169,30 @@ class TestCliDeterminism:
             )
         assert outputs[0] == outputs[1]
         assert outputs[0][2]  # the run was actually traced
+
+    @pytest.mark.slow
+    def test_scorecard_batch_jobs_1_vs_2_byte_identical(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """At --jobs 1 the scorecard runs after fig2a and fig2c in one
+        process; at --jobs 2 its worker ran at most one of them.  Under
+        a capture it grades no kept rows, so both record every sub-run."""
+        from repro.experiments import registry
+
+        outputs = []
+        for jobs in (1, 2):
+            # each CLI run starts, as a fresh process does, with no rows
+            monkeypatch.setattr(registry, "_LAST_ROWS", {})
+            outputs.append(
+                self.run_cli(
+                    tmp_path,
+                    jobs,
+                    f"scorecard-{jobs}",
+                    ("--no-cache",),
+                    ids=("fig2a", "fig2c", "scorecard"),
+                )
+            )
+        assert outputs[0] == outputs[1]
 
     def test_metrics_snapshot_is_wellformed(self, tmp_path, capsys):
         metrics, trace = self.run_cli(tmp_path, 2, "shape")

@@ -16,8 +16,10 @@ from repro.errors import (
     SimulationError,
 )
 from repro.experiments import EXPERIMENTS, register_experiment, run_experiment
+from repro.experiments import registry, scorecard
 from repro.experiments.registry import _SPECS
 from repro.experiments.report import render_failures
+from repro.experiments.scorecard import run_scorecard
 from repro.parallel import RetryPolicy
 
 
@@ -79,6 +81,71 @@ class TestRegistration:
     def test_unknown_experiment(self):
         with pytest.raises(ExperimentError, match="unknown experiment"):
             run_experiment("no_such_thing")
+
+
+class TestRowStore:
+    """``run_experiment`` keeps each id's last rows; only the scorecard
+    grades from them."""
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        monkeypatch.setattr(registry, "_LAST_ROWS", {})
+
+    @staticmethod
+    def grade_only(monkeypatch, exp_id, grader):
+        monkeypatch.setattr(scorecard, "_GRADERS", {exp_id: grader})
+
+    def test_top_level_calls_always_run(self, scratch):
+        calls = []
+
+        def counting(**kw):
+            calls.append(1)
+            return [{"call": len(calls)}]
+
+        exp_id = scratch("zz_counted", counting)
+        assert run_experiment(exp_id, quick=True).rows == [{"call": 1}]
+        assert run_experiment(exp_id, quick=True).rows == [{"call": 2}]
+        assert len(calls) == 2
+        # kept, but never handed back to a top-level call
+        assert registry._stored_rows(exp_id, quick=True, seed=None) == [
+            {"call": 2}
+        ]
+
+    def test_replaced_runner_not_graded_from_predecessor(
+        self, scratch, monkeypatch
+    ):
+        exp_id = scratch("zz_graded", lambda **kw: [{"ok": True}])
+        self.grade_only(monkeypatch, exp_id, lambda rows: (rows[0]["ok"], ""))
+        assert run_scorecard(quick=True)[0]["reproduced"] is True
+        register_experiment(
+            exp_id, "replacement", lambda **kw: [{"ok": False}], replace=True
+        )
+        assert registry._stored_rows(exp_id, quick=True, seed=None) is None
+        assert run_scorecard(quick=True)[0]["reproduced"] is False
+
+    def test_unserializable_rows_are_not_kept(self, scratch):
+        exp_id = scratch("zz_opaque", lambda **kw: [{"x": object()}])
+        run_experiment(exp_id)
+        assert exp_id not in registry._LAST_ROWS
+
+    def test_scorecard_recomputes_under_capture(self, monkeypatch):
+        from repro.obs import capture
+
+        self.grade_only(
+            monkeypatch, "robustness", scorecard._GRADERS["robustness"]
+        )
+        run_experiment("robustness", quick=True)
+        with capture() as cap:
+            graded = run_scorecard(quick=True)
+        # the capture holds the sub-run's machine counters
+        assert cap.snapshot()["counters"].get("commits", 0) > 0
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the scorecard recomputed a kept artifact")
+
+        # outside a capture the same grade comes from the kept rows
+        monkeypatch.setattr(registry, "run_experiment", no_run)
+        assert run_scorecard(quick=True) == graded
 
 
 class TestWatchdog:
