@@ -1,12 +1,12 @@
 """Unified core benchmark suite — one entry point, one artifact.
 
 ``python benchmarks/bench_suite.py`` (with ``PYTHONPATH=src``) runs the
-named core benches — the vectorized policy kernels against their scalar
-reference paths, the theorem-verification table, and the DES event
-loop — and writes a schema-validated ``BENCH_core.json`` to the repo
-root.  Grid-shaped benches time both the batched kernel and the
-per-cell scalar path it replaced, so the recorded ``speedup`` field is
-the living evidence for the vectorization claims in
+named core benches — the whole-row expected-cost quadrature, the
+theorem-verification table, the DES event loop and the batched
+Monte-Carlo engine — and writes a schema-validated ``BENCH_core.json``
+to the repo root.  Batched benches time both the batched path and the
+per-point or per-trial path it replaced, so the recorded ``speedup``
+field is the living evidence for the vectorization claims in
 ``docs/PERFORMANCE.md``.
 
 CI modes::
@@ -40,10 +40,9 @@ try:  # package import (tests) or sibling import (standalone script)
 except ImportError:  # pragma: no cover - script-mode fallback
     import schema as bench_schema  # type: ignore[no-redef]
 
-from repro.core import kernels, ratios, ski_rental
 from repro.core.model import ConflictKind, ConflictModel
 from repro.core.requestor_wins import UniformRW
-from repro.core.verify import expected_cost
+from repro.core.verify import expected_cost, expected_cost_curve
 from repro.experiments.tables import run_tab_ratios
 from repro.rngutil import seedseq_for
 from repro.sim.engine import Simulator
@@ -73,72 +72,28 @@ def _median_time(fn, repeats: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bench_regimes_theory_grid(quick: bool, repeats: int) -> dict:
-    """Regime-boundary theory bounds over a (B, µ) grid.
-
-    Kernel path: two batched :func:`kernels.rw_best_ratio` /
-    :func:`kernels.ra_best_ratio` calls.  Scalar path: the per-cell
-    regime dispatch through :mod:`repro.core.ratios` that the regimes
-    experiment used before vectorization.
-    """
-    n = 512 if quick else 4096
-    mu = 500.0
-    Bs = mu * np.linspace(0.25, 8.0, n)
-    ks = np.full(n, 2, dtype=int)
-
-    def kernel_path():
-        kernels.rw_best_ratio(Bs, mu, ks)
-        kernels.ra_best_ratio(Bs, mu, ks)
-
-    def scalar_path():
-        for B in Bs:
-            b = float(B)
-            if mu / b < ratios.rw_mean_regime_threshold(2):
-                ratios.constrained_rw_ratio(b, mu, 2)
-            else:
-                ratios.rand_rw_optimal_ratio(2)
-            if mu / b < ratios.ra_mean_regime_threshold(2):
-                ratios.constrained_ra_ratio(b, mu, 2)
-            else:
-                ratios.rand_ra_ratio(2)
-
-    median_s = _median_time(kernel_path, repeats)
-    baseline_s = _median_time(scalar_path, max(1, repeats // 3))
-    return {
-        "median_s": round(median_s, 6),
-        "repeats": repeats,
-        "ops": 2 * n,
-        "baseline_s": round(baseline_s, 6),
-        "speedup": round(baseline_s / max(median_s, 1e-12), 2),
-    }
-
-
 def bench_fig2_expectation_row(quick: bool, repeats: int) -> dict:
     """Expected-cost curve of the uniform RW policy over a D row.
 
-    Kernel path: one :func:`kernels.expected_cost_grid` call (one
-    quadrature shared by the whole row).  Scalar path: per-point
-    :func:`repro.core.verify.expected_cost`, which rebuilds the full
-    8193-point quadrature for every D — the shape of work the fig2 /
-    verify consumers issued before the batched engine existed.
+    Batched path: one :func:`repro.core.verify.expected_cost_curve`
+    call (one quadrature shared by the whole row).  Scalar path:
+    per-point :func:`repro.core.verify.expected_cost`, which rebuilds
+    the full 8193-point quadrature for every D.
     """
     n = 64 if quick else 512
     B, k = 2000.0, 2
     d = np.linspace(10.0, 4.0 * B, n)
-
-    def kernel_path():
-        kernels.expected_cost_grid(
-            ConflictKind.REQUESTOR_WINS, "uniform_rw", B, k, d
-        )
-
     policy = UniformRW(B)
     model = ConflictModel(ConflictKind.REQUESTOR_WINS, B=B, k=k)
+
+    def batched_path():
+        expected_cost_curve(policy, model, d)
 
     def scalar_path():
         for di in d:
             expected_cost(policy, model, float(di))
 
-    median_s = _median_time(kernel_path, repeats)
+    median_s = _median_time(batched_path, repeats)
     baseline_s = _median_time(scalar_path, max(1, repeats // 3))
     return {
         "median_s": round(median_s, 6),
@@ -149,38 +104,9 @@ def bench_fig2_expectation_row(quick: bool, repeats: int) -> dict:
     }
 
 
-def bench_ski_rental_grid(quick: bool, repeats: int) -> dict:
-    """Randomized ski-rental expectation over a (B, days) grid.
-
-    Kernel path hoists the Karlin pmf per unique B; scalar path calls
-    :func:`repro.core.ski_rental.expected_cost_randomized` per cell.
-    """
-    n_days = 64 if quick else 256
-    B_vals = (8, 32, 128)
-    Bs = np.repeat(B_vals, n_days)
-    days = np.tile(np.arange(1, n_days + 1), len(B_vals))
-
-    def kernel_path():
-        kernels.ski_expected_cost_randomized(Bs, days)
-
-    def scalar_path():
-        for b, d in zip(Bs, days):
-            ski_rental.expected_cost_randomized(int(b), int(d))
-
-    median_s = _median_time(kernel_path, repeats)
-    baseline_s = _median_time(scalar_path, max(1, repeats // 3))
-    return {
-        "median_s": round(median_s, 6),
-        "repeats": repeats,
-        "ops": int(Bs.size),
-        "baseline_s": round(baseline_s, 6),
-        "speedup": round(baseline_s / max(median_s, 1e-12), 2),
-    }
-
-
 def bench_tab_ratios(quick: bool, repeats: int) -> dict:
-    """End-to-end theorem-verification table (kernel-backed path only:
-    the sup-ratio adversary search over the whole (B, k) grid)."""
+    """End-to-end theorem-verification table: the sup-ratio adversary
+    search over every theorem's policy at each (B, k) cell."""
     kwargs = (
         dict(B_values=(200.0,), k_values=(2, 4), grid=512)
         if quick
@@ -298,9 +224,7 @@ def bench_mc_ablation_grid(quick: bool, repeats: int) -> dict:
 
 #: Registry: name -> callable(quick, repeats) -> entry dict.
 BENCHES = {
-    "regimes_theory_grid": bench_regimes_theory_grid,
     "fig2_expectation_row": bench_fig2_expectation_row,
-    "ski_rental_grid": bench_ski_rental_grid,
     "tab_ratios": bench_tab_ratios,
     "des_event_loop": bench_des_event_loop,
     "mc_cor2_trials": bench_mc_cor2_trials,

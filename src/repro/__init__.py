@@ -80,7 +80,6 @@ from repro.distributions import (
     WorstCaseForDeterministic,
     get_distribution,
 )
-from repro.experiments import EXPERIMENTS, render_result, run_experiment
 from repro.htm import (
     ConflictContext,
     CyclePolicy,
@@ -194,8 +193,4 @@ __all__ = [
     "CounterWorkload",
     "BankWorkload",
     "ListSetWorkload",
-    # experiments
-    "EXPERIMENTS",
-    "run_experiment",
-    "render_result",
 ]

@@ -34,7 +34,7 @@ from repro.core.requestor_aborts import (
 from repro.core.oracle import ClairvoyantPolicy
 from repro.core.backoff import BackoffPolicy, progress_attempt_bound
 from repro.core.hybrid import HybridResolver
-from repro.core import kernels, ratios
+from repro.core import ratios
 from repro.core.validate import ValidationReport, validate_policy
 from repro.core.verify import (
     competitive_ratio,
@@ -66,7 +66,6 @@ __all__ = [
     "progress_attempt_bound",
     "HybridResolver",
     "ratios",
-    "kernels",
     "expected_cost",
     "competitive_ratio",
     "constrained_competitive_ratio",

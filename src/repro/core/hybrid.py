@@ -3,15 +3,17 @@
 
 The paper observes a crossover: for two-transaction conflicts the
 requestor-aborts optimum (``e/(e-1)``) beats the requestor-wins optimum
-(2), but for chains ``k >= 3`` requestor-wins (ratio ``R/(R-1)`` -> 2
-from... decreasing toward ``e/(e-1)``) beats requestor-aborts (ratio
+(2), but for chains ``k >= 3`` requestor-wins (ratio ``R/(R-1)``,
+decreasing toward ``e/(e-1)``) beats requestor-aborts (ratio
 ``E/(E-1)``, *increasing* with k).  "This suggests that a hybrid
 strategy, which can alternate between the two, would perform best."
 
-:class:`HybridResolver` implements that hybrid: per conflict it chooses
-the resolution *strategy* (which side aborts) by comparing the
-closed-form optimal ratios at the observed chain size, then delegates
-delay selection to the corresponding optimal policy.
+:func:`preferred_kind` is that choice, the one copy of it: the
+resolution *strategy* (which side aborts) whose closed-form optimal
+ratio is smaller at the observed chain size.  :class:`HybridResolver`
+makes it per conflict, then delegates delay selection to the
+corresponding optimal policy; the HTM's ``HybridDelay`` and the
+``ext_chains`` experiment make the same call.
 """
 
 from __future__ import annotations
@@ -22,12 +24,20 @@ import numpy as np
 
 from repro.core.model import ConflictKind, ConflictModel
 from repro.core.policy import DelayPolicy
-from repro.core.ratios import rand_ra_ratio, rand_rw_optimal_ratio
+from repro.core.ratios import _check_bk, rand_ra_ratio, rand_rw_optimal_ratio
 from repro.core.requestor_aborts import optimal_requestor_aborts
-from repro.core.requestor_wins import _check_bk, optimal_requestor_wins
+from repro.core.requestor_wins import optimal_requestor_wins
 from repro.rngutil import ensure_rng
 
-__all__ = ["HybridResolver", "HybridDecision"]
+__all__ = ["HybridResolver", "HybridDecision", "preferred_kind"]
+
+
+def preferred_kind(k: int) -> ConflictKind:
+    """The strategy with the smaller optimal unconstrained ratio at
+    chain size ``k`` (RA at k = 2, RW at k >= 3); a tie goes to RA."""
+    if rand_ra_ratio(k) <= rand_rw_optimal_ratio(k):
+        return ConflictKind.REQUESTOR_ABORTS
+    return ConflictKind.REQUESTOR_WINS
 
 
 @dataclass(frozen=True)
@@ -75,14 +85,12 @@ class HybridResolver:
         self._policy_cache: dict[tuple[ConflictKind, int], DelayPolicy] = {}
 
     def preferred_kind(self, k: int) -> ConflictKind:
-        """The strategy with the smaller optimal unconstrained ratio at
-        chain size ``k`` (RA at k = 2, RW at k >= 3)."""
+        """:func:`preferred_kind` at chain size ``k``, or the pinned
+        kind when switching is off."""
         _check_bk(self.B, k)
         if not self.allow_switching:
             return self.pinned_kind
-        if rand_ra_ratio(k) <= rand_rw_optimal_ratio(k):
-            return ConflictKind.REQUESTOR_ABORTS
-        return ConflictKind.REQUESTOR_WINS
+        return preferred_kind(k)
 
     def policy_for(self, k: int) -> DelayPolicy:
         """The optimal policy for the preferred kind at chain size k."""

@@ -130,6 +130,12 @@ class ConflictModel:
         self._check_cost_args(delay, remaining)
         if remaining <= delay:
             return self.waiters * remaining
+        return self.aborted_cost(delay)
+
+    def aborted_cost(self, delay: np.ndarray | float) -> np.ndarray | float:
+        """The cost when the receiver has not committed by ``delay``:
+        ``k x + B`` (requestor wins) or ``(k-1)(x + B)`` (requestor
+        aborts).  Elementwise on an array; unchecked."""
         if self.kind is ConflictKind.REQUESTOR_WINS:
             return self.k * delay + self.B
         return self.waiters * (delay + self.B)
@@ -142,13 +148,7 @@ class ConflictModel:
         d = np.asarray(remaining, dtype=float)
         if np.any(x < 0) or np.any(d < 0):
             raise InvalidParameterError("delay and remaining must be >= 0")
-        commit = d <= x
-        commit_cost = self.waiters * d
-        if self.kind is ConflictKind.REQUESTOR_WINS:
-            abort_cost = self.k * x + self.B
-        else:
-            abort_cost = self.waiters * (x + self.B)
-        return np.where(commit, commit_cost, abort_cost)
+        return np.where(d <= x, self.waiters * d, self.aborted_cost(x))
 
     def opt(self, remaining: float) -> float:
         """Offline optimum with foresight: ``min((k - 1) * D, B)``."""

@@ -38,10 +38,12 @@ import math
 
 import numpy as np
 
+from repro.core import ratios
 from repro.core._continuous import ContinuousDelayPolicy
 from repro.core.model import ConflictKind, ConflictModel
 from repro.core.policy import DelayPolicy, DeterministicDelayPolicy
-from repro.core.requestor_wins import _check_bk
+from repro.core.ratios import _check_bk, ra_chain_E
+from repro.core.ski_rental import discrete_competitive_ratio
 from repro.errors import InvalidParameterError, RegimeError
 from repro.rngutil import ensure_rng
 
@@ -52,14 +54,7 @@ __all__ = [
     "ChainRA",
     "DiscreteSkiRentalRA",
     "optimal_requestor_aborts",
-    "ra_chain_E",
 ]
-
-
-def ra_chain_E(k: int) -> float:
-    """``E = e^{1/(k-1)}`` — the chain analogue of ``e`` in Theorem 3."""
-    _check_bk(1.0, k)
-    return math.exp(1.0 / (k - 1))
 
 
 class DeterministicRA(DeterministicDelayPolicy):
@@ -79,7 +74,7 @@ class DeterministicRA(DeterministicDelayPolicy):
 
     @property
     def competitive_ratio(self) -> float:
-        return float(self.k)
+        return ratios.det_ra_ratio(self.k)
 
     def model(self) -> ConflictModel:
         return ConflictModel(ConflictKind.REQUESTOR_ABORTS, self.B, self.k)
@@ -118,7 +113,7 @@ class ExponentialRA(ContinuousDelayPolicy):
 
     @property
     def competitive_ratio(self) -> float:
-        return self.E / (self.E - 1.0)
+        return ratios.rand_ra_ratio(self.k)
 
     def model(self) -> ConflictModel:
         return ConflictModel(ConflictKind.REQUESTOR_ABORTS, self.B, self.k)
@@ -157,9 +152,7 @@ class ChainRA(ContinuousDelayPolicy):
     # -- regime ----------------------------------------------------------
     @staticmethod
     def regime_threshold(k: int) -> float:
-        E = ra_chain_E(k)
-        Z = (k - 1) * (E - 1.0) - 1.0
-        return 2.0 * Z / ((k - 1) * (E - 1.0))
+        return ratios.ra_mean_regime_threshold(k)
 
     @classmethod
     def regime_holds(cls, B: float, k: int, mu: float) -> bool:
@@ -184,7 +177,7 @@ class ChainRA(ContinuousDelayPolicy):
     # -- analysis ----------------------------------------------------------
     @property
     def competitive_ratio(self) -> float:
-        return 1.0 + self.mu * (self.k - 1) / (2.0 * self.B * self.Z)
+        return ratios.constrained_ra_ratio(self.B, self.mu, self.k)
 
     @property
     def lagrange_lambda2(self) -> float:
@@ -268,7 +261,7 @@ class DiscreteSkiRentalRA(DelayPolicy):
     @property
     def competitive_ratio(self) -> float:
         """Exact discrete ratio ``1 / (1 - (1 - 1/B)^B)``."""
-        return float(1.0 / (1.0 - ((self.B - 1) / self.B) ** self.B))
+        return discrete_competitive_ratio(self.B)
 
     def model(self) -> ConflictModel:
         return ConflictModel(ConflictKind.REQUESTOR_ABORTS, float(self.B), 2)

@@ -48,9 +48,11 @@ import math
 
 import numpy as np
 
+from repro.core import ratios
 from repro.core._continuous import ContinuousDelayPolicy
 from repro.core.model import ConflictKind, ConflictModel
 from repro.core.policy import DelayPolicy, DeterministicDelayPolicy
+from repro.core.ratios import LN4_MINUS_1, _check_bk, rw_chain_ratio_R
 from repro.errors import InvalidParameterError, RegimeError
 
 __all__ = [
@@ -59,29 +61,7 @@ __all__ = [
     "MeanConstrainedRW",
     "PolynomialRW",
     "optimal_requestor_wins",
-    "rw_chain_ratio_R",
 ]
-
-#: ln(4) - 1, the normalization constant of the Theorem 5 log-density.
-_LN4M1 = math.log(4.0) - 1.0
-
-
-def _check_bk(B: float, k: int) -> tuple[float, int]:
-    if not (isinstance(B, (int, float)) and math.isfinite(B) and B > 0):
-        raise InvalidParameterError(f"B must be finite and positive, got {B!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise InvalidParameterError(f"k must be an integer >= 2, got {k!r}")
-    return float(B), k
-
-
-def rw_chain_ratio_R(k: int) -> float:
-    """``R = (k/(k-1))^{k-1} = k^{k-1}/(k-1)^{k-1}``, computed stably.
-
-    ``R`` increases monotonically from 2 (k = 2) toward ``e``; every
-    Theorem 6 quantity is a rational function of ``R``.
-    """
-    _check_bk(1.0, k)
-    return math.exp((k - 1) * math.log(k / (k - 1)))
 
 
 class DeterministicRW(DeterministicDelayPolicy):
@@ -101,7 +81,7 @@ class DeterministicRW(DeterministicDelayPolicy):
     @property
     def competitive_ratio(self) -> float:
         """Closed-form ratio ``2 + 1/(k-1)`` from Theorem 4."""
-        return 2.0 + 1.0 / (self.k - 1)
+        return ratios.det_rw_ratio(self.k)
 
     def model(self) -> ConflictModel:
         """The conflict model this policy was built for."""
@@ -141,10 +121,9 @@ class UniformRW(ContinuousDelayPolicy):
 
     @property
     def competitive_ratio(self) -> float:
-        """2 for ``k = 2``; ``2 - (k-2)/(2(k-1))`` upper envelope is not
-        reported by the paper, which states ratio 2 for all k — we return
-        2 (the guaranteed bound)."""
-        return 2.0
+        """The guaranteed ratio 2 (Theorem 5; see
+        :func:`~repro.core.ratios.rand_rw_uniform_ratio`)."""
+        return ratios.rand_rw_uniform_ratio(self.k)
 
     def model(self) -> ConflictModel:
         return ConflictModel(ConflictKind.REQUESTOR_WINS, self.B, self.k)
@@ -173,7 +152,8 @@ class MeanConstrainedRW(ContinuousDelayPolicy):
         if strict_regime and not self.regime_holds(B, mu):
             raise RegimeError(
                 f"mean-constrained RW policy requires mu/B < 2(ln4-1) "
-                f"~= {2 * _LN4M1:.4f}; got mu/B = {mu / B:.4f} "
+                f"~= {ratios.rw_mean_regime_threshold(2):.4f}; got mu/B = "
+                f"{mu / B:.4f} "
                 f"(use optimal_requestor_wins() to fall back automatically)"
             )
         self.B = B
@@ -186,13 +166,13 @@ class MeanConstrainedRW(ContinuousDelayPolicy):
     @staticmethod
     def regime_holds(B: float, mu: float) -> bool:
         """Whether the constrained policy beats the unconstrained one."""
-        return mu / B < 2.0 * _LN4M1
+        return mu / B < ratios.rw_mean_regime_threshold(2)
 
     def pdf_vec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         inside = self._in_support(x)
         safe = np.where(inside, x, 0.0)
-        vals = np.log1p(safe / self.B) / (self.B * _LN4M1)
+        vals = np.log1p(safe / self.B) / (self.B * LN4_MINUS_1)
         return np.where(inside, vals, 0.0)
 
     def _cdf_inside(self, x: np.ndarray) -> np.ndarray:
@@ -201,18 +181,18 @@ class MeanConstrainedRW(ContinuousDelayPolicy):
         np.log1p(out, out=out)
         out *= self.B + x
         out -= x
-        out /= self.B * _LN4M1
+        out /= self.B * LN4_MINUS_1
         return out
 
     @property
     def competitive_ratio(self) -> float:
         """``1 + mu/(2B(ln4 - 1))`` from Theorem 5."""
-        return 1.0 + self.mu / (2.0 * self.B * _LN4M1)
+        return ratios.constrained_rw_ratio(self.B, self.mu, 2)
 
     @property
     def lagrange_lambda2(self) -> float:
         """Slope of the equalized ratio: ``Cost(p, y)/y = 1 + lambda2*y``."""
-        return 1.0 / (2.0 * self.B * _LN4M1)
+        return 1.0 / (2.0 * self.B * LN4_MINUS_1)
 
     def model(self) -> ConflictModel:
         return ConflictModel(ConflictKind.REQUESTOR_WINS, self.B, 2)
@@ -272,8 +252,7 @@ class PolynomialRW(ContinuousDelayPolicy):
     @staticmethod
     def regime_threshold(k: int) -> float:
         """Upper bound on ``mu/B`` for the constrained form to win."""
-        R = rw_chain_ratio_R(k)
-        return 2.0 * (R - 2.0) / ((k - 2) * (R - 1.0))
+        return ratios.rw_mean_regime_threshold(k)
 
     @classmethod
     def regime_holds(cls, B: float, k: int, mu: float) -> bool:
@@ -323,8 +302,8 @@ class PolynomialRW(ContinuousDelayPolicy):
     def competitive_ratio(self) -> float:
         if self.constrained:
             assert self.mu is not None
-            return 1.0 + self.mu * (self.k - 2) / (2.0 * self.B * (self.R - 2.0))
-        return self.R / (self.R - 1.0)
+            return ratios.constrained_rw_ratio(self.B, self.mu, self.k)
+        return ratios.rand_rw_optimal_ratio(self.k)
 
     @property
     def lagrange_lambda2(self) -> float:

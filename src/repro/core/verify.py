@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import upper_concave_envelope
-from repro.core.model import ConflictKind, ConflictModel
+from repro.core.model import ConflictModel
 from repro.core.policy import DelayPolicy
 from repro.errors import InvalidParameterError
 from repro.rngutil import ensure_rng
@@ -59,13 +58,6 @@ class RatioResult:
         return self.ratio
 
 
-def _abort_cost_vec(model: ConflictModel, x: np.ndarray) -> np.ndarray:
-    """Cost paid when the receiver fails to commit within delay ``x``."""
-    if model.kind is ConflictKind.REQUESTOR_WINS:
-        return model.k * x + model.B
-    return model.waiters * (x + model.B)
-
-
 def _policy_support(policy: DelayPolicy) -> tuple[float, float]:
     lo, hi = policy.support
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
@@ -73,23 +65,6 @@ def _policy_support(policy: DelayPolicy) -> tuple[float, float]:
             f"policy {policy.name!r} has unusable support {policy.support!r}"
         )
     return lo, hi
-
-
-def expected_abort_cost(policy: DelayPolicy, model: ConflictModel) -> float:
-    """``E_x[abort_cost(x)]`` — the certain-abort (``D -> inf``) cost."""
-    lo, hi = _policy_support(policy)
-    if hasattr(policy, "pdf_vec"):
-        xs = np.linspace(lo, hi, _X_GRID)
-        return float(np.trapezoid(_abort_cost_vec(model, xs) * policy.pdf_vec(xs), xs))
-    if hasattr(policy, "_pmf"):  # discrete (day-indexed) policy
-        delays = np.arange(len(policy._pmf), dtype=float)
-        return float(np.dot(policy._pmf, _abort_cost_vec(model, delays)))
-    if policy.is_deterministic():
-        return float(_abort_cost_vec(model, np.asarray([policy.sample()]))[0])
-    raise InvalidParameterError(
-        f"cannot integrate policy {policy.name!r}: no pdf_vec/_pmf and not "
-        f"deterministic"
-    )
 
 
 def expected_cost_curve(
@@ -114,12 +89,12 @@ def expected_cost_curve(
         return np.where(
             commit,
             model.waiters * d,
-            float(_abort_cost_vec(model, np.asarray([x0]))[0]),
+            float(model.aborted_cost(np.asarray([x0]))[0]),
         )
 
     if hasattr(policy, "pdf_vec"):
         xs = np.linspace(lo, hi, _X_GRID)
-        integrand = _abort_cost_vec(model, xs) * policy.pdf_vec(xs)
+        integrand = model.aborted_cost(xs) * policy.pdf_vec(xs)
         # cumulative trapezoid: A[i] = integral_{lo}^{xs[i]} abort * p
         dx = xs[1] - xs[0] if len(xs) > 1 else 0.0
         segments = 0.5 * (integrand[1:] + integrand[:-1]) * dx
@@ -134,7 +109,7 @@ def expected_cost_curve(
     if hasattr(policy, "_pmf"):
         delays = np.arange(len(policy._pmf), dtype=float)
         pmf = np.asarray(policy._pmf, dtype=float)
-        aborts = _abort_cost_vec(model, delays)
+        aborts = model.aborted_cost(delays)
         # For each D: sum_{x < D} abort(x) pmf(x) + (k-1) D P(x >= D)
         out = np.empty_like(d)
         for i, di in enumerate(d.ravel()):
@@ -199,9 +174,33 @@ def competitive_ratio(
     return RatioResult(float(ratios[idx]), float(d[idx]))
 
 
-# the monotone-chain upper-hull implementation lives in the kernels
-# module (shared with the batched constrained-ratio engine)
-_upper_concave_envelope = upper_concave_envelope
+def _upper_concave_envelope(xs: np.ndarray, ys: np.ndarray, at: float) -> float:
+    """Value at ``at`` of the upper concave envelope of ``(xs, ys)``
+    (monotone-chain upper hull + linear interpolation).  The extremal
+    mean-constrained adversary is a two-point distribution, so the
+    envelope at ``mu`` is the constrained competitive ratio."""
+    order = np.argsort(xs)
+    pts = list(zip(xs[order].tolist(), ys[order].tolist()))
+    hull: list[tuple[float, float]] = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (p[1] - y1) >= (p[0] - x1) * (y2 - y1):
+                hull.pop()
+            else:
+                break
+        if hull and hull[-1][0] == p[0]:
+            if p[1] > hull[-1][1]:
+                hull[-1] = p
+            continue
+        hull.append(p)
+    hx = np.asarray([p[0] for p in hull])
+    hy = np.asarray([p[1] for p in hull])
+    if at <= hx[0]:
+        return float(hy[0])
+    if at >= hx[-1]:
+        return float(hy[-1])
+    return float(np.interp(at, hx, hy))
 
 
 def constrained_competitive_ratio(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.hybrid import preferred_kind
 from repro.core.model import ConflictKind, ConflictModel
 from repro.core.ratios import rand_ra_ratio, rand_rw_optimal_ratio
 from repro.core.requestor_aborts import optimal_requestor_aborts
@@ -71,7 +72,9 @@ def run_ext_chains(
                 }
             )
         winner = min(mc_costs, key=mc_costs.get)  # type: ignore[arg-type]
-        hybrid_pick = "RA" if rand_ra_ratio(k) <= rand_rw_optimal_ratio(k) else "RW"
+        hybrid_pick = (
+            "RA" if preferred_kind(k) is ConflictKind.REQUESTOR_ABORTS else "RW"
+        )
         rows.append(
             {
                 "k": k,

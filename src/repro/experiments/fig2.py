@@ -11,7 +11,6 @@ read.
 
 from __future__ import annotations
 
-from repro.core import kernels
 from repro.distributions import (
     ExponentialLengths,
     GeometricLengths,
@@ -39,21 +38,18 @@ def _distributions(mu: float):
     ]
 
 
-def _theory_bounds(B: float, mu: float, k: int = 2) -> dict[str, float]:
+def _theory_bounds(harness: SyntheticHarness) -> dict[str, float]:
     """Worst-case competitive-ratio guarantee per Figure 2 policy label.
 
-    Evaluated once per grid (kernel calls, not per-row scalar math) —
-    the closed-form bound each bar must stay under; MC ``vs_OPT``
-    values are per-distribution averages, so they sit at or below
-    these against the theorems' adversary.
+    Each suite policy's own closed-form ``competitive_ratio`` (the
+    factories' regime dispatch picked the policy) — the bound each bar
+    must stay under; MC ``vs_OPT`` values are per-distribution
+    averages, so they sit at or below these against the theorems'
+    adversary.
     """
     return {
-        "RRW(mu)": float(kernels.rw_best_ratio(B, mu, k)),
-        "RRA(mu)": float(kernels.ra_best_ratio(B, mu, k)),
-        "RRW": float(kernels.rand_rw_optimal_ratio(k)),
-        "RRA": float(kernels.rand_ra_ratio(k)),
-        "DET": float(kernels.det_rw_ratio(k)),
-        "OPT": 1.0,
+        entry.label: 1.0 if entry.label == "OPT" else entry.policy.competitive_ratio
+        for entry in harness.policies
     }
 
 
@@ -75,7 +71,7 @@ def _run_cost_grid(
     historical single-stream draws exactly.
     """
     harness = SyntheticHarness(B, mu)
-    bounds = _theory_bounds(B, mu)
+    bounds = _theory_bounds(harness)
     rows: list[dict[str, object]] = []
     for dist in _distributions(mu):
         result = harness.run(
@@ -152,7 +148,7 @@ def run_fig2c(
         pool=pool,
     )
     opt = result.mean_cost("OPT")
-    bounds = _theory_bounds(B, dist.mean)
+    bounds = _theory_bounds(harness)
     return [
         {
             "distribution": "det-worst",

@@ -13,9 +13,8 @@ and reports each policy's mean cost relative to OPT, exposing:
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core import kernels
+from repro.core.requestor_aborts import optimal_requestor_aborts
+from repro.core.requestor_wins import optimal_requestor_wins
 from repro.distributions import ExponentialLengths
 from repro.rngutil import stream_for
 from repro.synthetic import SyntheticHarness
@@ -70,15 +69,15 @@ def run_ext_regimes(
     else:
         rows = pool.starmap(_cell_worker, cells)
     # Theory overlay: the mean-constrained policies' worst-case
-    # guarantees across the whole B/µ axis, one batched kernel call per
-    # column (the MC columns above are empirical vs-OPT under one
-    # specific distribution; the bounds hold against *any* adversary
-    # with that mean).  Computed after the MC pass so RNG draw order is
-    # untouched.
-    Bs = mu * np.asarray(b_over_mu, dtype=float)
-    rw_bound = kernels.rw_best_ratio(Bs, mu)
-    ra_bound = kernels.ra_best_ratio(Bs, mu)
-    for row, rw_b, ra_b in zip(rows, rw_bound, ra_bound):
-        row["RRW(mu)_bound"] = round(float(rw_b), 4)
-        row["RRA(mu)_bound"] = round(float(ra_b), 4)
+    # guarantees across the whole B/µ axis, read from the policies the
+    # factories' regime dispatch picks (the MC columns above are
+    # empirical vs-OPT under one specific distribution; the bounds hold
+    # against *any* adversary with that mean).  Computed after the MC
+    # pass so RNG draw order is untouched.
+    for row, ratio in zip(rows, b_over_mu):
+        B = mu * float(ratio)
+        rw_b = optimal_requestor_wins(B, 2, mu).competitive_ratio
+        ra_b = optimal_requestor_aborts(B, 2, mu).competitive_ratio
+        row["RRW(mu)_bound"] = round(rw_b, 4)
+        row["RRA(mu)_bound"] = round(ra_b, 4)
     return rows

@@ -10,14 +10,53 @@ abort-probability comparison.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core import kernels
-from repro.core.model import ConflictKind, ConflictModel
-from repro.core.requestor_aborts import DiscreteSkiRentalRA
-from repro.core.verify import competitive_ratio
+from repro.core.ratios import (
+    abort_probability_ra,
+    abort_probability_rw,
+    ra_mean_regime_threshold,
+    rw_mean_regime_threshold,
+)
+from repro.core.requestor_aborts import (
+    ChainRA,
+    DeterministicRA,
+    DiscreteSkiRentalRA,
+    ExponentialRA,
+)
+from repro.core.requestor_wins import (
+    DeterministicRW,
+    MeanConstrainedRW,
+    PolynomialRW,
+    UniformRW,
+)
+from repro.core.verify import competitive_ratio, constrained_competitive_ratio
 
 __all__ = ["run_tab_ratios", "run_tab_abort_prob"]
+
+
+def _cell_policies(B: float, k: int) -> list:
+    """``(theorem, label, policy, mu)`` for every theorem at one
+    ``(B, k)`` cell, in table order; ``mu``, at half the regime
+    threshold, is set for the mean-constrained policies only."""
+    mu_rw = 0.5 * B * rw_mean_regime_threshold(k)
+    mu_ra = 0.5 * B * ra_mean_regime_threshold(k)
+    entries = [
+        ("Thm4", "DET(RW)", DeterministicRW(B, k), None),
+        ("Thm5", "RRW uniform", UniformRW(B, k), None),
+        ("Thm1/3", "RRA exp", ExponentialRA(B, k), None),
+        ("-", "DET(RA)", DeterministicRA(B, k), None),
+    ]
+    if k == 2:
+        entries += [
+            ("Thm5", "RRW(mu)", MeanConstrainedRW(B, mu_rw), mu_rw),
+            ("Thm1", "ski discrete", DiscreteSkiRentalRA(int(B)), None),
+        ]
+    else:
+        entries += [
+            ("Thm6", "RRW poly", PolynomialRW(B, k), None),
+            ("Thm6*", "RRW(mu) poly", PolynomialRW(B, k, mu_rw), mu_rw),
+        ]
+    entries.append(("Thm2/3", "RRA(mu)", ChainRA(B, k, mu_ra), mu_ra))
+    return entries
 
 
 def run_tab_ratios(
@@ -28,93 +67,37 @@ def run_tab_ratios(
 ) -> list[dict[str, object]]:
     """Theorem-by-theorem ratio verification grid.
 
-    Both columns are evaluated over the whole ``(B, k)`` grid with one
-    :mod:`repro.core.kernels` batch call per theorem family — closed
-    forms via the vectorized ratio kernels, numerics via the batched
-    grid-search adversary — instead of one scalar policy evaluation per
-    cell.  Only the day-indexed discrete ski-rental entry (a pmf, not a
-    density family) keeps its per-cell path.
+    For each ``(B, k)`` cell every theorem's policy is checked against
+    itself: the closed-form column is the policy's own
+    ``competitive_ratio`` (:mod:`repro.core.ratios`), and the numeric
+    column runs :mod:`repro.core.verify`'s grid-search adversary over
+    the policy's own density — the ``pdf_vec``/``cdf_vec`` that the
+    HTM and the decision service sample from.
     """
-    RW, RA = ConflictKind.REQUESTOR_WINS, ConflictKind.REQUESTOR_ABORTS
-    Bs = np.asarray([B for B in B_values for _ in k_values], dtype=float)
-    ks = np.asarray([k for _ in B_values for k in k_values])
-    mu_rw = 0.5 * Bs * kernels.rw_mean_regime_threshold(ks)
-    mu_ra = 0.5 * Bs * kernels.ra_mean_regime_threshold(ks)
-
-    num_det_rw, _ = kernels.competitive_ratio_grid(RW, "det", Bs, ks, grid=grid)
-    num_uniform, _ = kernels.competitive_ratio_grid(
-        RW, "uniform_rw", Bs, ks, grid=grid
-    )
-    num_exp, _ = kernels.competitive_ratio_grid(RA, "exp_ra", Bs, ks, grid=grid)
-    num_det_ra, _ = kernels.competitive_ratio_grid(RA, "det", Bs, ks, grid=grid)
-    num_chain = kernels.constrained_competitive_ratio_grid(
-        RA, "chain_ra", Bs, ks, mu_ra, grid=grid
-    )
-    two = ks == 2
-    num_log = np.full(len(Bs), np.nan)
-    num_poly = np.full(len(Bs), np.nan)
-    num_poly_mu = np.full(len(Bs), np.nan)
-    if two.any():
-        num_log[two] = kernels.constrained_competitive_ratio_grid(
-            RW, "log_rw", Bs[two], ks[two], mu_rw[two], grid=grid
-        )
-    if (~two).any():
-        num_poly[~two], _ = kernels.competitive_ratio_grid(
-            RW, "poly_rw", Bs[~two], ks[~two], grid=grid
-        )
-        num_poly_mu[~two] = kernels.constrained_competitive_ratio_grid(
-            RW, "poly_rw_mu", Bs[~two], ks[~two], mu_rw[~two], grid=grid
-        )
-
-    cf_det_rw = kernels.det_rw_ratio(ks)
-    cf_uniform = kernels.rand_rw_uniform_ratio(ks)
-    cf_exp = kernels.rand_ra_ratio(ks)
-    cf_det_ra = kernels.det_ra_ratio(ks)
-    cf_rw_mu = kernels.constrained_rw_ratio(Bs, mu_rw, ks)
-    cf_poly = kernels.rand_rw_optimal_ratio(ks)
-    cf_chain = kernels.constrained_ra_ratio(Bs, mu_ra, ks)
-
     rows: list[dict[str, object]] = []
-
-    def emit(i, theorem, label, mu, closed, numeric) -> None:
-        closed, numeric = float(closed), float(numeric)
-        rows.append(
-            {
-                "theorem": theorem,
-                "policy": label,
-                "B": float(Bs[i]),
-                "k": int(ks[i]),
-                "mu": mu if mu is not None else "",
-                "closed_form": closed,
-                "numeric": numeric,
-                "rel_err": abs(numeric - closed) / closed,
-            }
-        )
-
-    for i in range(len(Bs)):
-        emit(i, "Thm4", "DET(RW)", None, cf_det_rw[i], num_det_rw[i])
-        emit(i, "Thm5", "RRW uniform", None, cf_uniform[i], num_uniform[i])
-        emit(i, "Thm1/3", "RRA exp", None, cf_exp[i], num_exp[i])
-        emit(i, "-", "DET(RA)", None, cf_det_ra[i], num_det_ra[i])
-        if ks[i] == 2:
-            emit(i, "Thm5", "RRW(mu)", float(mu_rw[i]), cf_rw_mu[i], num_log[i])
-            ski = DiscreteSkiRentalRA(int(Bs[i]))
-            ra_model = ConflictModel(RA, float(Bs[i]), 2)
-            emit(
-                i,
-                "Thm1",
-                "ski discrete",
-                None,
-                kernels.ski_discrete_ratio(int(Bs[i])),
-                competitive_ratio(ski, ra_model, grid=grid).ratio,
-            )
-        else:
-            emit(i, "Thm6", "RRW poly", None, cf_poly[i], num_poly[i])
-            emit(
-                i, "Thm6*", "RRW(mu) poly", float(mu_rw[i]),
-                cf_rw_mu[i], num_poly_mu[i],
-            )
-        emit(i, "Thm2/3", "RRA(mu)", float(mu_ra[i]), cf_chain[i], num_chain[i])
+    for B in B_values:
+        for k in k_values:
+            for theorem, label, policy, mu in _cell_policies(float(B), k):
+                model = policy.model()
+                if mu is None:
+                    numeric = competitive_ratio(policy, model, grid=grid).ratio
+                else:
+                    numeric = constrained_competitive_ratio(
+                        policy, model, mu, grid=grid
+                    ).ratio
+                closed = policy.competitive_ratio
+                rows.append(
+                    {
+                        "theorem": theorem,
+                        "policy": label,
+                        "B": float(B),
+                        "k": k,
+                        "mu": mu if mu is not None else "",
+                        "closed_form": closed,
+                        "numeric": numeric,
+                        "rel_err": abs(numeric - closed) / closed,
+                    }
+                )
     return rows
 
 
@@ -126,17 +109,17 @@ def run_tab_abort_prob(
     Paper approximations: RW ``~ 1 - 1.8/B``, RA ``~ 1 - 2.4/B`` — the
     requestor-aborts optimum is less likely to abort.
     """
-    Bs = np.asarray(B_values, dtype=float)
-    rw = kernels.abort_probability_rw(Bs)
-    ra = kernels.abort_probability_ra(Bs)
-    return [
-        {
-            "B": float(Bs[i]),
-            "P_abort_RW": float(rw[i]),
-            "paper_RW": 1.0 - 1.8 / float(Bs[i]),
-            "P_abort_RA": float(ra[i]),
-            "paper_RA": 1.0 - 2.4 / float(Bs[i]),
-            "RA_less_likely": bool(ra[i] < rw[i]),
-        }
-        for i in range(len(Bs))
-    ]
+    rows = []
+    for B in B_values:
+        rw, ra = abort_probability_rw(float(B)), abort_probability_ra(float(B))
+        rows.append(
+            {
+                "B": float(B),
+                "P_abort_RW": rw,
+                "paper_RW": 1.0 - 1.8 / float(B),
+                "P_abort_RA": ra,
+                "paper_RA": 1.0 - 2.4 / float(B),
+                "RA_less_likely": ra < rw,
+            }
+        )
+    return rows

@@ -13,32 +13,27 @@ boundary of the paper's conflict model measurable:
 from __future__ import annotations
 
 from repro.adversary.throughput_arena import ThroughputArena
-from repro.core import kernels
-from repro.core.model import ConflictKind
+from repro.core.model import ConflictKind, ConflictModel
 from repro.core.policy import ImmediateAbortPolicy
 from repro.core.requestor_wins import DeterministicRW, UniformRW
+from repro.core.verify import expected_cost
 from repro.distributions import UniformLengths
 
 __all__ = ["run_ext_throughput"]
 
 
-def _theory_costs(B: float, mu: float) -> tuple[dict[str, float], float]:
-    """Kernel-computed expected per-conflict cost at the mean remaining
-    time ``D = µ/2`` for each arena policy, plus OPT's cost there.
-
-    One batched quadrature/point evaluation per policy family (the
-    arena's cells share these lookups across both adversary modes)
-    instead of per-cell scalar integration.
-    """
-    RW = ConflictKind.REQUESTOR_WINS
-    d_ref = [mu / 2.0]
+def _theory_costs(
+    policies: list, B: float, mu: float
+) -> tuple[dict[str, float], float]:
+    """Expected per-conflict cost of each arena policy at the mean
+    remaining time ``D = µ/2``, plus OPT's cost there (one quadrature
+    per policy, shared by both adversary modes)."""
+    model = ConflictModel(ConflictKind.REQUESTOR_WINS, B, 2)
     costs = {
-        "NO_DELAY": kernels.expected_cost_grid(RW, "det", B, 2, d_ref, x0=0.0),
-        "RRW (uniform)": kernels.expected_cost_grid(RW, "uniform_rw", B, 2, d_ref),
-        "DET (B/(k-1))": kernels.expected_cost_grid(RW, "det", B, 2, d_ref),
+        label: expected_cost(policy, model, mu / 2.0)
+        for label, policy in policies
     }
-    opt = float(kernels.conflict_opt(mu / 2.0, B, 2))
-    return {label: float(v[0, 0]) for label, v in costs.items()}, opt
+    return costs, model.opt(mu / 2.0)
 
 
 def run_ext_throughput(
@@ -56,7 +51,7 @@ def run_ext_throughput(
         ("RRW (uniform)", UniformRW(B)),
         ("DET (B/(k-1))", DeterministicRW(B)),
     ]
-    theory, opt_ref = _theory_costs(B, mu)
+    theory, opt_ref = _theory_costs(policies, B, mu)
     rows: list[dict[str, object]] = []
     for mode in ("per_attempt", "rate"):
         for label, policy in policies:

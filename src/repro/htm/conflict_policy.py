@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import abc
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.estimators import EstimateSnapshot, OnlineEstimator
+from repro.core.hybrid import preferred_kind
 from repro.core.ratios import rw_mean_regime_threshold
 from repro.core.requestor_wins import optimal_requestor_wins
 from repro.errors import InvalidParameterError
@@ -51,6 +53,13 @@ __all__ = [
     "RegimeAdaptiveDelay",
     "policy_from_name",
 ]
+
+
+#: The live requestor-wins distribution per ``(B-bucket, k, family)``,
+#: shared by every policy instance in the process: a distribution and
+#: its inverse-CDF grid depend on nothing else.  Weak values, so a
+#: distribution no live policy holds is freed with its grid.
+_LIVE_DISTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _bucket(B: int) -> int:
@@ -120,7 +129,9 @@ class _RWTablePolicy(CyclePolicy):
     """Draws optimal requestor-wins delays: ``_cache`` maps a subclass's
     key to one of ``_dists``, built once per ``(B, k, family)``.  The
     densities hold no µ (Theorems 5 and 6); µ only picks the family:
-    ``RRW`` (closed-form inverse) or ``RRW(mu)`` (an inverse-CDF grid)."""
+    ``RRW`` (closed-form inverse) or ``RRW(mu)`` (an inverse-CDF grid).
+    A family another live policy already holds is taken from
+    ``_LIVE_DISTS``, grid and all; the counts stay per instance."""
 
     def __init__(self) -> None:
         self._cache: dict[tuple, object] = {}
@@ -134,7 +145,7 @@ class _RWTablePolicy(CyclePolicy):
         if family not in self._dists:
             get_registry().counter("policy_builds").inc()
             self.grid_builds += policy.name == "RRW(mu)"
-            self._dists[family] = policy
+            self._dists[family] = _LIVE_DISTS.setdefault(family, policy)
         self._cache[key] = self._dists[family]
         return self._cache[key]
 
@@ -219,6 +230,7 @@ class RRWMeanDelay(CyclePolicy):
         if policy is None:
             get_registry().counter("policy_builds").inc()
             policy = optimal_requestor_wins(float(B), ctx.chain_k, self.mu_cycles)
+            policy = _LIVE_DISTS.setdefault((B, ctx.chain_k, policy.name), policy)
             self._cache[key] = policy
         return int(policy.sample(rng))
 
@@ -278,11 +290,7 @@ class HybridDelay(_RWTablePolicy):
 
     @staticmethod
     def resolution(ctx: ConflictContext) -> str:
-        from repro.core.ratios import rand_ra_ratio, rand_rw_optimal_ratio
-
-        if rand_ra_ratio(ctx.chain_k) <= rand_rw_optimal_ratio(ctx.chain_k):
-            return "requestor_aborts"
-        return "requestor_wins"
+        return preferred_kind(ctx.chain_k).value
 
     def decide(self, ctx: ConflictContext, rng: np.random.Generator) -> int:
         if self.resolution(ctx) == "requestor_aborts":

@@ -37,8 +37,7 @@ blocks) and the lockstep batched program see identical uniforms, and
 every derived quantity is computed with the same IEEE-754 operation
 order (``delay = u * (B/(k-1))``; ``B = min(B*factor + increment,
 max_B)``; per-trial left-fold accumulation).  The hypothesis suite in
-``tests/test_mc_engine.py`` pins ``batch == scalar`` exactly — the same
-kernels-vs-reference pattern as ``tests/test_kernels_equiv.py``.
+``tests/test_mc_engine.py`` pins ``batch == scalar`` exactly.
 """
 
 from __future__ import annotations

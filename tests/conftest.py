@@ -7,6 +7,7 @@ import pytest
 
 from repro.core._continuous import ContinuousDelayPolicy
 from repro.core.model import ConflictKind, ConflictModel
+from repro.htm import conflict_policy
 
 
 @pytest.fixture(autouse=True)
@@ -30,7 +31,10 @@ def rng() -> np.random.Generator:
 def grid_log(monkeypatch) -> list:
     """Every inverse-CDF grid built while the test runs, as
     ``(family, B, k)``: a build is a ``_cdf_grid`` call on a policy
-    that has no grid yet."""
+    that has no grid yet.  The HTM policies' table of live
+    distributions starts empty, so no grid an earlier test left alive
+    is reused."""
+    conflict_policy._LIVE_DISTS.clear()
     built = []
     build = ContinuousDelayPolicy._cdf_grid
 

@@ -15,13 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core._continuous import GRID_POINTS, ContinuousDelayPolicy
+from repro.core.ratios import LN4_MINUS_1
 from repro.core.requestor_aborts import ChainRA, ExponentialRA, MeanConstrainedRA
-from repro.core.requestor_wins import (
-    _LN4M1,
-    MeanConstrainedRW,
-    PolynomialRW,
-    UniformRW,
-)
+from repro.core.requestor_wins import MeanConstrainedRW, PolynomialRW, UniformRW
 from repro.errors import InvalidParameterError
 
 B = 1000.0
@@ -87,7 +83,7 @@ def test_ppf_still_rejects_out_of_range_quantiles(policy, q):
 def _old_log_rw(p, x):
     x = np.asarray(x, dtype=float)
     clipped = np.clip(x, 0.0, p.B)
-    raw = ((p.B + clipped) * np.log1p(clipped / p.B) - clipped) / (p.B * _LN4M1)
+    raw = ((p.B + clipped) * np.log1p(clipped / p.B) - clipped) / (p.B * LN4_MINUS_1)
     return np.where(x >= p.B, 1.0, np.where(x <= 0.0, 0.0, raw))
 
 
@@ -131,7 +127,7 @@ MU_SHARES = (0.01, 0.3, 0.7, 0.99)
 def _grid_policies(family: str, B: float):
     """Every (policy, old CDF) pair of one family at one B."""
     if family == "MeanConstrainedRW":
-        return [(MeanConstrainedRW(B, s * 2.0 * _LN4M1 * B), _old_log_rw)
+        return [(MeanConstrainedRW(B, s * 2.0 * LN4_MINUS_1 * B), _old_log_rw)
                 for s in MU_SHARES]
     if family == "MeanConstrainedRA":
         cut = ChainRA.regime_threshold(2)

@@ -4,7 +4,7 @@ numbers.
 
 Each quote is located by the words around it.  A ``BENCH_core.json``
 speedup must equal the bench's recorded ``speedup`` rounded to one
-decimal, or the recorded value itself (the regimes grid's 1.15x).  A
+decimal, or the recorded value itself.  A
 ``BENCH_serve.json`` quote must equal the field as the artifact writes
 it (the digest may be quoted by a prefix).  Regenerating an artifact
 without updating the docs, or editing a figure by hand, fails here.
@@ -25,23 +25,16 @@ ROOT = Path(__file__).resolve().parents[1]
 #: (document, bench, the words around the quote; ``{x}`` marks the figure)
 QUOTES = [
     ("README.md", "fig2_expectation_row",
-     "fig2 expectation row **{x}x** faster batched"),
+     "the fig2 expectation row **{x}x** faster as one curve"),
     ("README.md", "mc_cor2_trials", "the Corollary 2 trial batch **{x}x**"),
     ("README.md", "mc_ablation_grid", "the backoff-ablation grid **{x}x**"),
-    ("README.md", "regimes_theory_grid", "the regimes theory grid {x}x)"),
     ("docs/PERFORMANCE.md", "fig2_expectation_row",
      "| fig2 expectation row (64 `D` points, uniform RW quadrature) "
-     "| 7.03 ms | 0.34 ms | **{x}x** |"),
-    ("docs/PERFORMANCE.md", "regimes_theory_grid",
-     "| regimes theory grid (1024 ratio evaluations) "
-     "| 0.78 ms | 0.68 ms | **{x}x** |"),
-    ("docs/PERFORMANCE.md", "ski_rental_grid",
-     "| ski-rental grid (192 `(B, days)` cells) "
-     "| 2.16 ms | 0.14 ms | **{x}x** |"),
+     "| 11.61 ms | 0.26 ms | **{x}x** |"),
     ("docs/PERFORMANCE.md", "mc_cor2_trials",
      "doubling program) **{x}x** faster batched"),
     ("docs/PERFORMANCE.md", "mc_ablation_grid",
-     "800 trials each) **{x}x** (573 ms vs 29 ms)"),
+     "800 trials each) **{x}x** (1086 ms vs 48 ms)"),
 ]
 
 

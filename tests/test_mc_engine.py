@@ -4,8 +4,7 @@ The contract (docs/PERFORMANCE.md): for any :class:`TrialProgram`, any
 batch size, any shard count, and any ``--jobs``, the SoA lockstep
 engine produces rows *bit-identical* to per-trial
 ``TimedArena.run_transaction`` + ``BackoffPolicy`` executions fed from
-the same round-major draw layout — the same kernels-vs-reference
-pattern as ``tests/test_kernels_equiv.py``.
+the same round-major draw layout.
 """
 
 from __future__ import annotations

@@ -28,11 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.model import ConflictKind, ConflictModel
-from repro.core.requestor_aborts import (
-    DeterministicRA,
-    ExponentialRA,
-    ra_chain_E,
-)
+from repro.core.ratios import ra_chain_E
+from repro.core.requestor_aborts import DeterministicRA, ExponentialRA
 from repro.core.requestor_wins import DeterministicRW, UniformRW
 from repro.core.ski_rental import (
     SkiRental,

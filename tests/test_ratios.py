@@ -109,6 +109,45 @@ class TestAbortProbability:
             ratios.abort_probability_rw(100.0, k=3)
 
 
+#: every closed form that takes B, as ``f(B, mu)``
+B_FORMS = {
+    "constrained_rw_ratio": lambda B, mu: ratios.constrained_rw_ratio(B, mu, 2),
+    "constrained_rw_ratio_k3": lambda B, mu: ratios.constrained_rw_ratio(B, mu, 3),
+    "constrained_ra_ratio": lambda B, mu: ratios.constrained_ra_ratio(B, mu, 2),
+    "constrained_ra_ratio_k3": lambda B, mu: ratios.constrained_ra_ratio(B, mu, 3),
+    "abort_probability_rw": lambda B, mu: ratios.abort_probability_rw(B),
+    "abort_probability_ra": lambda B, mu: ratios.abort_probability_ra(B),
+}
+#: the ones that also take mu
+MU_FORMS = sorted(name for name in B_FORMS if name.startswith("constrained"))
+
+
+class TestImpossibleInputs:
+    """B must be finite and positive and mu finite and >= 0: without
+    the check, ``constrained_rw_ratio(-100, 10)`` read 0.871 (a ratio
+    below 1), ``abort_probability_ra(-2)`` 2.196, B = 0 divided by zero
+    and a NaN passed through."""
+
+    @pytest.mark.parametrize("name", sorted(B_FORMS))
+    @pytest.mark.parametrize(
+        "B", [-100.0, -2.0, 0.0, 0, math.nan, math.inf, -math.inf]
+    )
+    def test_bad_B_rejected(self, name, B):
+        with pytest.raises(InvalidParameterError, match="B must be"):
+            B_FORMS[name](B, 10.0)
+
+    @pytest.mark.parametrize("name", MU_FORMS)
+    @pytest.mark.parametrize("mu", [-1.0, -1e-300, math.nan, math.inf])
+    def test_bad_mu_rejected(self, name, mu):
+        with pytest.raises(InvalidParameterError, match="mu must be"):
+            B_FORMS[name](100.0, mu)
+
+    @pytest.mark.parametrize("name", sorted(B_FORMS))
+    def test_edge_values_accepted(self, name):
+        assert math.isfinite(B_FORMS[name](1.0, 0.0))
+        assert math.isfinite(B_FORMS[name](1e-9, 1e-300))
+
+
 class TestCorollary1Bound:
     def test_zero_waste(self):
         assert ratios.corollary1_bound(0.0) == 1.0

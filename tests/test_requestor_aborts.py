@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.model import ConflictKind, ConflictModel
+from repro.core.ratios import ra_chain_E
 from repro.core.requestor_aborts import (
     ChainRA,
     DeterministicRA,
@@ -15,7 +16,6 @@ from repro.core.requestor_aborts import (
     ExponentialRA,
     MeanConstrainedRA,
     optimal_requestor_aborts,
-    ra_chain_E,
 )
 from repro.core.verify import (
     competitive_ratio,

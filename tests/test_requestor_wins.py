@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from repro.core.model import ConflictKind, ConflictModel
+from repro.core.ratios import rw_chain_ratio_R
 from repro.core.requestor_wins import (
     DeterministicRW,
     MeanConstrainedRW,
     PolynomialRW,
     UniformRW,
     optimal_requestor_wins,
-    rw_chain_ratio_R,
 )
 from repro.core.verify import (
     competitive_ratio,

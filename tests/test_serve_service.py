@@ -15,6 +15,7 @@ events and the bench artifact records.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import math
 
@@ -27,8 +28,10 @@ from repro.core.estimators import EstimateSnapshot
 from repro.core.ratios import rw_mean_regime_threshold
 from repro.core.requestor_wins import optimal_requestor_wins
 from repro.errors import InvalidParameterError, SimulationError
+from repro.htm import conflict_policy
 from repro.htm.conflict_policy import (
     RegimeAdaptiveDelay,
+    RRWMeanDelay,
     ConflictContext,
     _bucket,
     policy_from_name,
@@ -449,6 +452,32 @@ class TestRegimeAdaptiveDelay:
         assert graces == expected
         assert grid_log == [("MeanConstrainedRW", float(B), 2)]
         assert policy.grid_builds == 1
+
+    def test_live_policies_share_one_distribution(self, grid_log):
+        """Live policies that draw the same ``(B, k)`` family draw it
+        from one distribution object with one grid build, and each
+        still reports its own counts; once none holds it, it is freed."""
+        ctx = ConflictContext(tx_age=900, chain_k=2, params=MachineParams())
+        first, second = (
+            RegimeAdaptiveDelay(min_samples=1, refresh_every=1) for _ in range(2)
+        )
+        rrw_mu = RRWMeanDelay(mu_cycles=40.0)
+        draws = []
+        for policy in (first, second):
+            for _ in range(16):
+                policy.observe_commit(40.0)
+            draws.append([policy.decide(ctx, np.random.default_rng(5))])
+            assert policy.regime == "mean"
+        draws.append([rrw_mu.decide(ctx, np.random.default_rng(5))])
+        (dist,) = first._dists.values()
+        assert list(second._dists.values()) == [dist]
+        assert list(rrw_mu._cache.values()) == [dist]
+        assert draws[0] == draws[1] == draws[2]
+        assert grid_log == [("MeanConstrainedRW", float(_bucket(ctx.abort_cost)), 2)]
+        assert first.grid_builds == second.grid_builds == 1
+        del first, second, policy, rrw_mu, dist
+        gc.collect()
+        assert len(conflict_policy._LIVE_DISTS) == 0
 
     def test_quick_replay_builds_no_grid_twice(self, grid_log):
         """The seed-2018 quick stream builds each (family, B, k) grid
