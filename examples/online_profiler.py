@@ -2,9 +2,10 @@
 
 Section 5.2 motivates the mean-constrained policies with a profiler
 that records the empirical mean of successful executions.  Here the
-profiler runs *inside* the machine: `AdaptiveDelay` starts out as the
-unconstrained uniform optimum and, as commits accumulate, switches to
-the Theorem 5/6 mean-constrained densities built from the live estimate.
+profiler runs *inside* the machine: one `RegimeAdaptiveDelay`, shared by
+every core and fed each commit through `commit_feed`, starts out on
+Theorem 4's deterministic rule and, as conflicts and commits accumulate,
+dispatches to the Theorem 5/6 densities its live estimates select.
 
 The example traces the estimate's convergence and compares end-to-end
 throughput against the static policies.
@@ -16,17 +17,20 @@ from __future__ import annotations
 
 from repro import Machine, MachineParams
 from repro.experiments.report import render_table
-from repro.htm import NoDelay, RandDelay, TunedDelay
-from repro.htm.profiler import AdaptiveDelay, CommitProfiler
+from repro.htm import (
+    NoDelay,
+    RandDelay,
+    RegimeAdaptiveDelay,
+    TunedDelay,
+    commit_feed,
+)
 from repro.workloads import TxAppWorkload
 
 
 def run_adaptive(n_cores: int = 8, horizon: float = 300_000.0):
-    profiler = CommitProfiler()
-    machine = Machine(
-        MachineParams(n_cores=n_cores), lambda i: AdaptiveDelay(profiler)
-    )
-    machine.commit_observers.append(profiler.observe_commit)
+    policy = RegimeAdaptiveDelay()
+    machine = Machine(MachineParams(n_cores=n_cores), lambda i: policy)
+    machine.commit_observers.append(commit_feed(policy))
     workload = TxAppWorkload(work_cycles=100)
     machine.load(workload, seed=11)
 
@@ -34,13 +38,13 @@ def run_adaptive(n_cores: int = 8, horizon: float = 300_000.0):
     checkpoints = []
 
     def snapshot(at):
+        snap = policy.estimator.snapshot()
         checkpoints.append(
             {
                 "cycles": int(at),
-                "commits": profiler.n,
-                "mu_hat": round(profiler.mu_estimate(), 1)
-                if profiler.n
-                else float("nan"),
+                "window_commits": snap.n_commits,
+                "mu_hat": round(snap.mu_hat, 1),
+                "regime": policy.regime,
             }
         )
 

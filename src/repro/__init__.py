@@ -96,7 +96,6 @@ from repro.htm import (
     TunedDelay,
     policy_from_name,
 )
-from repro.htm.profiler import AdaptiveDelay, CommitProfiler
 from repro.sim.trace import Tracer
 from repro.synthetic import SyntheticHarness, SyntheticResult, default_policy_suite
 from repro.workloads import (
@@ -181,8 +180,6 @@ __all__ = [
     "RequestorAbortsDelay",
     "HybridDelay",
     "GreedyCM",
-    "AdaptiveDelay",
-    "CommitProfiler",
     "Tracer",
     "policy_from_name",
     # workloads

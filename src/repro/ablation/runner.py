@@ -40,25 +40,23 @@ from repro.core.requestor_wins import (
 )
 from repro.distributions import ExponentialLengths
 from repro.errors import InvalidParameterError
-from repro.htm import Machine, MachineParams
-from repro.htm.conflict_policy import (
+from repro.htm import (
+    REMAINING_FRACTION,
     DetDelay,
     GreedyCM,
+    Machine,
+    MachineParams,
     NoDelay,
     RandDelay,
     RegimeAdaptiveDelay,
     RRWMeanDelay,
+    commit_feed,
 )
-from repro.htm.profiler import CommitProfiler
 from repro.obs.tracebus import NO_SIM_TIME, get_bus
 from repro.rngutil import seedseq_for, stream_for
+from repro.sim.stats import Welford
 
 __all__ = ["run_ablation_cell", "collect_matrix", "run_ablate_rank", "flip_parts"]
-
-#: Fraction of the profiled full transaction length an *offline*
-#: estimator reports as the mean remaining time at conflict — the same
-#: remaining-fraction convention as :class:`~repro.htm.profiler.CommitProfiler`.
-OFFLINE_REMAINING_FRACTION = 0.5
 
 #: Conflicts a streaming estimator has digested by the time most
 #: decisions are made — the *online* µ̂ is the mean over this prefix.
@@ -89,12 +87,12 @@ def _oracle_mu(workload_factory, params, horizon, calib_seed, fallback_mu):
     """Exact-knowledge µ: profile commit durations in a calibration
     pre-run of the same workload (seeded, so still deterministic)."""
     workload = workload_factory()
-    profiler = CommitProfiler()
+    durations = Welford()
     machine = Machine(params, lambda core_id: RandDelay())
-    machine.commit_observers.append(profiler.observe_commit)
+    machine.commit_observers.append(durations.add)
     machine.load(workload, seed=calib_seed)
     machine.run(max(horizon / 4.0, 4_000.0))
-    mu = profiler.mu_estimate()
+    mu = durations.mean * REMAINING_FRACTION
     if not math.isfinite(mu) or mu <= 0:
         return fallback_mu
     return float(mu)
@@ -113,9 +111,9 @@ def _machine_policy(cfg, workload, params, oracle_mu):
     # the regime family: the estimator axis picks the µ source
     if cfg.estimator == "online":
         policy = RegimeAdaptiveDelay()
-        return (lambda core_id: policy), policy.observe_commit
+        return (lambda core_id: policy), commit_feed(policy)
     tuned = workload.tuned_delay_cycles(params)
-    offline_mu = max(1.0, OFFLINE_REMAINING_FRACTION * tuned)
+    offline_mu = max(1.0, REMAINING_FRACTION * tuned)
     mu = oracle_mu if cfg.estimator == "oracle" else offline_mu
     return (lambda core_id: RRWMeanDelay(mu)), None
 
@@ -156,7 +154,7 @@ def _machine_metrics(cfg, workload_factory, params, horizon, machine_seed,
         tuned = workload.tuned_delay_cycles(params)
         oracle_mu = _oracle_mu(
             workload_factory, params, horizon, calib_seed,
-            max(1.0, OFFLINE_REMAINING_FRACTION * tuned),
+            max(1.0, REMAINING_FRACTION * tuned),
         )
     policy_factory, observer = _machine_policy(cfg, workload, params, oracle_mu)
     machine = Machine(params, policy_factory)
@@ -191,9 +189,7 @@ def _arena_metrics(cfg, mu_cycles, arena_conflicts, attempt_trials,
     )
     schedule = adversary.build(txns, rng_sched)
     remaining = [c.remaining for c in schedule.conflicts]
-    mus = _estimator_mus(
-        remaining, OFFLINE_REMAINING_FRACTION * mu_cycles
-    )
+    mus = _estimator_mus(remaining, REMAINING_FRACTION * mu_cycles)
     arena = ConflictLedgerArena(
         ConflictKind.REQUESTOR_WINS, B, _arena_policy_factory(cfg, B, mus)
     )

@@ -40,8 +40,6 @@ Resilience (docs/ROBUSTNESS.md):
 
 * ``--timeout`` arms a per-experiment wall-clock watchdog; under
   ``--jobs`` the parent also kills overdue worker processes.
-* ``--retries`` re-runs an experiment that died with a transient
-  :class:`~repro.errors.SimulationError` (timeouts are never retried).
 * ``--keep-going`` records failures and keeps running; the run exits
   non-zero with a per-experiment failure summary instead of aborting
   at the first error.
@@ -154,14 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock watchdog per experiment; a run past the budget "
         "is killed with ExperimentTimeoutError (with --jobs, the parent "
         "kills the worker process itself if the in-worker alarm fails)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry an experiment up to N times (exponential backoff) "
-        "after a transient SimulationError; timeouts are not retried",
     )
     parser.add_argument(
         "--keep-going",
@@ -386,9 +376,7 @@ def _run_batch(
     )
 
     chaos = None
-    retry = RetryPolicy(
-        retries=args.retries, max_worker_restarts=args.max_worker_restarts
-    )
+    retry = RetryPolicy(max_worker_restarts=args.max_worker_restarts)
     if args.chaos is not None:
         from repro.faults import ChaosPlan
 
@@ -397,7 +385,6 @@ def _run_batch(
             # chaos is suppressed from safe_attempt on; the budget must
             # reach it or a chaosed task could fail before its safe run
             retry = RetryPolicy(
-                retries=retry.retries,
                 max_task_reexecutions=chaos.safe_attempt,
                 max_worker_restarts=retry.max_worker_restarts,
             )
@@ -411,7 +398,6 @@ def _run_batch(
             quick=args.quick,
             seed=args.seed,
             timeout=args.timeout,
-            retry=retry,
             cache_dir=str(args.cache_dir) if args.cache else None,
             fingerprint=fingerprint,
             collect=collect,

@@ -43,7 +43,7 @@ from repro.core._continuous import ContinuousDelayPolicy
 from repro.core.model import ConflictKind, ConflictModel
 from repro.core.policy import DelayPolicy, DeterministicDelayPolicy
 from repro.core.ratios import _check_bk, ra_chain_E
-from repro.core.ski_rental import discrete_competitive_ratio
+from repro.core.ski_rental import discrete_competitive_ratio, karlin_pmf
 from repro.errors import InvalidParameterError, RegimeError
 from repro.rngutil import ensure_rng
 
@@ -214,15 +214,10 @@ class DiscreteSkiRentalRA(DelayPolicy):
     """
 
     def __init__(self, B: int) -> None:
-        if not isinstance(B, int) or isinstance(B, bool) or B < 1:
-            raise InvalidParameterError(
-                f"discrete ski rental needs integer B >= 1, got {B!r}"
-            )
+        # rejects a B that is not an int >= 1, or is a bool
+        self._pmf = karlin_pmf(B)  # index 0 is day 1
         self.B = B
         self.k = 2
-        q = (B - 1) / B
-        weights = q ** np.arange(B - 1, -1, -1, dtype=float)  # i = 1..B
-        self._pmf = weights / weights.sum()
         self._cmf = np.cumsum(self._pmf)
         self.name = "SKI_DISCRETE"
 

@@ -180,20 +180,26 @@ def run_abl_htm_resolution(
 
     Compares requestor-wins (DELAY_RAND), requestor-aborts (NACK the
     requestor at grace expiry), the per-conflict hybrid of the paper's
-    "Implications" section, and the online adaptive-profiler policy, on
-    the queue and transactional-app workloads.
+    "Implications" section, and the online-µ policy (one
+    ``RegimeAdaptiveDelay`` per machine, fed every commit), on the queue
+    and transactional-app workloads.
     """
-    from repro.htm import GreedyCM, HybridDelay, RequestorAbortsDelay
-    from repro.htm.profiler import AdaptiveDelay, CommitProfiler
+    from repro.htm import (
+        GreedyCM,
+        HybridDelay,
+        RegimeAdaptiveDelay,
+        RequestorAbortsDelay,
+        commit_feed,
+    )
     from repro.workloads import TxAppWorkload
 
     def factories():
-        profiler = CommitProfiler()
+        adaptive = RegimeAdaptiveDelay()
         return [
             ("RW (DELAY_RAND)", lambda i: RandDelay(), None),
             ("RA (NACK)", lambda i: RequestorAbortsDelay(), None),
             ("HYBRID", lambda i: HybridDelay(), None),
-            ("ADAPTIVE", lambda i, p=profiler: AdaptiveDelay(p), profiler),
+            ("ADAPTIVE", lambda i: adaptive, commit_feed(adaptive)),
             ("GREEDY_CM (global)", lambda i: GreedyCM(), None),
         ]
 
@@ -203,12 +209,12 @@ def run_abl_htm_resolution(
         ("txapp", lambda: TxAppWorkload(work_cycles=100)),
     ):
         for n in threads:
-            for label, factory, profiler in factories():
+            for label, factory, feed in factories():
                 params = MachineParams(n_cores=n)
                 workload = workload_factory()
                 machine = Machine(params, factory)
-                if profiler is not None:
-                    machine.commit_observers.append(profiler.observe_commit)
+                if feed is not None:
+                    machine.commit_observers.append(feed)
                 machine.load(workload, seed=(seed or 0) + 31 * n)
                 stats = machine.run(horizon)
                 workload.verify(machine)

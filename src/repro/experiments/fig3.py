@@ -15,14 +15,7 @@ from typing import Callable
 
 import numpy as _np
 
-from repro.htm import (
-    DetDelay,
-    Machine,
-    MachineParams,
-    NoDelay,
-    RandDelay,
-    TunedDelay,
-)
+from repro.htm import Machine, MachineParams, policy_from_name
 from repro.rngutil import DEFAULT_SEED
 from repro.workloads import (
     QueueWorkload,
@@ -49,28 +42,10 @@ FIG3_THREADS = (1, 2, 4, 6, 8, 12, 16, 18)
 
 
 def _policy_factory(name: str, workload: Workload, params: MachineParams):
-    if name == "NO_DELAY":
-        return lambda core_id: NoDelay()
-    if name == "DELAY_TUNED":
-        tuned = workload.tuned_delay_cycles(params)
-        return lambda core_id: TunedDelay(tuned)
-    if name == "DELAY_DET":
-        return lambda core_id: DetDelay()
-    if name == "DELAY_RAND":
-        return lambda core_id: RandDelay()
-    if name == "DELAY_RA":
-        from repro.htm import RequestorAbortsDelay
-
-        return lambda core_id: RequestorAbortsDelay()
-    if name == "DELAY_HYBRID":
-        from repro.htm import HybridDelay
-
-        return lambda core_id: HybridDelay()
-    if name == "GREEDY_CM":
-        from repro.htm import GreedyCM
-
-        return lambda core_id: GreedyCM()
-    raise ValueError(f"unknown Figure 3 policy {name!r}")
+    """``core_id -> policy`` for the series ``name``; DELAY_TUNED waits
+    the workload's closed-form tuned delay."""
+    tuned = workload.tuned_delay_cycles(params)
+    return lambda core_id: policy_from_name(name, params, tuned_cycles=tuned)
 
 
 def _rep_worker(

@@ -5,17 +5,13 @@ has an entry here; the benchmark files and the CLI both dispatch through
 :func:`run_experiment` so there is exactly one implementation per
 artifact.
 
-:func:`run_experiment` is hardened for long batch runs (the resilience
-half of this is CLI-visible as ``--timeout`` / ``--retries``):
-
-* **Watchdog** — ``timeout`` seconds of wall clock per attempt; a
-  signal-based alarm (main thread) kills runaway experiments with
-  :class:`~repro.errors.ExperimentTimeoutError` even when they are
-  stuck outside the simulation kernel.
-* **Retry with exponential backoff** — ``retries`` extra attempts for
-  transient :class:`~repro.errors.SimulationError` failures (the kind
-  injected faults produce); timeouts and misconfigurations are never
-  retried.
+:func:`run_experiment` is hardened for long batch runs with a
+**watchdog** (CLI-visible as ``--timeout``): ``timeout`` seconds of wall
+clock per run; a signal-based alarm (main thread) kills runaway
+experiments with :class:`~repro.errors.ExperimentTimeoutError` even when
+they are stuck outside the simulation kernel.  Nothing is retried in
+process: a runner is a pure function of its arguments and seed, so a
+second attempt would raise the same error.
 """
 
 from __future__ import annotations
@@ -26,12 +22,11 @@ import json
 import logging
 import signal
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.ablation.runner import run_ablate_rank
-from repro.errors import ExperimentError, ExperimentTimeoutError, SimulationError
+from repro.errors import ExperimentError, ExperimentTimeoutError
 from repro.experiments import (
     ablations,
     chains,
@@ -483,7 +478,6 @@ def run_experiment(
     quick: bool = False,
     seed: int | None = None,
     timeout: float | None = None,
-    retry=None,
     cache=None,
     pool=None,
     **overrides,
@@ -492,13 +486,8 @@ def run_experiment(
 
     ``quick`` shrinks trial counts/horizons for CI; ``overrides`` are
     forwarded to the runner (after the mode defaults).  ``timeout``
-    arms a per-attempt wall-clock watchdog; ``retry`` (a
-    :class:`repro.parallel.retry.RetryPolicy` — the one object every
-    execution path shares) re-runs the experiment with exponential
-    backoff when it dies with a transient
-    :class:`~repro.errors.SimulationError` — the failure mode injected
-    faults produce.  Without a policy nothing is retried.  Timeouts,
-    bad parameters, and unknown ids are never retried.
+    arms a wall-clock watchdog.  A failure propagates from the one
+    attempt: the runner is deterministic, so nothing is retried.
 
     ``cache`` (a :class:`repro.parallel.ResultCache`) short-circuits
     the run when an entry for this exact invocation exists, and stores
@@ -531,18 +520,8 @@ def run_experiment(
         call_kwargs["pool"] = pool
     if cache is not None and "cache" in sig_params:
         call_kwargs["cache"] = cache
-    attempts = 1 if retry is None else retry.retries + 1
-    for attempt in range(attempts):
-        try:
-            with _watchdog(timeout, exp_id):
-                rows = spec.runner(**call_kwargs)
-            break
-        except ExperimentTimeoutError:
-            raise  # a timeout is a budget decision, not a transient fault
-        except SimulationError:
-            if attempt + 1 >= attempts:
-                raise
-            time.sleep(retry.attempt_backoff(attempt))
+    with _watchdog(timeout, exp_id):
+        rows = spec.runner(**call_kwargs)
     if cache is not None:
         cache.put_rows(exp_id, rows, kwargs, quick=quick, seed=seed)
     _remember(exp_id, key, rows)

@@ -28,8 +28,11 @@ from repro.htm.conflict_policy import (
     DetDelay,
     NoDelay,
     RandDelay,
+    RegimeAdaptiveDelay,
+    REMAINING_FRACTION,
     RRWMeanDelay,
     TunedDelay,
+    commit_feed,
     policy_from_name,
 )
 from repro.htm.machine import Machine, MachineStats
@@ -48,5 +51,8 @@ __all__ = [
     "RequestorAbortsDelay",
     "HybridDelay",
     "GreedyCM",
+    "RegimeAdaptiveDelay",
+    "REMAINING_FRACTION",
+    "commit_feed",
     "policy_from_name",
 ]

@@ -20,6 +20,10 @@ DELAY_RAND    :class:`RandDelay` — Theorem 5's uniform draw
 plus :class:`RRWMeanDelay` (the mean-constrained optimal policy) and
 :class:`RegimeAdaptiveDelay` (online-estimated regime dispatch, the decision
 service's default) as extension series.
+
+Section 5.2's profiler, "which records the empirical mean over all
+successful executions", is one :class:`RegimeAdaptiveDelay` per machine,
+shared by its cores and fed every commit through :func:`commit_feed`.
 """
 
 from __future__ import annotations
@@ -51,9 +55,17 @@ __all__ = [
     "HybridDelay",
     "GreedyCM",
     "RegimeAdaptiveDelay",
+    "REMAINING_FRACTION",
+    "commit_feed",
     "policy_from_name",
 ]
 
+
+#: The theory's µ is the mean *remaining* time at a conflict.  A
+#: conflict strikes a uniformly random point of an execution, so an HTM
+#: µ is this fraction of a committed duration.  Every HTM µ source
+#: scales by it: the oracle and offline profiles and the online feeds.
+REMAINING_FRACTION = 0.5
 
 #: The live requestor-wins distribution per ``(B-bucket, k, family)``,
 #: shared by every policy instance in the process: a distribution and
@@ -425,6 +437,16 @@ class RegimeAdaptiveDelay(_RWTablePolicy):
         if policy is None:
             policy = self._pick(key, B, k, None if mu_key < 0 else float(mu_key))
         return int(policy.sample(rng))
+
+
+def commit_feed(policy: RegimeAdaptiveDelay):
+    """A machine commit observer that reports each committed duration
+    to ``policy`` as a remaining time (:data:`REMAINING_FRACTION`)."""
+
+    def observe(duration: float) -> None:
+        policy.observe_commit(REMAINING_FRACTION * duration)
+
+    return observe
 
 
 class GreedyCM(CyclePolicy):

@@ -92,7 +92,7 @@ class Machine:
         self.cores: list["Core"] = []
         self.workload: "Workload | None" = None
         # callbacks fired with each committed transaction's duration in
-        # cycles (used by the online profiler extension)
+        # cycles (the online-µ feed, repro.htm.commit_feed)
         self.commit_observers: list = []
         # waits-for multiset: (waiter_core, holder_core) -> count
         self._waits: dict[tuple[int, int], int] = {}
@@ -305,12 +305,6 @@ class Machine:
             holders.discard(holder)
             if not holders:
                 del self._holders_adj[waiter]
-
-    def _waiters_of(self, holder: int) -> set[int]:
-        return set(self._waiters_adj.get(holder, ()))
-
-    def _holders_of(self, waiter: int) -> set[int]:
-        return set(self._holders_adj.get(waiter, ()))
 
     def transitive_waiters(self, holder: int) -> set[int]:
         """Every core transitively delayed by ``holder``."""

@@ -20,7 +20,7 @@ store keyed on ``exp_id + kwargs + seed + quick +`` a source-tree
 fingerprint, and the rest of the crash-tolerance layer:
 :class:`CheckpointJournal` (append-only fsync'd JSONL with per-record
 checksums and torn-tail recovery) and :class:`RetryPolicy` (the one
-retry/re-execution/restart budget object every path shares).
+re-execution/restart budget object every path shares).
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
-"""One retry/backoff policy shared by every execution path.
+"""One re-execution/backoff policy shared by every execution path.
 
 A :class:`RetryPolicy` is the single picklable object threaded through
-:func:`repro.experiments.run_experiment` and the
-:class:`~repro.parallel.supervisor.SupervisedPool`, and the only way to
-ask either for retries:
+the :class:`~repro.parallel.supervisor.SupervisedPool`.  Only a dead
+worker process is retried: every experiment is a pure function of its
+arguments and seed, so re-running one in-process after an exception
+would recompute the same exception.
 
-* ``retries`` / ``backoff_base`` / ``backoff_factor`` — in-process
-  re-runs after a transient :class:`~repro.errors.SimulationError`
-  (exponential backoff; timeouts are never retried).
-* ``max_task_reexecutions`` — how often a task whose *worker process*
-  died (SIGKILL, OOM, chaos) is handed to a fresh worker before it is
+* ``max_task_reexecutions`` / ``backoff_base`` / ``backoff_factor`` —
+  how often a task whose *worker process* died (SIGKILL, OOM, chaos) is
+  handed to a fresh worker, with exponential backoff, before it is
   recorded as failed.
 * ``max_worker_restarts`` / ``restart_backoff`` — the pool-wide budget
   of replacement workers; once exhausted the supervisor degrades to
@@ -27,11 +26,10 @@ __all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry, re-execution, and restart budgets for one run (picklable)."""
+    """Re-execution and restart budgets for one run (picklable)."""
 
-    #: extra in-process attempts after a transient ``SimulationError``.
-    retries: int = 0
-    #: first backoff sleep in seconds; doubles (``backoff_factor``) per attempt.
+    #: first re-execution sleep in seconds; doubles (``backoff_factor``)
+    #: per re-execution.
     backoff_base: float = 0.05
     backoff_factor: float = 2.0
     #: re-executions of a task whose worker process died mid-flight.
@@ -42,10 +40,6 @@ class RetryPolicy:
     restart_backoff: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise InvalidParameterError(
-                f"retries must be >= 0, got {self.retries}"
-            )
         if self.max_task_reexecutions < 0:
             raise InvalidParameterError(
                 "max_task_reexecutions must be >= 0, got "
@@ -64,10 +58,6 @@ class RetryPolicy:
             )
 
     # ------------------------------------------------------------------
-    def attempt_backoff(self, attempt: int) -> float:
-        """Sleep before in-process retry number ``attempt`` (0-based)."""
-        return self.backoff_base * self.backoff_factor**attempt
-
     def reexecution_backoff(self, reexecution: int) -> float:
         """Sleep before re-dispatching a crashed task (0-based count)."""
         return self.backoff_base * self.backoff_factor**reexecution

@@ -96,7 +96,6 @@ class ExperimentTask:
     quick: bool = False
     seed: int | None = None
     timeout: float | None = None
-    retry: RetryPolicy = DEFAULT_RETRY_POLICY
     cache_dir: str | None = None
     fingerprint: str | None = None
     overrides: dict = field(default_factory=dict)
@@ -119,7 +118,6 @@ class ExperimentTask:
             quick=self.quick,
             seed=self.seed,
             timeout=self.timeout,
-            retry=self.retry,
             cache=cache,
             pool=pool,
             **self.overrides,
@@ -493,9 +491,8 @@ class SupervisedPool:
 
         Results come back in task order.  Calls run inline when at most
         one worker would be busy.  A failed call raises here, after no
-        result was folded: :mod:`repro.errors` classes keep their type
-        (so ``run_experiment`` still retries a ``SimulationError``), any
-        other becomes an :class:`~repro.errors.ExperimentError`.  With
+        result was folded: :mod:`repro.errors` classes keep their type,
+        any other becomes an :class:`~repro.errors.ExperimentError`.  With
         observability active each call runs under a fresh capture in its
         worker, and the metric snapshots and events are folded into this
         process's registry and bus in task order — so ``--jobs`` cannot

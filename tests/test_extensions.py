@@ -1,5 +1,6 @@
 """Tests for the extension features: moment-constrained adversaries,
-requestor-aborts / hybrid HTM resolution, and the online profiler."""
+requestor-aborts / hybrid HTM resolution, and the online profiler
+(Section 5.2's commit feed into RegimeAdaptiveDelay)."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.estimators import offline_window_mean
 from repro.core.model import ConflictKind, ConflictModel
 from repro.core.moments import (
     MomentConstraint,
@@ -18,19 +20,20 @@ from repro.core.requestor_wins import MeanConstrainedRW, UniformRW
 from repro.core.verify import competitive_ratio, constrained_competitive_ratio
 from repro.errors import InvalidParameterError
 from repro.htm import (
+    REMAINING_FRACTION,
     HybridDelay,
     Machine,
     MachineParams,
     NoDelay,
     RandDelay,
+    RegimeAdaptiveDelay,
     RequestorAbortsDelay,
+    commit_feed,
 )
 from repro.htm.conflict_policy import (
     ConflictContext,
-    _bucket,
     policy_from_name,
 )
-from repro.htm.profiler import AdaptiveDelay, CommitProfiler
 from repro.workloads import CounterWorkload, QueueWorkload, TxAppWorkload
 
 B = 100.0
@@ -99,11 +102,8 @@ class TestMomentConstraints:
         assert lp <= sup + 1e-6
 
 
-def run_machine(policy_factory, workload, n_cores=8, seed=1, horizon=150_000.0,
-                profiler=None):
+def run_machine(policy_factory, workload, n_cores=8, seed=1, horizon=150_000.0):
     machine = Machine(MachineParams(n_cores=n_cores), policy_factory)
-    if profiler is not None:
-        machine.commit_observers.append(profiler.observe_commit)
     machine.load(workload, seed=seed)
     stats = machine.run(horizon)
     workload.verify(machine)
@@ -168,90 +168,44 @@ class TestHybridHTM:
 
 
 class TestProfiler:
+    """Section 5.2's profiler: one RegimeAdaptiveDelay per machine,
+    shared by its cores and fed every commit through commit_feed."""
+
     def test_mu_estimate_half_duration(self):
-        profiler = CommitProfiler()
-        assert math.isnan(profiler.mu_estimate())
+        policy = RegimeAdaptiveDelay()
+        feed = commit_feed(policy)
+        assert math.isnan(policy.estimator.snapshot().mu_hat)
         for d in (100.0, 200.0):
-            profiler.observe_commit(d)
-        assert profiler.mu_estimate() == pytest.approx(75.0)
-        assert profiler.n == 2
+            feed(d)
+        snap = policy.estimator.snapshot()
+        assert snap.mu_hat == REMAINING_FRACTION * 150.0 == 75.0
+        assert snap.n_commits == 2
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            CommitProfiler(remaining_fraction=0.0)
+            commit_feed(RegimeAdaptiveDelay())(-1.0)
         with pytest.raises(InvalidParameterError):
-            CommitProfiler().observe_commit(-1.0)
-        with pytest.raises(InvalidParameterError):
-            AdaptiveDelay(CommitProfiler(), warmup=0)
-
-    def test_cold_start_is_unconstrained(self, rng):
-        profiler = CommitProfiler()
-        policy = AdaptiveDelay(profiler, warmup=10)
-        ctx = ConflictContext(100, 2, MachineParams())
-        # cold: uniform on [0, B): delays spread over the support
-        delays = [policy.decide(ctx, rng) for _ in range(200)]
-        assert max(delays) > 0.8 * ctx.abort_cost
+            RegimeAdaptiveDelay(min_samples=0)
 
     def test_adaptive_in_machine_profiles_commits(self):
-        profiler = CommitProfiler()
+        policy = RegimeAdaptiveDelay()
+        durations = []
+        machine = Machine(MachineParams(n_cores=8), lambda i: policy)
+        machine.commit_observers += [commit_feed(policy), durations.append]
         workload = TxAppWorkload(work_cycles=100)
-        machine, stats = run_machine(
-            lambda i: AdaptiveDelay(profiler), workload, profiler=profiler
+        machine.load(workload, seed=1)
+        stats = machine.run(150_000.0)
+        workload.verify(machine)
+        assert len(durations) == stats.tx_committed
+        # enough evidence to leave Theorem 4's cold-start rule
+        assert policy.regime != "bootstrap"
+        window = policy.estimator.window
+        assert policy.estimator.snapshot().mu_hat == pytest.approx(
+            REMAINING_FRACTION * offline_window_mean(durations, window),
+            rel=1e-12,
         )
-        assert profiler.n == stats.tx_committed
         # mean tx duration must exceed the body work
-        assert profiler.durations.mean > 100.0
-
-    def test_refresh_with_unchanged_family_rebuilds_no_grid(self, grid_log):
-        """A new epoch whose µ keeps the family reuses the built
-        distribution: no grid build, and the delays a fresh policy at
-        the same µ would draw."""
-        profiler = CommitProfiler()
-        policy = AdaptiveDelay(profiler, warmup=1, refresh=5)
-        ctx = ConflictContext(100, 2, MachineParams())
-        profiler.observe_commit(50.0)
-        policy.decide(ctx, np.random.default_rng(0))  # epoch from n = 1
-        for _ in range(5):
-            profiler.observe_commit(50.0)  # n = 6: the next decide refreshes
-        rng = np.random.default_rng(3)
-        delays = [policy.decide(ctx, rng) for _ in range(40)]
-        assert len(grid_log) == 1 and policy.grid_builds == 1
-        fresh = AdaptiveDelay(profiler, warmup=1, refresh=5)
-        ref_rng = np.random.default_rng(3)
-        assert delays == [fresh.decide(ctx, ref_rng) for _ in range(40)]
-        # the fresh policy draws from the live grid, but counts its own
-        assert len(grid_log) == 1 and fresh.grid_builds == 1
-
-    def test_family_switch_waits_for_the_next_epoch(self):
-        """A µ that crosses the regime threshold mid-epoch switches the
-        (B, k)'s family at the next refresh, not before."""
-        profiler = CommitProfiler()
-        policy = AdaptiveDelay(profiler, warmup=1, refresh=5)
-        ctx = ConflictContext(100, 2, MachineParams())
-        B = float(_bucket(ctx.abort_cost))
-        profiler.observe_commit(50.0)
-        policy.decide(ctx, np.random.default_rng(0))  # epoch from n = 1
-
-        def draws(sampler, n=20):
-            return [int(sampler(np.random.default_rng(s))) for s in range(n)]
-
-        def decisions():
-            return draws(lambda g: policy.decide(ctx, g))
-
-        for _ in range(3):
-            profiler.observe_commit(10_000.0)
-        assert not MeanConstrainedRW.regime_holds(B, profiler.mu_estimate())
-        assert decisions() == draws(MeanConstrainedRW(B, 25.0).sample)
-        for _ in range(2):
-            profiler.observe_commit(10_000.0)  # n = 6: a new epoch
-        assert decisions() == draws(UniformRW(B).sample)
-        assert policy.grid_builds == 1
-        for _ in range(200):
-            profiler.observe_commit(1.0)  # µ back inside the regime
-        mu = profiler.mu_estimate()
-        assert decisions() == draws(MeanConstrainedRW(B, mu).sample)
-        # the uniform epoch drew from no constrained grid, so none was kept
-        assert policy.grid_builds == 2
+        assert np.mean(durations) > 100.0
 
 
 class TestGreedyCM:

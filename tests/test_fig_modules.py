@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repro.errors import InvalidParameterError
 from repro.experiments import fig2, fig3
 from repro.experiments.report import _fmt, ascii_bars, render_series, render_table
 from repro.htm import MachineParams, NoDelay, TunedDelay
@@ -19,19 +20,19 @@ class TestFig3Helpers:
         workload = StackWorkload()
         for name in fig3.FIG3_POLICIES:
             factory = fig3._policy_factory(name, workload, params)
-            policy = factory(0)
-            assert policy is not None
+            assert factory(0).name == name
 
     def test_policy_factory_extensions(self):
         params = MachineParams()
         workload = StackWorkload()
         for name in ("DELAY_RA", "DELAY_HYBRID", "GREEDY_CM"):
             factory = fig3._policy_factory(name, workload, params)
-            assert factory(0) is not None
+            assert factory(0).name == name
 
     def test_policy_factory_unknown(self):
-        with pytest.raises(ValueError):
-            fig3._policy_factory("DELAY_MAGIC", StackWorkload(), MachineParams())
+        factory = fig3._policy_factory("DELAY_MAGIC", StackWorkload(), MachineParams())
+        with pytest.raises(InvalidParameterError, match="unknown conflict policy"):
+            factory(0)
 
     def test_tuned_factory_uses_workload(self):
         params = MachineParams()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.model import ConflictKind, ConflictModel
 from repro.core.ratios import ra_chain_E
+from repro.core.ski_rental import karlin_pmf
 from repro.core.requestor_aborts import (
     ChainRA,
     DeterministicRA,
@@ -173,6 +174,11 @@ class TestDiscreteSkiRental:
         for day in (1, 7, 20):
             assert policy.pmf(day) == pytest.approx(q ** (Bi - day) / denom)
 
+    def test_pmf_is_karlin_pmf(self):
+        """One copy of Theorem 1's buy-day density."""
+        for Bi in (1, 2, 7, 120):
+            assert np.array_equal(DiscreteSkiRentalRA(Bi)._pmf, karlin_pmf(Bi))
+
     def test_pmf_increasing_toward_day_B(self):
         pmf = DiscreteSkiRentalRA(30)._pmf
         assert np.all(np.diff(pmf) > 0)
@@ -203,6 +209,8 @@ class TestDiscreteSkiRental:
             DiscreteSkiRentalRA(0)
         with pytest.raises(InvalidParameterError):
             DiscreteSkiRentalRA(2.5)  # type: ignore[arg-type]
+        with pytest.raises(InvalidParameterError):
+            DiscreteSkiRentalRA(True)  # type: ignore[arg-type]
 
 
 class TestFactory:

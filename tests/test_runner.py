@@ -1,5 +1,5 @@
-"""Hardened experiment runner: registration, watchdog, retries,
-checkpoint/resume, and the CLI's --keep-going failure handling."""
+"""Hardened experiment runner: registration, watchdog, no in-process
+retry, checkpoint/resume, and the CLI's --keep-going failure handling."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.cli import main
 from repro.errors import (
     ExperimentError,
     ExperimentTimeoutError,
-    InvalidParameterError,
     SimulationError,
 )
 from repro.experiments import EXPERIMENTS, register_experiment, run_experiment
@@ -20,7 +19,6 @@ from repro.experiments import registry, scorecard
 from repro.experiments.registry import _SPECS
 from repro.experiments.report import render_failures
 from repro.experiments.scorecard import run_scorecard
-from repro.parallel import RetryPolicy
 
 
 @pytest.fixture
@@ -50,11 +48,6 @@ def _ckpt_done(path) -> dict:
     from repro.parallel import recover
 
     return recover(path, truncate=False).done_map()
-
-
-def _fast(retries: int) -> RetryPolicy:
-    """A retry policy with a negligible backoff."""
-    return RetryPolicy(retries=retries, backoff_base=0.001)
 
 
 def _hang(**kw):  # killed only by the watchdog
@@ -165,7 +158,7 @@ class TestWatchdog:
 
         exp_id = scratch("zz_hang_retry", hang)
         with pytest.raises(ExperimentTimeoutError):
-            run_experiment(exp_id, timeout=0.2, retry=RetryPolicy(retries=3))
+            run_experiment(exp_id, timeout=0.2)
         assert len(calls) == 1
 
     def test_fast_experiment_unaffected(self, scratch):
@@ -185,31 +178,8 @@ class TestWatchdog:
 
 
 class TestRetries:
-    def test_transient_failures_retried(self, scratch):
-        calls = []
-
-        def flaky(**kw):
-            calls.append(1)
-            if len(calls) < 3:
-                raise SimulationError("transient")
-            return [{"ok": True}]
-
-        exp_id = scratch("zz_flaky", flaky)
-        result = run_experiment(exp_id, retry=_fast(3))
-        assert result.rows == [{"ok": True}]
-        assert len(calls) == 3
-
-    def test_retries_exhausted(self, scratch):
-        calls = []
-
-        def broken(**kw):
-            calls.append(1)
-            raise SimulationError("always")
-
-        exp_id = scratch("zz_broken", broken)
-        with pytest.raises(SimulationError):
-            run_experiment(exp_id, retry=_fast(1))
-        assert len(calls) == 2
+    """Nothing is retried in process: a runner is a pure function of its
+    arguments and seed, so a second call would raise the same error."""
 
     def test_no_retries_by_default(self, scratch):
         calls = []
@@ -223,15 +193,17 @@ class TestRetries:
             run_experiment(exp_id)
         assert len(calls) == 1
 
-    def test_negative_retries_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            RetryPolicy(retries=-1)
+    def test_retries_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig2a", "--quick", "--no-cache", "--retries", "1"])
+        assert excinfo.value.code == 2
+        assert "--retries" in capsys.readouterr().err
 
     def test_engine_raised_timeout_never_retried(self, scratch):
         """The watchdog contract (simlint ERR rules): a timeout raised
         from *inside* the experiment — the engine deadline path, which
         does not involve SIGALRM — must propagate on the first attempt,
-        never entering the retry loop."""
+        like any other failure."""
         calls = []
 
         def deadline(**kw):
@@ -240,12 +212,11 @@ class TestRetries:
 
         exp_id = scratch("zz_engine_to", deadline)
         with pytest.raises(ExperimentTimeoutError):
-            run_experiment(exp_id, retry=_fast(5))
+            run_experiment(exp_id)
         assert len(calls) == 1
 
     def test_keyboard_interrupt_propagates_unretried(self, scratch):
-        """Ctrl-C is never swallowed or retried by the runner: the
-        retry loop catches SimulationError only."""
+        """Ctrl-C is never swallowed or retried by the runner."""
         calls = []
 
         def interrupted(**kw):
@@ -254,7 +225,7 @@ class TestRetries:
 
         exp_id = scratch("zz_intr", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_experiment(exp_id, retry=_fast(5))
+            run_experiment(exp_id)
         assert len(calls) == 1
 
 
