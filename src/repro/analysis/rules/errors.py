@@ -143,8 +143,8 @@ class AtomicArtifactWriteRule(Rule):
         "writing a checkpoint, journal, or cache file with open(path, "
         "'w') / Path.write_text truncates in place: a crash mid-write "
         "leaves a torn artifact the next run must distrust.  Route "
-        "these writes through repro.parallel.journal.atomic_write_text "
-        "(temp file + fsync + os.replace) or an append-only journal."
+        "these writes through repro.parallel.cache.atomic_write_text "
+        "(temp file + fsync + os.replace) or an append-only log."
     )
 
     def _mentions_artifact(self, node: ast.AST) -> bool:

@@ -6,13 +6,13 @@ Examples::
     python -m repro fig2a tab_ratios
     python -m repro all --quick
     python -m repro fig3_stack --seed 7 --out results/
-    python -m repro all --quick --keep-going --timeout 120 --resume
+    python -m repro all --quick --keep-going --timeout 120
     python -m repro all --quick --jobs 4
     python -m repro fig3_stack --jobs 8          # intra-experiment shards
     python -m repro all --no-cache --cache-dir /tmp/repro-cache
     python -m repro lint --list-rules
     python -m repro cache verify
-    python -m repro all --quick --jobs 4 --chaos 1234 --resume
+    python -m repro all --quick --jobs 4 --chaos 1234
     python -m repro loadgen --quick --seed 3     # decision-service replay
     python -m repro serve --requests 2000        # serving smoke
 
@@ -27,10 +27,10 @@ Parallelism & caching (docs/PERFORMANCE.md):
 
 * Every batch runs on one :class:`~repro.parallel.SupervisedPool` of
   ``--jobs N`` workers.  Several experiments fan out one per worker
-  (ordered reporting, single-writer checkpointing, process-level
-  timeout kills); a single experiment runs in this process and fans its
-  shards out over the workers; at ``--jobs 1`` everything runs in this
-  process.  Rows are invariant to ``--jobs`` — only wall clock changes.
+  (ordered reporting, process-level timeout kills); a single
+  experiment runs in this process and fans its shards out over the
+  workers; at ``--jobs 1`` everything runs in this process.  Rows are
+  invariant to ``--jobs`` — only wall clock changes.
 * Results are cached content-addressed under ``--cache-dir``
   (default ``.repro-cache``, or ``$REPRO_CACHE_DIR``); any source
   change invalidates every entry.  ``--no-cache`` (or
@@ -43,12 +43,11 @@ Resilience (docs/ROBUSTNESS.md):
 * ``--keep-going`` records failures and keeps running; the run exits
   non-zero with a per-experiment failure summary instead of aborting
   at the first error.
-* ``--resume`` (with ``--checkpoint``, or the default checkpoint path)
-  skips experiments a previous invocation already completed, so a
-  crashed or killed batch picks up where it left off.  Checkpoints are
-  an append-only, fsync-committed JSONL *journal* with per-record
-  checksums: a crash mid-write costs at most the torn tail, which
-  recovery truncates back to the last durable record.
+* An interrupted batch finishes by running the same command again
+  with the same ``--cache-dir``: every experiment that completed is a
+  cache hit, and only the rest run.  Cache entries are written
+  atomically with ``fsync`` and carry a checksum, so a crash mid-write
+  costs at most the entry being written.
 * Under ``--jobs``, workers are warm and *supervised*: heartbeat pings
   detect crashed or hung workers, their in-flight task is re-executed
   on a fresh worker (bounded, with backoff), and once
@@ -73,10 +72,6 @@ from repro.experiments import EXPERIMENTS, render_failures, render_result
 from repro.obs import capture as obs_capture
 
 __all__ = ["main", "build_parser"]
-
-#: Default checkpoint location when ``--resume`` is given without an
-#: explicit ``--checkpoint`` (and no ``--out`` directory to put it in).
-DEFAULT_CHECKPOINT = pathlib.Path(".repro-checkpoint.json")
 
 #: Default result-cache location (overridable via ``$REPRO_CACHE_DIR``).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -160,15 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "non-zero with a failure summary at the end",
     )
     parser.add_argument(
-        "--checkpoint",
-        type=pathlib.Path,
-        default=None,
-        metavar="PATH",
-        help="record per-experiment completion in an append-only "
-        "checkpoint journal (default with --resume: "
-        f"<out>/checkpoint.json, else {DEFAULT_CHECKPOINT})",
-    )
-    parser.add_argument(
         "--chaos",
         type=int,
         default=None,
@@ -185,12 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="pool-wide budget of replacement worker processes; once "
         "spent, remaining experiments run serially in the parent",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip experiments the checkpoint already marks completed "
-        "(same --quick/--seed run only)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -210,64 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(submission order — byte-identical at any --jobs)",
     )
     return parser
-
-
-def _checkpoint_path(args: argparse.Namespace) -> pathlib.Path | None:
-    """Where checkpoint state lives, or None when checkpointing is off
-    (neither --checkpoint nor --resume was requested)."""
-    if args.checkpoint is not None:
-        return args.checkpoint
-    if not args.resume:
-        return None
-    if args.out is not None:
-        return args.out / "checkpoint.json"
-    return DEFAULT_CHECKPOINT
-
-
-def _open_journal(args: argparse.Namespace, ckpt_path: pathlib.Path):
-    """Open (recovering) the checkpoint journal; report what recovery
-    did.  A journal from a different ``(quick, seed)`` configuration, or
-    a file that is not a journal, is moved aside — resuming across
-    configurations would silently mix incomparable results.  Journal
-    records land in completion order, so their ``checkpoint_written``
-    events stay out of the per-experiment captures that feed
-    ``--trace-out`` (which must stay invariant to ``--jobs``)."""
-    from repro.parallel import CheckpointJournal
-
-    journal = CheckpointJournal(
-        ckpt_path, quick=args.quick, seed=args.seed
-    ).open()
-    rotated = journal.rotated
-    if rotated is not None and rotated.header is None:
-        print(
-            f"checkpoint {ckpt_path} is not a checkpoint journal; "
-            f"moved it to {ckpt_path}.old",
-            file=sys.stderr,
-        )
-    elif rotated is not None:
-        header = rotated.header
-        print(
-            f"checkpoint {ckpt_path} is from a different run "
-            f"(quick={header.get('quick')!r}, seed={header.get('seed')!r}); "
-            f"ignoring it",
-            file=sys.stderr,
-        )
-    elif journal.recovery is not None and journal.recovery.truncated:
-        rec = journal.recovery
-        print(
-            f"checkpoint {ckpt_path}: recovered a torn tail "
-            f"({rec.dropped_records} record(s), {rec.dropped_bytes} bytes "
-            f"dropped); resuming from the last durable record",
-            file=sys.stderr,
-        )
-    return journal
-
-
-def _mark_done(journal, exp_id: str, entry: dict) -> None:
-    """Durably record one experiment's final status (no-op without a
-    journal)."""
-    if journal is not None:
-        journal.mark_done(exp_id, entry)
 
 
 def _emit_result(args: argparse.Namespace, result, elapsed: float) -> None:
@@ -310,10 +232,10 @@ def _write_obs(args: argparse.Namespace, snaps: list, events: list) -> None:
 
 
 #: Supervision vocabulary folded into --metrics-out / --trace-out:
-#: counters the supervised pool and journal recovery increment, and the
-#: event kinds they emit on the parent's bus.  Fault-free runs produce
-#: none of either, so the obs artifacts stay byte-identical at any
-#: --jobs; under chaos they carry the restart/recovery counts.
+#: counters the supervised pool increments, and the event kinds it
+#: emits on the parent's bus.  Fault-free runs produce none of either,
+#: so the obs artifacts stay byte-identical at any --jobs; under chaos
+#: they carry the crash/restart counts.
 _SUPERVISION_COUNTERS = frozenset(
     {
         "worker_crashes",
@@ -322,14 +244,12 @@ _SUPERVISION_COUNTERS = frozenset(
         "worker_heartbeat_timeouts",
         "worker_parent_kills",
         "degraded_to_serial",
-        "journal_recoveries",
     }
 )
 _SUPERVISION_KINDS = frozenset(
     {
         "worker_crashed",
         "worker_restarted",
-        "journal_recovered",
         "degraded_to_serial",
     }
 )
@@ -355,8 +275,6 @@ def _fold_supervision(parent_cap, snaps: list, events: list) -> None:
 def _run_batch(
     args: argparse.Namespace,
     ids: list[str],
-    journal,
-    done: dict[str, dict],
     failures: list[dict[str, object]],
     *,
     collect: bool = False,
@@ -364,32 +282,27 @@ def _run_batch(
     """Run ``ids`` on the supervised pool; return their outcomes.
 
     At ``--jobs 1`` (or for a single experiment) the pool runs them in
-    this process.  The parent stays the only checkpoint writer:
-    per-experiment ``done`` records land in completion order (fsync'd
-    journal appends), while results are *emitted* in submission order.
+    this process.  Outcomes arrive in completion order and are emitted
+    in submission order.
     """
-    from repro.parallel import (
-        ExperimentTask,
-        RetryPolicy,
-        SupervisedPool,
-        source_fingerprint,
-    )
+    from repro.parallel import ExperimentTask, SupervisedPool, source_fingerprint
+    from repro.parallel.supervisor import DEFAULT_MAX_TASK_REEXECUTIONS
 
     chaos = None
-    retry = RetryPolicy(max_worker_restarts=args.max_worker_restarts)
+    reexecutions = DEFAULT_MAX_TASK_REEXECUTIONS
     if args.chaos is not None:
         from repro.faults import ChaosPlan
 
         chaos = ChaosPlan(seed=args.chaos)
-        if retry.max_task_reexecutions < chaos.safe_attempt:
-            # chaos is suppressed from safe_attempt on; the budget must
-            # reach it or a chaosed task could fail before its safe run
-            retry = RetryPolicy(
-                max_task_reexecutions=chaos.safe_attempt,
-                max_worker_restarts=retry.max_worker_restarts,
-            )
+        # chaos is suppressed from safe_attempt on; the budget must
+        # reach it or a chaosed task could fail before its safe run
+        reexecutions = max(DEFAULT_MAX_TASK_REEXECUTIONS, chaos.safe_attempt)
     pool = SupervisedPool(
-        args.jobs, retry=retry, timeout=args.timeout, chaos=chaos
+        args.jobs,
+        max_task_reexecutions=reexecutions,
+        max_worker_restarts=args.max_worker_restarts,
+        timeout=args.timeout,
+        chaos=chaos,
     )
     fingerprint = source_fingerprint() if args.cache else None
     tasks = [
@@ -420,14 +333,7 @@ def _run_batch(
                 )
 
     def on_complete(outcome) -> None:
-        # completion order: checkpoint first, so a kill right here loses
-        # at most the in-flight experiments, never a finished one
-        if outcome.ok:
-            done[outcome.exp_id] = {
-                "status": "ok",
-                "elapsed_s": round(outcome.elapsed_s, 2),
-            }
-        else:
+        if not outcome.ok:
             failure = {
                 "exp_id": outcome.exp_id,
                 "error_type": outcome.error_type,
@@ -437,12 +343,6 @@ def _run_batch(
                 # the real reason the worker died (signal/exit/timeout)
                 failure["exit_cause"] = outcome.exit_cause
             failures.append(failure)
-            done[outcome.exp_id] = {
-                "status": "failed",
-                "elapsed_s": round(outcome.elapsed_s, 2),
-                **{k: v for k, v in failure.items() if k != "exp_id"},
-            }
-        _mark_done(journal, outcome.exp_id, done[outcome.exp_id])
         buffered[outcome.exp_id] = outcome
         flush()
 
@@ -535,43 +435,21 @@ def main(argv: list[str] | None = None) -> int:
         args.chaos = None
 
     collect = args.metrics_out is not None or args.trace_out is not None
-    journal = None
-    try:
-        # the parent-side capture records supervision activity (worker
-        # crashes/restarts, journal recoveries); fault-free runs record
-        # nothing, keeping --metrics-out/--trace-out byte-identical at
-        # any --jobs
-        with (obs_capture() if collect else nullcontext()) as parent_cap:
-            ckpt_path = _checkpoint_path(args)
-            done: dict[str, dict] = {}
-            if ckpt_path is not None:
-                journal = _open_journal(args, ckpt_path)
-                if args.resume:
-                    done = journal.done_map()
-
-            failures: list[dict[str, object]] = []
-            run_ids: list[str] = []
-            for exp_id in ids:
-                if args.resume and done.get(exp_id, {}).get("status") == "ok":
-                    print(f"[{exp_id} already completed; skipping (--resume)]")
-                    continue
-                run_ids.append(exp_id)
-
-            outcomes = _run_batch(
-                args, run_ids, journal, done, failures, collect=collect
-            )
-            if collect:
-                snaps = [o.metrics for o in outcomes if o.metrics is not None]
-                events = [e for o in outcomes if o.events for e in o.events]
-                _fold_supervision(parent_cap, snaps, events)
-                _write_obs(args, snaps, events)
-            if failures:
-                print(render_failures(failures), file=sys.stderr)
-                return 1
-            return 0
-    finally:
-        if journal is not None:
-            journal.close()
+    # the parent-side capture records supervision activity (worker
+    # crashes/restarts); fault-free runs record nothing, keeping
+    # --metrics-out/--trace-out byte-identical at any --jobs
+    with (obs_capture() if collect else nullcontext()) as parent_cap:
+        failures: list[dict[str, object]] = []
+        outcomes = _run_batch(args, ids, failures, collect=collect)
+        if collect:
+            snaps = [o.metrics for o in outcomes if o.metrics is not None]
+            events = [e for o in outcomes if o.events for e in o.events]
+            _fold_supervision(parent_cap, snaps, events)
+            _write_obs(args, snaps, events)
+    if failures:
+        print(render_failures(failures), file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

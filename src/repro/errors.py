@@ -78,8 +78,8 @@ class FaultInjectionError(ReproError, ValueError):
 class ExperimentTimeoutError(ExperimentError):
     """An experiment exceeded its wall-clock budget and was killed.
 
-    Raised by the runner's watchdog (``run_experiment(timeout=...)``)
-    and by the simulation kernel's deadline hook.  Deliberately *not*
-    retried by the runner: a timeout is a budget decision, not a
-    transient fault.
+    Raised by the runner's watchdog (``run_experiment(timeout=...)``);
+    the supervised pool reports a worker it killed past the budget as
+    this type too.  Deliberately *not* retried by the runner: a timeout
+    is a budget decision, not a transient fault.
     """

@@ -373,9 +373,8 @@ def _watchdog(seconds: float | None, exp_id: str):
 
     Uses ``SIGALRM`` so even loops that never re-enter the simulation
     kernel get interrupted.  Signals only work on the main thread;
-    elsewhere the engine-level deadline (``Machine.run(wall_timeout)``)
-    remains the only enforcement, so we degrade to a warning rather
-    than refusing to run — run experiments through
+    elsewhere nothing enforces the budget, so we degrade to a warning
+    rather than refusing to run — run experiments through
     ``repro.parallel.SupervisedPool`` (or the CLI's ``--jobs``) when
     hard enforcement matters: its workers run on their own main
     threads *and* the parent kills overdue worker processes outright.
@@ -389,8 +388,8 @@ def _watchdog(seconds: float | None, exp_id: str):
     ):
         logger.warning(
             "experiment %r: timeout=%gs requested off the main thread; "
-            "the SIGALRM watchdog cannot arm here and only engine-level "
-            "deadlines apply — use repro.parallel.SupervisedPool for "
+            "the SIGALRM watchdog cannot arm here, so the budget is not "
+            "enforced — use repro.parallel.SupervisedPool for "
             "process-level enforcement",
             exp_id,
             seconds,

@@ -96,7 +96,7 @@ def render_series(
 def render_failures(failures: Sequence[Mapping[str, object]]) -> str:
     """Per-experiment failure summary (the CLI's ``--keep-going``
     epilogue).  Each entry carries ``exp_id``, ``error_type``, and
-    ``error``; the summary is also what lands in the checkpoint file."""
+    ``error``."""
     if not failures:
         return "all experiments completed"
     lines = [f"{len(failures)} experiment(s) FAILED:"]

@@ -23,9 +23,9 @@ Usage::
 :mod:`repro.faults.chaos` extends the adversary one level up — to the
 *host* the harness runs on: seeded SIGKILL/SIGSTOP of worker
 processes (:class:`ChaosPlan`, armed by ``--chaos SEED``) and
-deterministic corruption of checkpoint/cache artifacts
-(:func:`tear_tail`, :func:`corrupt_bytes`), exercised by the chaos CI
-job against the supervised pool's recovery guarantees.
+deterministic corruption of result-cache entries
+(:func:`corrupt_bytes`), exercised by the chaos CI job against the
+supervised pool's recovery guarantees and the cache's checksums.
 
 See ``docs/ROBUSTNESS.md`` for the fault model and
 ``python -m repro robustness`` for the policy-degradation sweep.
@@ -37,7 +37,6 @@ from repro.faults.chaos import (
     ChaosPlan,
     apply_worker_chaos,
     corrupt_bytes,
-    tear_tail,
 )
 from repro.faults.injectors import (
     NULL_INJECTOR,
@@ -56,5 +55,4 @@ __all__ = [
     "apply_worker_chaos",
     "corrupt_bytes",
     "injector_for",
-    "tear_tail",
 ]

@@ -1,4 +1,4 @@
-"""Process-level chaos: seeded worker kills and artifact corruption.
+"""Process-level chaos: seeded worker kills and cache-entry corruption.
 
 PR 1's injectors misbehave *inside* the simulated machine; this module
 misbehaves at the level the machine runs on — worker processes and the
@@ -8,7 +8,7 @@ counter-less hash draws, so a chaos schedule is a pure function of
 workers at the same points, which is what lets the chaos CI gate assert
 byte-identical rows against the fault-free run.
 
-Three injector families:
+Two injector families:
 
 * **Worker kills** — :meth:`ChaosPlan.should_kill` /
   :meth:`ChaosPlan.should_stop` decide whether the worker executing
@@ -18,11 +18,9 @@ Three injector families:
   ``safe_attempt`` on, so a task survives chaos after at most
   ``safe_attempt`` re-executions — chaos may slow a run down, never
   wedge it.
-* **Torn writes** — :func:`tear_tail` chops a file mid-record exactly
-  the way a crash during an unsynced append would, the scenario the
-  journal's recovery path must absorb.
 * **Bit rot** — :func:`corrupt_bytes` flips deterministically chosen
-  bytes, the scenario ``repro cache verify`` must detect.
+  bytes in a result-cache entry, the scenario the entry checksum (and
+  ``repro cache verify``) must detect.
 
 Nothing here runs unless explicitly armed (``--chaos SEED`` on the CLI
 or a plan handed to a ``SupervisedPool``); an unarmed run never imports a
@@ -39,7 +37,7 @@ from dataclasses import asdict, dataclass, fields
 
 from repro.errors import FaultInjectionError
 
-__all__ = ["ChaosPlan", "apply_worker_chaos", "tear_tail", "corrupt_bytes"]
+__all__ = ["ChaosPlan", "apply_worker_chaos", "corrupt_bytes"]
 
 
 def _draw(seed: int, *parts: object) -> float:
@@ -113,25 +111,6 @@ def apply_worker_chaos(plan: ChaosPlan, exp_id: str, attempt: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
     if plan.should_stop(exp_id, attempt):
         os.kill(os.getpid(), signal.SIGSTOP)
-
-
-def tear_tail(path: pathlib.Path | str, *, keep_fraction: float = 0.5) -> int:
-    """Truncate ``path`` mid-record, as a crash during an unsynced
-    append would; returns the number of bytes cut.  The cut lands
-    strictly inside the final line so recovery sees a genuinely torn
-    record, not a clean prefix."""
-    path = pathlib.Path(path)
-    raw = path.read_bytes()
-    if not raw:
-        return 0
-    body = raw.rstrip(b"\n")
-    last_line_start = body.rfind(b"\n") + 1
-    tail_len = len(raw) - last_line_start
-    keep = last_line_start + max(1, int(tail_len * keep_fraction))
-    keep = min(keep, len(raw) - 1)  # always cut at least the newline
-    with open(path, "rb+") as fh:
-        fh.truncate(keep)
-    return len(raw) - keep
 
 
 def corrupt_bytes(

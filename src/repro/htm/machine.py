@@ -190,7 +190,6 @@ class Machine:
         *,
         warmup_cycles: float = 0.0,
         drain: bool = True,
-        wall_timeout: float | None = None,
     ) -> MachineStats:
         """Run all cores until the cycle horizon; returns the stats.
 
@@ -201,24 +200,11 @@ class Machine:
         state (no torn in-flight transactions).  Throughput uses the
         horizon window; at most one drained op per core lands outside
         it.
-
-        ``wall_timeout`` (seconds) arms the simulation kernel's
-        watchdog: the run raises
-        :class:`~repro.errors.ExperimentTimeoutError` if it exceeds the
-        wall-clock budget — the embedder-level safety net behind the
-        experiment runner's ``--timeout``.
         """
         if not self.cores:
             raise SimulationError("load() a workload before run()")
         if horizon_cycles <= warmup_cycles:
             raise InvalidParameterError("horizon must exceed warmup")
-        deadline = None
-        if wall_timeout is not None:
-            import time
-
-            # watchdog deadline only — wall time never reaches simulated
-            # time or any scheduling decision
-            deadline = time.monotonic() + wall_timeout  # simlint: disable=FLOW001 -- watchdog wall-clock budget
         self.draining = False
         for core in self.cores:
             core.start()
@@ -231,10 +217,10 @@ class Machine:
 
         if warmup_cycles > 0.0:
             with timed("warmup"):
-                self.sim.run(until=warmup_cycles, wall_deadline=deadline)
+                self.sim.run(until=warmup_cycles)
             self._reset_counters()
         with timed("measure"):
-            self.sim.run(until=horizon_cycles, wall_deadline=deadline)
+            self.sim.run(until=horizon_cycles)
         self.stats.cycles = horizon_cycles - warmup_cycles
         if drain:
             self.draining = True
@@ -244,7 +230,6 @@ class Machine:
                 self.sim.run(
                     until=horizon_cycles + max(1e6, horizon_cycles),
                     stop_when=lambda: all(c.idle for c in self.cores),
-                    wall_deadline=deadline,
                 )
             if not all(c.idle for c in self.cores):
                 raise SimulationError(

@@ -14,7 +14,7 @@ this module lives in ``repro.obs`` (outside simlint's FLOW entry dirs) and
 the kernel only ever calls it through an attached handle.
 
 Occupancy = handler time / loop wall time.  The remainder is kernel
-overhead: heap pops, watchdog checks, compactions.  A healthy run sits
+overhead: heap pops and compactions.  A healthy run sits
 near 1.0; a low value with a huge event count means the queue is
 churning cancelled events (see EventQueue compaction).
 """

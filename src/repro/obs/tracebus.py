@@ -2,7 +2,7 @@
 
 An :class:`ObsEvent` is a timestamped, typed record with a small
 JSON-able detail dict.  Emitters (the HTM machine, the fault injector,
-the synthetic harness, the result cache, the CLI checkpointer) publish
+the synthetic harness, the result cache, the supervised pool) publish
 to the process's active :class:`TraceBus`; sinks subscribe.  The
 per-machine :class:`repro.sim.trace.Tracer` is one such sink — its
 ``TraceEvent`` *is* this class.
@@ -19,7 +19,6 @@ Canonical event kinds (full schema in docs/OBSERVABILITY.md):
 ``grace_expired``   grace timer fired with the transaction still live
                     (core, mode)
 ``fault_injected``  injector fired (fault, n)
-``checkpoint_written``  journal record committed (path, kind, seq)
 ``cache_hit`` / ``cache_miss``  result-cache lookup (exp_id)
 ``synthetic_run``   one synthetic harness run completed (distribution,
                     trials, B, mu, per-policy means)
@@ -27,8 +26,6 @@ Canonical event kinds (full schema in docs/OBSERVABILITY.md):
                     exp_id)
 ``worker_restarted``  replacement worker spawned (restarts_used,
                     budget)
-``journal_recovered``  torn checkpoint tail truncated on recovery
-                    (path, kept, dropped_records, dropped_bytes)
 ``degraded_to_serial``  worker pool exhausted; remaining tasks run
                     serially in the parent (remaining, restarts_used)
 ``decision_served``  decision service answered one conflict request
@@ -83,13 +80,11 @@ EVENT_KINDS = frozenset(
         "grace_granted",
         "grace_expired",
         "fault_injected",
-        "checkpoint_written",
         "cache_hit",
         "cache_miss",
         "synthetic_run",
         "worker_crashed",
         "worker_restarted",
-        "journal_recovered",
         "degraded_to_serial",
         "decision_served",
         "regime_switch",

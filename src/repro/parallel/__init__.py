@@ -6,8 +6,7 @@ Two levels of fan-out run on the same :class:`SupervisedPool`
 * **Inter-experiment** — :meth:`SupervisedPool.run` executes whole
   experiments (:class:`ExperimentTask`) in worker processes with
   parent-enforced process-level timeouts, reporting outcomes in
-  submission order so the parent stays the single checkpoint writer
-  (``python -m repro all --jobs N``).
+  submission order (``python -m repro all --jobs N``).
 * **Intra-experiment** — :meth:`SupervisedPool.starmap` maps trial
   shards (``SyntheticHarness.run(n_shards=...)``) and sweep cells
   (``run_fig3(pool=...)``) over workers; per-shard ``SeedSequence``
@@ -17,27 +16,21 @@ Two levels of fan-out run on the same :class:`SupervisedPool`
 When at most one worker would be busy the pool runs the work in the
 parent instead.  Plus :class:`ResultCache`, the content-addressed row
 store keyed on ``exp_id + kwargs + seed + quick +`` a source-tree
-fingerprint, and the rest of the crash-tolerance layer:
-:class:`CheckpointJournal` (append-only fsync'd JSONL with per-record
-checksums and torn-tail recovery) and :class:`RetryPolicy` (the one
-re-execution/restart budget object every path shares).
+fingerprint, whose entries are committed with :func:`atomic_write_text`
+(temp file, ``fsync``, ``os.replace``, directory ``fsync``).  The cache
+is also how an interrupted batch finishes: rerun it with the same
+``--cache-dir`` and every experiment that completed is a hit.
 """
 
 from __future__ import annotations
 
 from repro.parallel.cache import (
     ResultCache,
+    atomic_write_text,
     cache_key,
     scan_cache_dir,
     source_fingerprint,
 )
-from repro.parallel.journal import (
-    CheckpointJournal,
-    JournalRecovery,
-    atomic_write_text,
-    recover,
-)
-from repro.parallel.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.parallel.supervisor import (
     ExperimentOutcome,
     ExperimentTask,
@@ -47,19 +40,14 @@ from repro.parallel.supervisor import (
 )
 
 __all__ = [
-    "CheckpointJournal",
-    "DEFAULT_RETRY_POLICY",
     "ExperimentOutcome",
     "ExperimentTask",
-    "JournalRecovery",
     "ResultCache",
-    "RetryPolicy",
     "SupervisedPool",
     "SupervisorStats",
     "atomic_write_text",
     "best_start_method",
     "cache_key",
-    "recover",
     "scan_cache_dir",
     "source_fingerprint",
 ]

@@ -27,8 +27,11 @@ replayed into results: a mismatch counts as ``cache_corrupt`` and the
 rows are recomputed.  ``repro cache verify`` / ``repro cache prune``
 (:mod:`repro.parallel.cache_cli`) expose the same check as an operator
 tool via :func:`scan_cache_dir`.  Entries are committed with
-:func:`repro.parallel.journal.atomic_write_text`, so a crash mid-write
-leaves the previous entry (or nothing), never a torn file.
+:func:`atomic_write_text`, so a crash mid-write leaves the previous
+entry (or nothing), never a torn file.  That makes the cache the way to
+finish an interrupted batch: rerun the same command with the same
+``--cache-dir``, and every experiment that completed before the
+interruption is a hit (docs/ROBUSTNESS.md §3).
 ``scorecard`` is the headline consumer across runs: it re-grades
 sub-experiments from a previous batch's entries instead of recomputing
 them.  Inside one ``python -m repro all`` batch it grades the rows the
@@ -39,16 +42,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 from dataclasses import dataclass
 
 import repro
 from repro.obs.metrics import get_registry
 from repro.obs.tracebus import NO_SIM_TIME, get_bus
-from repro.parallel.journal import atomic_write_text
 
 __all__ = [
     "ResultCache",
+    "atomic_write_text",
     "source_fingerprint",
     "cache_key",
     "rows_checksum",
@@ -59,6 +63,54 @@ __all__ = [
 #: Bump to invalidate every existing cache entry on format changes.
 #: v2 added the per-entry ``crc`` field (rows checksum).
 CACHE_VERSION = 2
+
+
+def atomic_write_text(path: pathlib.Path | str, text: str) -> pathlib.Path:
+    """Write ``text`` to ``path`` all-or-nothing.
+
+    Temp file in the same directory (so ``os.replace`` stays on one
+    filesystem), data ``fsync`` before the rename, directory ``fsync``
+    after it — the sequence a crash cannot tear.
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with _ignore_os_error():
+            os.unlink(tmp)
+        raise
+    _fsync_dir(path.parent)
+    return path
+
+
+class _ignore_os_error:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        return exc_type is not None and issubclass(exc_type, OSError)
+
+
+def _fsync_dir(directory: pathlib.Path) -> None:
+    """Persist a rename/append by fsyncing the containing directory
+    (best effort: some filesystems refuse directory fds)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
 
 _fingerprint_memo: dict[pathlib.Path, str] = {}
 

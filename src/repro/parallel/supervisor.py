@@ -19,8 +19,9 @@ through :class:`SupervisedPool`:
 * **Crash supervision** — a worker that dies (pipe EOF) has its exit
   status classified (``signal:SIGKILL`` / ``exit:3`` / ``clean``), its
   in-flight task re-dispatched to a fresh worker with exponential
-  backoff, bounded by :class:`~repro.parallel.retry.RetryPolicy.
-  max_task_reexecutions`.
+  backoff, at most ``max_task_reexecutions`` times.  Only a dead worker
+  is retried: a task body is a pure function of its arguments and seed,
+  so re-running one after an exception would recompute the exception.
 * **Degradation ladder** — dead workers are replaced while the
   pool-wide ``max_worker_restarts`` budget lasts; when the pool empties
   with work remaining, the supervisor runs the rest *serially in the
@@ -60,7 +61,6 @@ from repro import errors
 from repro.obs import obs_active
 from repro.obs.metrics import get_registry
 from repro.obs.tracebus import NO_SIM_TIME, get_bus
-from repro.parallel.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "ExperimentTask",
@@ -75,6 +75,16 @@ __all__ = [
 DEFAULT_HEARTBEAT_INTERVAL = 0.2
 #: Parent-side silence budget before a worker is declared hung.
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
+#: Re-executions of a task whose worker process died mid-flight.
+DEFAULT_MAX_TASK_REEXECUTIONS = 2
+#: Pool-wide budget of replacement worker processes.
+DEFAULT_MAX_WORKER_RESTARTS = 8
+#: First sleep before re-dispatching a crashed task (seconds); doubles
+#: per re-execution.
+REEXECUTION_BACKOFF = 0.05
+#: First sleep before spawning a replacement worker (seconds); doubles
+#: per restart.
+RESTART_BACKOFF = 0.02
 
 
 def best_start_method() -> str:
@@ -347,7 +357,8 @@ class SupervisedPool:
         self,
         jobs: int,
         *,
-        retry: RetryPolicy = DEFAULT_RETRY_POLICY,
+        max_task_reexecutions: int = DEFAULT_MAX_TASK_REEXECUTIONS,
+        max_worker_restarts: int = DEFAULT_MAX_WORKER_RESTARTS,
         timeout: float | None = None,
         kill_grace: float = 5.0,
         poll_interval: float = 0.05,
@@ -358,8 +369,18 @@ class SupervisedPool:
     ) -> None:
         if jobs < 1:
             raise errors.InvalidParameterError(f"need jobs >= 1, got {jobs}")
+        if max_task_reexecutions < 0:
+            raise errors.InvalidParameterError(
+                "max_task_reexecutions must be >= 0, got "
+                f"{max_task_reexecutions}"
+            )
+        if max_worker_restarts < 0:
+            raise errors.InvalidParameterError(
+                f"max_worker_restarts must be >= 0, got {max_worker_restarts}"
+            )
         self.jobs = jobs
-        self.retry = retry
+        self.max_task_reexecutions = max_task_reexecutions
+        self.max_worker_restarts = max_worker_restarts
         self.timeout = timeout
         self.kill_grace = kill_grace
         self.poll_interval = poll_interval
@@ -407,12 +428,11 @@ class SupervisedPool:
         """Spawn a replacement worker inside the restart budget."""
         if not work_remaining or len(self._workers) >= self.jobs:
             return
-        if self._restarts_used >= self.retry.max_worker_restarts:
+        if self._restarts_used >= self.max_worker_restarts:
             return  # budget spent: the pool shrinks (ladder to serial)
-        delay = self.retry.restart_delay(self._restarts_used)
+        delay = RESTART_BACKOFF * 2**self._restarts_used
         self._restarts_used += 1
-        if delay > 0:
-            time.sleep(min(delay, 1.0))
+        time.sleep(min(delay, 1.0))
         self._spawn()
         self.stats.worker_restarts += 1
         get_registry().counter("worker_restarts").inc()
@@ -421,7 +441,7 @@ class SupervisedPool:
             "worker_restarted",
             -1,
             restarts_used=self._restarts_used,
-            budget=self.retry.max_worker_restarts,
+            budget=self.max_worker_restarts,
         )
 
     def _shutdown(self) -> None:
@@ -448,8 +468,8 @@ class SupervisedPool:
     ) -> list[ExperimentOutcome]:
         """Execute ``tasks``; return their outcomes in submission order.
 
-        ``on_outcome`` fires in completion order (the checkpoint hook:
-        the parent is the only writer).  With ``stop_on_failure`` a
+        ``on_outcome`` fires in completion order, so a caller can report
+        each result as it lands.  With ``stop_on_failure`` a
         failure stops launching new work; running tasks finish and
         unstarted ones come back ``"skipped"``.  Workers are torn down
         on every exit path, including an exception raised here.
@@ -557,7 +577,7 @@ class SupervisedPool:
                         f"worker for {task.exp_id!r} exited without a "
                         f"result (exit code {exitcode}, cause {cause}, "
                         f"attempt {attempt + 1} of "
-                        f"{self.retry.max_task_reexecutions + 1})"
+                        f"{self.max_task_reexecutions + 1})"
                     ),
                     elapsed_s=elapsed,
                     exit_cause=cause,
@@ -581,12 +601,12 @@ class SupervisedPool:
             )
             if worker.inflight is not None:
                 index, task, attempt, start = worker.inflight
-                if attempt < self.retry.max_task_reexecutions and not stopped():
+                if attempt < self.max_task_reexecutions and not stopped():
                     self.stats.task_reexecutions += 1
                     get_registry().counter("task_reexecutions").inc()
                     delayed.append(
                         (
-                            now + self.retry.reexecution_backoff(attempt),
+                            now + REEXECUTION_BACKOFF * 2**attempt,
                             index,
                             task,
                             attempt + 1,

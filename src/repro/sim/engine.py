@@ -25,11 +25,6 @@ Design notes
   Compaction rebuilds the heap list *in place*: :meth:`Simulator.run`
   holds that list across handler calls, and a handler may cancel enough
   events to compact mid-run.
-* **Watchdog.**  ``run(wall_deadline=...)`` checks the wall clock every
-  few thousand events and raises
-  :class:`~repro.errors.ExperimentTimeoutError` past the deadline — the
-  kernel-level half of the experiment runner's timeout story (the
-  runner also arms a signal-based watchdog for non-kernel loops).
 * **No co-routines.**  Handlers are plain callables; components keep
   explicit state machines.  This is intentional: the HTM controllers
   are specified as state machines (MSI tables), and explicit states are
@@ -41,10 +36,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import time
 from typing import Any, Callable
 
-from repro.errors import ExperimentTimeoutError, SimulationError
+from repro.errors import SimulationError
 
 __all__ = ["EventQueue", "Simulator"]
 
@@ -238,17 +232,12 @@ class Simulator:
         self.queue.cancel(entry)
 
     # -- main loop ---------------------------------------------------------
-    #: Events between wall-clock deadline checks (cheap enough to leave
-    #: on; a check is one ``time.monotonic`` call per batch).
-    WATCHDOG_EVERY = 4096
-
     def run(
         self,
         until: float = math.inf,
         *,
         max_events: int | None = None,
         stop_when: Callable[[], bool] | None = None,
-        wall_deadline: float | None = None,
     ) -> float:
         """Run until the queue drains, ``until`` is reached, ``stop_when``
         returns True, or ``max_events`` have fired.  Returns the final
@@ -257,12 +246,6 @@ class Simulator:
         ``until`` is exclusive: an event at exactly ``until`` does not
         fire, and the clock is advanced to ``until`` when the horizon is
         the binding stop condition.
-
-        ``wall_deadline`` is an absolute ``time.monotonic()`` instant;
-        every :data:`WATCHDOG_EVERY` events the clock is checked and
-        :class:`~repro.errors.ExperimentTimeoutError` raised past it.
-        The simulation is left in a consistent (resumable) state — the
-        deadline fires between events, never inside a handler.
 
         The profiler is read once per call: attach it before ``run``.
         """
@@ -278,23 +261,12 @@ class Simulator:
         queue = self.queue
         heap = queue._heap
         heappop = heapq.heappop
-        monotonic = time.monotonic
-        watchdog_every = self.WATCHDOG_EVERY
         try:
             while True:
                 if stop_when is not None and stop_when():
                     break
                 if max_events is not None and fired >= max_events:
                     break
-                if (
-                    wall_deadline is not None
-                    and fired % watchdog_every == 0
-                    and monotonic() >= wall_deadline  # simlint: disable=FLOW001 -- watchdog wall-clock budget
-                ):
-                    raise ExperimentTimeoutError(
-                        f"simulation exceeded its wall-clock budget at "
-                        f"t={self.now:.0f} after {self.events_fired} events"
-                    )
                 # peek: drop dead entries off the top; stop once drained
                 while heap:
                     entry = heap[0]

@@ -1,10 +1,12 @@
-"""Crash-tolerance layer: checkpoint journal recovery, seeded chaos,
-supervised worker pool, and the chaos determinism gate.
+"""Crash-tolerance layer: seeded chaos, the supervised worker pool,
+finishing an interrupted batch against the result cache, and the chaos
+determinism gate.
 
 The headline contract under test: with any seeded chaos schedule that
 lets the run complete, result rows are byte-identical to the fault-free
 run — supervision decides only where and how often a task body
-executes, never what it computes.
+executes, never what it computes.  An interrupted batch reruns against
+its cache to the same rows.
 """
 
 from __future__ import annotations
@@ -12,24 +14,24 @@ from __future__ import annotations
 import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
 from repro.cli import main
-from repro.errors import FaultInjectionError
+from repro.errors import FaultInjectionError, InvalidParameterError
 from repro.experiments import EXPERIMENTS, register_experiment
 from repro.experiments.registry import _SPECS
-from repro.faults import ChaosPlan, corrupt_bytes, tear_tail
+from repro.faults import ChaosPlan, corrupt_bytes
 from repro.obs import capture
 from repro.parallel import (
-    CheckpointJournal,
     ExperimentTask,
     ResultCache,
-    RetryPolicy,
     SupervisedPool,
     atomic_write_text,
-    recover,
     scan_cache_dir,
 )
 from repro.parallel.cache_cli import cache_main
@@ -83,99 +85,6 @@ class TestAtomicWrite:
 
 
 # ---------------------------------------------------------------------------
-class TestJournal:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, quick=True, seed=7) as journal:
-            journal.mark_done("fig2a", {"status": "ok", "elapsed_s": 1.5})
-            journal.mark_done("fig2b", {"status": "failed", "error": "x"})
-            journal.mark_done("fig2a", {"status": "ok", "elapsed_s": 9.0})
-        rec = recover(path, truncate=False)
-        assert rec.header == {"version": 1, "quick": True, "seed": 7}
-        done = rec.done_map()
-        assert done["fig2a"] == {"status": "ok", "elapsed_s": 9.0}  # latest
-        assert done["fig2b"]["status"] == "failed"
-        assert not rec.truncated
-
-    def test_torn_tail_truncated_to_last_durable_record(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, quick=False, seed=None) as journal:
-            journal.mark_done("a", {"status": "ok"})
-            journal.mark_done("b", {"status": "ok"})
-        clean = path.read_bytes()
-        cut = tear_tail(path)  # crash mid-append of the final record
-        assert cut > 0
-        rec = recover(path)
-        assert rec.truncated and rec.dropped_records == 1
-        assert set(rec.done_map()) == {"a"}  # b's record was torn
-        # the file itself is now the durable prefix of the clean journal
-        assert clean.startswith(path.read_bytes())
-        # reopening continues from the recovered history
-        with CheckpointJournal(path, quick=False, seed=None) as journal:
-            assert set(journal.done_map()) == {"a"}
-            journal.mark_done("b", {"status": "ok"})
-        assert set(recover(path, truncate=False).done_map()) == {"a", "b"}
-
-    def test_bitflip_drops_from_damage_onward(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, quick=False, seed=1) as journal:
-            for i in range(6):
-                journal.mark_done(f"e{i}", {"status": "ok"})
-        lines = path.read_bytes().splitlines(keepends=True)
-        lines[3] = lines[3].replace(b'"status"', b'"statXs"', 1)  # bad crc
-        path.write_bytes(b"".join(lines))
-        rec = recover(path)
-        assert rec.truncated
-        assert set(rec.done_map()) == {"e0", "e1"}  # seq 1..2; 3 is damaged
-
-    def test_incompatible_config_rotated_aside(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, quick=True, seed=1) as journal:
-            journal.mark_done("a", {"status": "ok"})
-        journal = CheckpointJournal(path, quick=True, seed=2).open()
-        try:
-            assert journal.rotated is not None
-            assert journal.rotated.header["seed"] == 1
-            assert journal.done_map() == {}
-        finally:
-            journal.close()
-        assert path.with_name(path.name + ".old").exists()
-
-    def test_non_journal_file_moved_aside_not_destroyed(self, tmp_path):
-        """Regression: a non-empty file without one verified record (say
-        some other tool's JSON) used to be truncated to zero bytes."""
-        path = tmp_path / "ck.json"
-        original = json.dumps({"tool": "other", "settings": {"level": 3}})
-        path.write_text(original)
-        rec = recover(path)
-        assert rec.records == [] and rec.truncated
-        assert path.read_text() == original  # recovery left it alone
-        journal = CheckpointJournal(path, quick=False, seed=5).open()
-        try:
-            assert journal.rotated is not None
-            assert journal.rotated.header is None
-            assert journal.done_map() == {}
-        finally:
-            journal.close()
-        assert path.with_name(path.name + ".old").read_text() == original
-        assert recover(path, truncate=False).header == {
-            "version": 1,
-            "quick": False,
-            "seed": 5,
-        }
-
-    def test_recovery_emits_event_and_counter(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, quick=False, seed=None) as journal:
-            journal.mark_done("a", {"status": "ok"})
-        tear_tail(path)
-        with capture() as cap:
-            recover(path)
-        assert cap.snapshot()["counters"]["journal_recoveries"] == 1
-        assert any(e.kind == "journal_recovered" for e in cap.events)
-
-
-# ---------------------------------------------------------------------------
 class TestChaosPlan:
     def test_deterministic_and_seed_sensitive(self):
         plan = ChaosPlan(seed=42, kill_rate=0.5)
@@ -218,14 +127,19 @@ class TestSupervisedPool:
         assert classify_exit(3) == "exit:3"
         assert classify_exit(None) == "unknown"
 
+    @pytest.mark.parametrize(
+        "budget", ["max_task_reexecutions", "max_worker_restarts"]
+    )
+    def test_negative_budget_rejected(self, budget):
+        with pytest.raises(InvalidParameterError, match=budget):
+            SupervisedPool(2, **{budget: -1})
+
     def test_crash_reexecution_budget_and_exit_cause(self, scratch):
         """A worker that always dies exhausts the re-execution budget and
         the outcome reports the classified cause."""
         exp_id = scratch("zz_chaos_die", _die)
         ok = scratch("zz_chaos_ok", _rows)
-        pool = SupervisedPool(
-            2, retry=RetryPolicy(max_task_reexecutions=1, restart_backoff=0.0)
-        )
+        pool = SupervisedPool(2, max_task_reexecutions=1)
         outcome, _ = pool.run(_tasks([exp_id, ok]))
         assert outcome.status == "failed"
         assert outcome.exit_cause == "exit:3"
@@ -240,11 +154,7 @@ class TestSupervisedPool:
         ids = [scratch(f"zz_cs{i}", runner) for i in range(6)]
         plan = ChaosPlan(seed=7, kill_rate=0.6, safe_attempt=2)
         assert any(plan.should_kill(i, 0) for i in ids)  # chaos actually bites
-        pool = SupervisedPool(
-            2,
-            retry=RetryPolicy(max_task_reexecutions=2, restart_backoff=0.0),
-            chaos=plan,
-        )
+        pool = SupervisedPool(2, max_task_reexecutions=2, chaos=plan)
         outcomes = pool.run(_tasks(ids, seed=11))
         assert [o.status for o in outcomes] == ["ok"] * 6
         baseline = SupervisedPool(2).run(_tasks(ids, seed=11))
@@ -261,13 +171,7 @@ class TestSupervisedPool:
         ids = [scratch(f"zz_dg{i}", runner) for i in range(4)]
         plan = ChaosPlan(seed=3, kill_rate=1.0, safe_attempt=1)
         pool = SupervisedPool(
-            1,
-            retry=RetryPolicy(
-                max_task_reexecutions=1,
-                max_worker_restarts=0,
-                restart_backoff=0.0,
-            ),
-            chaos=plan,
+            1, max_task_reexecutions=1, max_worker_restarts=0, chaos=plan
         )
         with capture() as cap:
             outcomes = pool.run(_tasks(ids, seed=5))
@@ -286,10 +190,7 @@ class TestSupervisedPool:
         exp_id = scratch("zz_stop", runner)
         plan = ChaosPlan(seed=2, kill_rate=0.0, stop_rate=1.0, safe_attempt=1)
         pool = SupervisedPool(
-            1,
-            retry=RetryPolicy(max_task_reexecutions=1, restart_backoff=0.0),
-            chaos=plan,
-            heartbeat_timeout=1.0,
+            1, max_task_reexecutions=1, chaos=plan, heartbeat_timeout=1.0
         )
         start = time.monotonic()
         (outcome,) = pool.run(_tasks([exp_id], seed=1))
@@ -299,77 +200,126 @@ class TestSupervisedPool:
 
 
 # ---------------------------------------------------------------------------
+#: A batch of seeded experiments whose second cache write is cut by
+#: SIGKILL after the entry's temp file is synced and before it is renamed
+#: into place.  argv: cache dir, then the experiment ids.
+_KILLED_BATCH = textwrap.dedent(
+    """
+    import os
+    import signal
+    import sys
+
+    from repro.cli import main
+    from repro.experiments import register_experiment
+
+
+    def rows(seed=None, **kw):
+        return [{"seed": seed, "v": (seed or 0) * 3 + 1}]
+
+
+    cache_dir, ids = sys.argv[1], sys.argv[2:]
+    for exp_id in ids:
+        register_experiment(exp_id, "seeded", rows)
+    replace = os.replace
+
+
+    def killed_replace(src, dst):
+        if os.path.basename(dst).startswith(ids[1] + "-"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        replace(src, dst)
+
+
+    os.replace = killed_replace
+    main([*ids, "--seed", "13", "--cache", "--cache-dir", cache_dir])
+    """
+)
+
+
 class TestKillMidCheckpointWrite:
     def test_sigkill_mid_write_resumes_byte_identical(self, scratch, tmp_path):
-        """Satellite 3: a batch SIGKILLed mid-checkpoint-append (modeled
-        by the seeded torn tail a kill leaves) recovers to the last
-        durable record, and the resumed run's artifacts are
-        byte-identical to an uninterrupted run."""
+        """A batch SIGKILLed in the middle of a cache write keeps every
+        entry written before it and leaves no torn one.  Rerunning the
+        batch against the cache finishes it: the durable entry is a hit,
+        and every --out file is byte-identical to an uninterrupted run."""
+        import repro
+
         runner = _SeededRows()
         ids = [scratch(f"zz_kr{i}", runner) for i in range(4)]
+        cache_dir = tmp_path / "cache"
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        killed = subprocess.run(
+            [sys.executable, "-c", _KILLED_BATCH, str(cache_dir), *ids],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=120,
+        )
+        assert killed.returncode == -signal.SIGKILL
+        # ids[0] is durable; ids[1] left only its temp file behind
+        assert [r.status for r in scan_cache_dir(cache_dir)] == ["ok"]
+        assert list(cache_dir.glob(f"{ids[1]}-*.json.tmp.*"))
+
         out_clean, out_resumed = tmp_path / "clean", tmp_path / "resumed"
-        ck_clean = tmp_path / "ck_clean.json"
-        ck_torn = tmp_path / "ck_torn.json"
-        base = [*ids, "--seed", "13", "--json", "--no-cache"]
+        base = [*ids, "--seed", "13", "--json"]
+        assert main([*base, "--no-cache", "--out", str(out_clean)]) == 0
+        metrics = tmp_path / "metrics.json"
         assert main(
-            [*base, "--out", str(out_clean), "--checkpoint", str(ck_clean)]
+            [*base, "--jobs", "2", "--cache", "--cache-dir", str(cache_dir),
+             "--out", str(out_resumed), "--metrics-out", str(metrics)]
         ) == 0
-        # an interrupted run: completed prefix, then killed mid-append
-        assert main(
-            [ids[0], ids[1], "--seed", "13", "--no-cache",
-             "--checkpoint", str(ck_torn)]
-        ) == 0
-        assert tear_tail(ck_torn) > 0  # the kill tears ids[1]'s record
-        assert set(recover(ck_torn, truncate=False).done_map()) == {ids[0]}
-        assert main(
-            [*base, "--out", str(out_resumed), "--checkpoint", str(ck_torn),
-             "--resume"]
-        ) == 0
-        # ids[0] was skipped, everything else re-ran; rows byte-identical
-        for exp_id in ids[1:]:
-            assert (out_resumed / f"{exp_id}.json").read_bytes() == (
-                out_clean / f"{exp_id}.json"
-            ).read_bytes()
-        assert set(recover(ck_torn, truncate=False).done_map()) == set(ids)
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["cache_hits"] == 1
+        assert counters["cache_misses"] == 3
+        for exp_id in ids:
+            for suffix in (".json", ".txt"):
+                name = exp_id + suffix
+                assert (out_resumed / name).read_bytes() == (
+                    out_clean / name
+                ).read_bytes()
+        assert [r.status for r in scan_cache_dir(cache_dir)] == ["ok"] * 4
 
 
 # ---------------------------------------------------------------------------
 class TestChaosCLI:
-    def test_chaos_run_matches_fault_free_serial(self, scratch, tmp_path,
-                                                 capsys):
-        """The acceptance gate in miniature: --jobs 4 --chaos with a
-        mid-run journal truncation completes with rows byte-identical
-        to the fault-free --jobs 1 run, and restart/recovery counts
-        appear in the metrics snapshot and trace JSONL."""
+    def test_chaos_run_matches_fault_free_serial(self, scratch, tmp_path):
+        """The acceptance gate in miniature: a batch interrupted after
+        two experiments, one of whose cache entries then rots, reruns
+        against its cache under --jobs 4 --chaos.  The intact entry
+        hits, the rotten one is recomputed, every row is byte-identical
+        to the fault-free --jobs 1 run, and the crash counts appear in
+        the metrics snapshot and trace JSONL."""
         runner = _SeededRows()
         ids = [scratch(f"zz_cg{i}", runner) for i in range(5)]
         out_serial, out_chaos = tmp_path / "serial", tmp_path / "chaos"
-        ckpt = tmp_path / "ckpt.json"
-        base = [*ids, "--seed", "3", "--json", "--no-cache"]
-        assert main([*base, "--jobs", "1", "--out", str(out_serial)]) == 0
-
-        # interrupted prefix + torn journal, then the chaos resume run
+        cache = ["--cache", "--cache-dir", str(tmp_path / "cache")]
+        base = [*ids, "--seed", "3", "--json"]
         assert main(
-            [ids[0], "--seed", "3", "--no-cache", "--checkpoint", str(ckpt)]
+            [*base, "--jobs", "1", "--no-cache", "--out", str(out_serial)]
         ) == 0
-        tear_tail(ckpt)
+
+        # the interrupted batch, then bit rot in one of its entries
+        assert main([ids[0], ids[1], "--seed", "3", *cache]) == 0
+        (entry,) = (tmp_path / "cache").glob(f"{ids[1]}-*.json")
+        assert corrupt_bytes(entry, seed=5) > 0
         metrics = tmp_path / "metrics.json"
         trace = tmp_path / "trace.jsonl"
-        capsys.readouterr()
         assert main(
-            [*base, "--jobs", "4", "--chaos", "1234", "--resume",
-             "--checkpoint", str(ckpt), "--out", str(out_chaos),
+            [*base, "--jobs", "4", "--chaos", "1234", *cache,
+             "--out", str(out_chaos),
              "--metrics-out", str(metrics), "--trace-out", str(trace)]
         ) == 0
-        err = capsys.readouterr().err
-        assert "recovered a torn tail" in err
         for exp_id in ids:
-            if (out_chaos / f"{exp_id}.json").exists():
-                assert (out_chaos / f"{exp_id}.json").read_bytes() == (
-                    out_serial / f"{exp_id}.json"
-                ).read_bytes()
-        # chaos at kill_rate 0.25 over 5 tasks with this seed must bite
+            assert (out_chaos / f"{exp_id}.json").read_bytes() == (
+                out_serial / f"{exp_id}.json"
+            ).read_bytes()
         counters = json.loads(metrics.read_text())["counters"]
+        assert counters["cache_hits"] == 1
+        assert counters["cache_corrupt"] == 1
+        # chaos at kill_rate 0.25 over 5 tasks with this seed must bite
         assert counters.get("worker_crashes", 0) > 0
         kinds = {
             json.loads(line)["kind"] for line in trace.read_text().splitlines()

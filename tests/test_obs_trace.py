@@ -28,11 +28,11 @@ class TestEvent:
         assert "commit" in EVENT_KINDS
         assert "cache_miss" in EVENT_KINDS
         assert "worker_crashed" in EVENT_KINDS
-        assert "journal_recovered" in EVENT_KINDS
+        assert "degraded_to_serial" in EVENT_KINDS
         assert "decision_served" in EVENT_KINDS
         assert "regime_switch" in EVENT_KINDS
         assert "ablation_run" in EVENT_KINDS
-        assert len(EVENT_KINDS) == 19
+        assert len(EVENT_KINDS) == 17
 
     def test_format_is_one_line(self):
         event = ObsEvent(12.5, "abort", 3, {"reason": "conflict_timeout"})

@@ -9,6 +9,7 @@ pool, or the cache.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import signal
@@ -178,11 +179,17 @@ def _group_members(pgid: int) -> list[int]:
     return members
 
 
-def _ckpt_done(path) -> dict:
-    """Replay a checkpoint journal's done map (read-only)."""
-    from repro.parallel import recover
+def _cache_args(tmp_path) -> list[str]:
+    """CLI flags that turn the result cache on under ``tmp_path``."""
+    return ["--cache", "--cache-dir", str(tmp_path / "cache")]
 
-    return recover(path, truncate=False).done_map()
+
+def _same_outputs(a, b) -> None:
+    """Two ``--out`` directories hold the same files, byte for byte."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +390,8 @@ class TestWatchdogOffMainThread:
             t.join()
         assert results and results[0].rows == [{"x": 1}]
         assert any(
-            "SIGALRM watchdog cannot arm" in rec.message
+            "SIGALRM watchdog cannot arm here, so the budget is not "
+            "enforced" in rec.message
             for rec in caplog.records
         )
 
@@ -408,80 +416,74 @@ class TestCLIParallel:
     def test_parallel_keep_going_checkpoint_and_resume(
         self, scratch, tmp_path
     ):
+        """Rerunning a --keep-going batch against its cache: completed
+        experiments are hits, only the failure runs again, and the rerun
+        writes the same --out files."""
         mark_a, mark_c = tmp_path / "a.log", tmp_path / "c.log"
         scratch("zz_pa", _MarkingRunner(mark_a))
         scratch("zz_pb", _fail)
         scratch("zz_pc", _MarkingRunner(mark_c))
-        ckpt = tmp_path / "ckpt.json"
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
         batch = ["zz_pa", "zz_pb", "zz_pc", "--jobs", "2", "--keep-going",
-                 "--checkpoint", str(ckpt)]
-        assert main(batch) == 1  # zz_pb failed, others completed
-        done = _ckpt_done(ckpt)
-        assert done["zz_pa"]["status"] == "ok"
-        assert done["zz_pb"]["status"] == "failed"
-        assert done["zz_pb"]["error_type"] == "SimulationError"
-        assert done["zz_pc"]["status"] == "ok"
+                 "--json", *_cache_args(tmp_path)]
+        assert main([*batch, "--out", str(first)]) == 1  # zz_pb failed
         assert _runs(mark_a) == 1 and _runs(mark_c) == 1
-        # resume: completed experiments are skipped, the failure re-runs
-        assert main([*batch, "--resume"]) == 1
+        assert main([*batch, "--out", str(rerun)]) == 1
         assert _runs(mark_a) == 1 and _runs(mark_c) == 1
+        _same_outputs(first, rerun)
+        assert not (rerun / "zz_pb.json").exists()  # failures write nothing
 
     def test_killed_batch_resumes_where_it_stopped(self, scratch, tmp_path):
-        """A batch interrupted mid-run (checkpoint holds its completed
-        prefix) must skip exactly the finished experiments on --resume."""
+        """A batch interrupted after its first experiment finishes on a
+        rerun against the cache: the finished experiment is a hit, and
+        every --out file matches an uninterrupted run."""
         mark_a, mark_b = tmp_path / "a.log", tmp_path / "b.log"
-        scratch("zz_ra", _MarkingRunner(mark_a))
-        scratch("zz_rb", _MarkingRunner(mark_b))
-        ckpt = tmp_path / "ckpt.json"
+        ids = [scratch("zz_ra", _MarkingRunner(mark_a)),
+               scratch("zz_rb", _MarkingRunner(mark_b))]
+        clean, resumed = tmp_path / "clean", tmp_path / "resumed"
+        assert main([*ids, "--json", "--no-cache", "--out", str(clean)]) == 0
         # first invocation "dies" after completing only zz_ra
-        assert main(["zz_ra", "--checkpoint", str(ckpt)]) == 0
+        assert main([ids[0], *_cache_args(tmp_path)]) == 0
         assert main(
-            ["zz_ra", "zz_rb", "--jobs", "2", "--checkpoint", str(ckpt),
-             "--resume"]
+            [*ids, "--jobs", "2", "--json", *_cache_args(tmp_path),
+             "--out", str(resumed)]
         ) == 0
-        assert _runs(mark_a) == 1  # not re-run
-        assert _runs(mark_b) == 1
-        done = _ckpt_done(ckpt)
-        assert set(done) == {"zz_ra", "zz_rb"}
+        assert _runs(mark_a) == 2  # clean run + interrupted run only
+        assert _runs(mark_b) == 2  # clean run + the rerun
+        _same_outputs(clean, resumed)
 
     def test_sigkill_mid_checkpoint_write_resumes_byte_identical(
-        self, scratch, tmp_path, capsys
+        self, scratch, tmp_path
     ):
-        """SIGKILL during a journal append leaves a torn final record.
-        Recovery must truncate to the last durable record, and the
-        resumed run's rows must be byte-identical to an uninterrupted
-        run (the crash-consistency headline, docs/ROBUSTNESS.md §3)."""
-        from repro.faults import tear_tail
-
+        """A cache entry torn mid-record (what a non-atomic write killed
+        half-way would leave) is detected and recomputed on the rerun,
+        and every --out file is byte-identical to an uninterrupted run
+        (the crash-consistency headline, docs/ROBUSTNESS.md §3)."""
         marks = [tmp_path / f"{n}.log" for n in "abc"]
         ids = [
             scratch(f"zz_tk{n}", _MarkingRunner(m))
             for n, m in zip("abc", marks)
         ]
-        clean_out = tmp_path / "clean"
-        assert main([*ids, "--json", "--out", str(clean_out)]) == 0
-        # interrupted run: two experiments done, then the journal's
-        # tail is torn exactly as a kill mid-append would leave it
-        ckpt = tmp_path / "ckpt.json"
-        assert main([ids[0], ids[1], "--checkpoint", str(ckpt)]) == 0
-        assert tear_tail(ckpt) > 0
-        done = _ckpt_done(ckpt)
-        assert set(done) == {ids[0]}  # recovered to last durable record
-        # resume: the torn record's experiment re-runs, the durable one
-        # is skipped, and every row matches the uninterrupted run
-        resumed_out = tmp_path / "resumed"
-        capsys.readouterr()
+        clean, resumed = tmp_path / "clean", tmp_path / "resumed"
+        assert main([*ids, "--json", "--no-cache", "--out", str(clean)]) == 0
+        # interrupted run: two experiments reach the cache, then the
+        # second entry loses its tail
+        assert main([ids[0], ids[1], *_cache_args(tmp_path)]) == 0
+        (entry,) = (tmp_path / "cache").glob(f"{ids[1]}-*.json")
+        raw = entry.read_bytes()
+        entry.write_bytes(raw[: len(raw) // 2])
+        metrics = tmp_path / "metrics.json"
         assert main(
-            [*ids, "--jobs", "2", "--checkpoint", str(ckpt), "--resume",
-             "--json", "--out", str(resumed_out)]
+            [*ids, "--jobs", "2", "--json", *_cache_args(tmp_path),
+             "--out", str(resumed), "--metrics-out", str(metrics)]
         ) == 0
-        assert "recovered a torn tail" in capsys.readouterr().err
         assert _runs(marks[0]) == 2  # clean run + interrupted run only
-        assert _runs(marks[1]) == 3  # re-run after the torn record
-        for exp_id in ids[1:]:
-            assert (resumed_out / f"{exp_id}.json").read_bytes() == (
-                clean_out / f"{exp_id}.json"
-            ).read_bytes()
+        assert _runs(marks[1]) == 3  # re-run after the torn entry
+        assert _runs(marks[2]) == 2
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["cache_hits"] == 1
+        assert counters["cache_corrupt"] == 1
+        _same_outputs(clean, resumed)
 
     def test_keyboard_interrupt_propagates_at_jobs_1(self, scratch, tmp_path):
         """In the parent the pool catches Exception only: Ctrl-C stops a

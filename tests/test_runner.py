@@ -1,5 +1,6 @@
 """Hardened experiment runner: registration, watchdog, no in-process
-retry, checkpoint/resume, and the CLI's --keep-going failure handling."""
+retry, finishing a batch by rerunning it against the result cache, and
+the CLI's --keep-going failure handling."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from repro.experiments import registry, scorecard
 from repro.experiments.registry import _SPECS
 from repro.experiments.report import render_failures
 from repro.experiments.scorecard import run_scorecard
+from repro.parallel import scan_cache_dir
 
 
 @pytest.fixture
@@ -43,11 +45,9 @@ def _rows(**kw):
     return [{"x": 1}]
 
 
-def _ckpt_done(path) -> dict:
-    """Replay a checkpoint journal's done map (read-only)."""
-    from repro.parallel import recover
-
-    return recover(path, truncate=False).done_map()
+def _cache_args(tmp_path) -> list[str]:
+    """CLI flags that turn the result cache on under ``tmp_path``."""
+    return ["--cache", "--cache-dir", str(tmp_path / "cache")]
 
 
 def _hang(**kw):  # killed only by the watchdog
@@ -165,17 +165,6 @@ class TestWatchdog:
         exp_id = scratch("zz_fast", _rows)
         assert run_experiment(exp_id, timeout=30.0).rows == [{"x": 1}]
 
-    def test_machine_level_deadline(self):
-        """The engine watchdog backs the signal one up off the main
-        thread: an already-expired wall budget kills the run."""
-        from repro.htm import Machine, MachineParams, RandDelay
-        from repro.workloads import QueueWorkload
-
-        machine = Machine(MachineParams(n_cores=2), lambda i: RandDelay())
-        machine.load(QueueWorkload(), seed=0)
-        with pytest.raises(ExperimentTimeoutError):
-            machine.run(50_000.0, wall_timeout=0.0)
-
 
 class TestRetries:
     """Nothing is retried in process: a runner is a pure function of its
@@ -201,9 +190,8 @@ class TestRetries:
 
     def test_engine_raised_timeout_never_retried(self, scratch):
         """The watchdog contract (simlint ERR rules): a timeout raised
-        from *inside* the experiment — the engine deadline path, which
-        does not involve SIGALRM — must propagate on the first attempt,
-        like any other failure."""
+        from *inside* the experiment, not by SIGALRM, must propagate on
+        the first attempt, like any other failure."""
         calls = []
 
         def deadline(**kw):
@@ -259,7 +247,20 @@ class TestCli:
     def test_unknown_id_exit_code(self, capsys):
         assert main(["zz_nope"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--resume"], ["--checkpoint", "ck.json"]]
+    )
+    def test_journal_flags_rejected(self, flags, capsys):
+        """A batch finishes by a rerun against its cache; the checkpoint
+        journal's flags are argparse errors."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig2a", "--quick", *flags])
+        assert excinfo.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
     def test_checkpoint_and_resume(self, scratch, tmp_path, capsys):
+        """The cache is the checkpoint and a rerun is the resume: the
+        completed experiment is a hit, the failed one runs again."""
         calls = []
 
         def counted(**kw):
@@ -271,23 +272,17 @@ class TestCli:
 
         good = scratch("zz_ck_good", counted)
         bad = scratch("zz_ck_bad", broken)
-        ckpt = tmp_path / "ck.json"
-        rc = main([good, bad, "--keep-going", "--checkpoint", str(ckpt)])
-        assert rc == 1
-        done = _ckpt_done(ckpt)
-        assert done[good]["status"] == "ok"
-        assert done[bad]["status"] == "failed"
+        args = [good, bad, "--keep-going", *_cache_args(tmp_path)]
+        assert main(args) == 1
         assert len(calls) == 1
+        capsys.readouterr()
 
-        # resume: the completed experiment is skipped, the failed one
-        # re-attempted (and it fails again -> still exit 1)
-        rc = main(
-            [good, bad, "--keep-going", "--checkpoint", str(ckpt), "--resume"]
-        )
-        out, _ = capsys.readouterr()
-        assert rc == 1
+        # the failed one is re-attempted (and fails again -> still exit 1)
+        assert main(args) == 1
+        out, err = capsys.readouterr()
         assert len(calls) == 1  # not re-run
-        assert "skipping" in out
+        assert f"[{good} completed in 0.0s (cache hit)]" in out
+        assert f"[{bad} FAILED" in err
 
     def test_resume_after_fix_exits_clean(self, scratch, tmp_path):
         attempts = []
@@ -299,15 +294,13 @@ class TestCli:
             return [{"x": 1}]
 
         exp_id = scratch("zz_fix", flaky_once)
-        ckpt = tmp_path / "ck.json"
-        args = [exp_id, "--keep-going", "--checkpoint", str(ckpt), "--resume"]
-        assert main(args) == 1
-        assert main(args) == 0  # re-attempt succeeds, checkpoint updated
-        assert _ckpt_done(ckpt)[exp_id]["status"] == "ok"
-        assert main(args) == 0  # now skipped entirely
+        args = [exp_id, "--keep-going", *_cache_args(tmp_path)]
+        assert main(args) == 1  # failures are never cached
+        assert main(args) == 0  # re-attempt succeeds and is stored
+        assert main(args) == 0  # now a cache hit
         assert len(attempts) == 2
 
-    def test_mismatched_checkpoint_ignored(self, scratch, tmp_path, capsys):
+    def test_mismatched_checkpoint_ignored(self, scratch, tmp_path):
         calls = []
 
         def counted(**kw):
@@ -315,24 +308,32 @@ class TestCli:
             return [{"x": 1}]
 
         exp_id = scratch("zz_mismatch", counted)
-        ckpt = tmp_path / "ck.json"
-        assert main([exp_id, "--checkpoint", str(ckpt), "--resume"]) == 0
+        args = [exp_id, *_cache_args(tmp_path)]
+        assert main(args) == 0
         assert len(calls) == 1
-        # same checkpoint, different seed: must NOT skip
-        rc = main(
-            [exp_id, "--checkpoint", str(ckpt), "--resume", "--seed", "9"]
-        )
-        _, err = capsys.readouterr()
-        assert rc == 0
+        # same cache, different seed: must not hit
+        assert main([*args, "--seed", "9"]) == 0
         assert len(calls) == 2
-        assert "different run" in err
+        assert main([*args, "--seed", "9"]) == 0
+        assert len(calls) == 2
 
     def test_corrupt_checkpoint_ignored(self, scratch, tmp_path):
-        exp_id = scratch("zz_corrupt", _rows)
-        ckpt = tmp_path / "ck.json"
-        ckpt.write_text("{not json")
-        assert main([exp_id, "--checkpoint", str(ckpt), "--resume"]) == 0
-        assert _ckpt_done(ckpt)[exp_id]["status"] == "ok"
+        """A torn cache entry is a miss: the rerun recomputes the rows
+        and replaces the entry with a verified one."""
+        calls = []
+
+        def counted(**kw):
+            calls.append(1)
+            return [{"x": 1}]
+
+        exp_id = scratch("zz_corrupt", counted)
+        args = [exp_id, *_cache_args(tmp_path)]
+        assert main(args) == 0
+        (entry,) = (tmp_path / "cache").glob(f"{exp_id}-*.json")
+        entry.write_text("{not json")
+        assert main(args) == 0
+        assert len(calls) == 2
+        assert [r.status for r in scan_cache_dir(tmp_path / "cache")] == ["ok"]
 
     def test_watchdog_with_keep_going_still_reports(self, scratch, capsys):
         """PR acceptance: a hanging experiment is killed by the

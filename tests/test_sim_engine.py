@@ -8,11 +8,10 @@ returned as its handle; ``EventQueue.pop`` hands back
 from __future__ import annotations
 
 import math
-import time
 
 import pytest
 
-from repro.errors import ExperimentTimeoutError, SimulationError
+from repro.errors import SimulationError
 from repro.obs.profile import PhaseProfiler
 from repro.sim.engine import EventQueue, Simulator
 
@@ -367,20 +366,6 @@ class TestSimulator:
         assert fired == [0, 1, 2, 5]
         assert profiler.handlers["tick"][0] == 3
         assert profiler.handlers["<unlabeled>"][0] == 1
-
-    def test_wall_deadline_expired_raises(self):
-        sim = Simulator()
-        sim.at(1.0, lambda: None)
-        with pytest.raises(ExperimentTimeoutError):
-            sim.run(wall_deadline=time.monotonic() - 1.0)
-
-    def test_wall_deadline_far_future_completes(self):
-        sim = Simulator()
-        fired = []
-        for t in range(10):
-            sim.at(float(t), lambda: fired.append(1))
-        sim.run(wall_deadline=time.monotonic() + 3600.0)
-        assert len(fired) == 10
 
     def test_deterministic_replay(self):
         def build_and_run():

@@ -101,6 +101,8 @@ class TestLintCli:
     def test_show_suppressed_lists_justifications(self, capsys):
         assert lint_main([str(REPO_SRC), "--show-suppressed"]) == 0
         out = capsys.readouterr().out
-        # the two sanctioned watchdog wall-clock reads, stopped at the site
-        assert "repro/htm/machine.py:221: FLOW001 -- watchdog" in out
-        assert "repro/sim/engine.py:292: FLOW001 -- watchdog" in out
+        # the tree's one inline suppression: the worker's send boundary
+        assert (
+            "repro/parallel/supervisor.py:297: ERR002 -- unpicklable "
+            "payload or vanished parent" in out
+        )
