@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as _np
 
+from repro.errors import SimulationError
 from repro.htm import Machine, MachineParams, policy_from_name
 from repro.rngutil import DEFAULT_SEED
 from repro.workloads import (
@@ -74,6 +75,9 @@ def _rep_worker(
     stats = machine.run(horizon)
     if verify:
         workload.verify(machine)
+    if n == 1 and stats.total("conflicts_received"):
+        # run_fig3 gives this run to every policy's row
+        raise SimulationError("a lone core received a conflicting probe")
     return (
         stats.throughput_ops_per_sec(params.clock_ghz),
         stats.ops_completed,
@@ -134,23 +138,37 @@ def run_fig3(
     and cells fold their repeats in rep order, so rows are identical
     with or without a pool.  Pooled runs need a picklable
     ``workload_factory`` (the built-in panels use ``functools.partial``).
+
+    A lone core is never probed (the directory does not probe the
+    requestor), so no policy is ever consulted: the 1-thread cell runs
+    once per repeat, under the first policy, and every policy's row
+    folds those runs.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     base_seed = DEFAULT_SEED if seed is None else seed
     coords = [(n, policy_name) for n in threads for policy_name in policies]
+
+    def run_of(n: int, policy_name: str) -> tuple[int, str]:
+        return n, policies[0] if n == 1 else policy_name
+
+    runs = list(dict.fromkeys(run_of(n, p) for n, p in coords))
     tasks = [
         (workload_factory, n, policy_name, horizon, base_seed, verify, rep)
-        for n, policy_name in coords
+        for n, policy_name in runs
         for rep in range(repeats)
     ]
     if pool is None:
         results = [_rep_worker(*task) for task in tasks]
     else:
         results = pool.starmap(_rep_worker, tasks)
+    reps = {
+        run: results[i * repeats : (i + 1) * repeats]
+        for i, run in enumerate(runs)
+    }
     return [
-        _merge_cell(n, policy_name, results[i * repeats : (i + 1) * repeats])
-        for i, (n, policy_name) in enumerate(coords)
+        _merge_cell(n, policy_name, reps[run_of(n, policy_name)])
+        for n, policy_name in coords
     ]
 
 

@@ -16,7 +16,8 @@ instead of scanning every set.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import ProtocolError
 from repro.htm.params import MachineParams
@@ -46,6 +47,9 @@ class CacheLine:
         return self.tx_read or self.tx_write
 
 
+_lru = attrgetter("lru")
+
+
 class L1Cache:
     """Set-associative L1 with LRU replacement.
 
@@ -58,11 +62,12 @@ class L1Cache:
     def __init__(self, params: MachineParams) -> None:
         self.params = params
         self._n_sets = params.l1_sets
+        self._assoc = params.l1_assoc
         self._sets: list[dict[int, CacheLine]] = [
             {} for _ in range(params.l1_sets)
         ]
         # line -> entry for every resident line with a tx bit set
-        # (mark_tx adds, evict removes, commit/abort empty it)
+        # (hit/install add, evict removes, commit/abort empty it)
         self._tx: dict[int, CacheLine] = {}
         self._tick = 0
         # Ways temporarily unavailable to new fills (fault injection:
@@ -72,59 +77,82 @@ class L1Cache:
         # a fill needs their set, so shrinking mid-run is safe.
         self.reserved_ways = 0
 
-    @property
-    def effective_assoc(self) -> int:
-        return max(1, self.params.l1_assoc - self.reserved_ways)
-
     # -- lookup -----------------------------------------------------------
-    def _set_of(self, line: int) -> dict[int, CacheLine]:
-        return self._sets[line % self._n_sets]
-
     def lookup(self, line: int) -> CacheLine | None:
         """Find a resident line (does not touch LRU)."""
         return self._sets[line % self._n_sets].get(line)
 
-    def touch(self, entry: CacheLine) -> None:
-        """Mark the line most-recently-used."""
+    def hit(
+        self, line: int, exclusive: bool, tx: bool, write: bool
+    ) -> CacheLine | None:
+        """An access that completes locally: make ``line`` MRU and, for
+        ``tx``, set its write (``write``) or read bit.  None, touching
+        nothing, when the line is absent or ``exclusive`` needs M and it
+        is held in S."""
+        entry = self._sets[line % self._n_sets].get(line)
+        if entry is None or (
+            exclusive and entry.state is not LineState.MODIFIED
+        ):
+            return None
         self._tick += 1
         entry.lru = self._tick
-
-    def has_state(self, line: int, *, exclusive: bool) -> bool:
-        """Whether an access can hit locally (S suffices for reads)."""
-        entry = self.lookup(line)
-        if entry is None:
-            return False
-        return entry.state is LineState.MODIFIED or not exclusive
+        if tx:
+            if write:
+                entry.tx_write = True
+            else:
+                entry.tx_read = True
+            self._tx[line] = entry
+        return entry
 
     # -- fills and evictions ------------------------------------------------
-    def victim_for(self, line: int) -> CacheLine | None:
-        """The line that must be evicted to make room for ``line``
-        (None if the set has a free way or the line is resident)."""
-        bucket = self._set_of(line)
-        if line in bucket or len(bucket) < self.effective_assoc:
+    def victim_for(self, line: int, protect_tx: bool) -> CacheLine | None:
+        """The line that must be evicted to make room for ``line`` (None
+        if the line is resident or its set has a free way): the
+        least-recently-used way, or with ``protect_tx`` the LRU
+        non-transactional way unless every way is transactional."""
+        bucket = self._sets[line % self._n_sets]
+        if line in bucket or len(bucket) < max(
+            1, self._assoc - self.reserved_ways
+        ):
             return None
-        return min(bucket.values(), key=lambda e: e.lru)
+        victim = min(bucket.values(), key=_lru)
+        if protect_tx and victim.transactional:
+            spare = [e for e in bucket.values() if not e.transactional]
+            if spare:
+                return min(spare, key=_lru)
+        return victim
 
-    def fill(self, line: int, state: LineState) -> CacheLine:
-        """Insert (or upgrade) a line; caller must have evicted first."""
-        bucket = self._set_of(line)
+    def install(
+        self, line: int, state: LineState, tx: bool, write: bool
+    ) -> CacheLine:
+        """Insert (or upgrade) a line as MRU and, for ``tx``, set its
+        write (``write``) or read bit; the caller must have evicted
+        first.  Under lazy validation a tx-write bit may sit on an S
+        line (the store is buffered; exclusivity comes at commit)."""
+        bucket = self._sets[line % self._n_sets]
         entry = bucket.get(line)
         if entry is not None:
             entry.state = state
         else:
-            if len(bucket) >= self.params.l1_assoc:
+            if len(bucket) >= self._assoc:
                 raise ProtocolError(
                     f"fill of line {line} into a full set (evict first)"
                 )
-            entry = CacheLine(line=line, state=state)
+            entry = CacheLine(line, state)
             bucket[line] = entry
-        self.touch(entry)
+        self._tick += 1
+        entry.lru = self._tick
+        if tx:
+            if write:
+                entry.tx_write = True
+            else:
+                entry.tx_read = True
+            self._tx[line] = entry
         return entry
 
     def evict(self, line: int) -> CacheLine:
         """Remove a resident line and return its final bookkeeping."""
-        bucket = self._set_of(line)
-        entry = bucket.pop(line, None)
+        entry = self._sets[line % self._n_sets].pop(line, None)
         if entry is None:
             raise ProtocolError(f"evicting non-resident line {line}")
         self._tx.pop(line, None)
@@ -143,19 +171,6 @@ class L1Cache:
         self.evict(line)
 
     # -- transactional bits ---------------------------------------------------
-    def mark_tx(self, line: int, *, write: bool) -> None:
-        """Set a transactional bit.  Under lazy validation a tx-write
-        bit may sit on an S line during execution (the store is
-        buffered; exclusivity is acquired at commit)."""
-        entry = self.lookup(line)
-        if entry is None:
-            raise ProtocolError(f"tx-marking non-resident line {line}")
-        if write:
-            entry.tx_write = True
-        else:
-            entry.tx_read = True
-        self._tx[line] = entry
-
     def clear_tx_bits(self) -> list[int]:
         """Commit: clear every transactional bit; returns affected lines
         (in marking order)."""

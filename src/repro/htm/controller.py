@@ -95,6 +95,10 @@ class CoreMemSystem:
         self._grace_event = None
         self._grace_mode = "requestor_wins"
         self._abort_cb: Callable[[AbortReason], None] | None = None
+        # the one outstanding miss (the core issues one access at a
+        # time): its operands, and the grant callback bound once
+        self._miss: tuple | None = None
+        self._grant_cb = self._on_grant
 
         # stats
         self.stats = machine.stats.core(core_id)
@@ -148,9 +152,10 @@ class CoreMemSystem:
         # first maximizes the owned-but-uncommitted window in which a
         # grace period can actually save the transaction (Figure 1's
         # "T1 holds A exclusive and is acquiring B" scenario).
+        line_of, lookup = self.params.line_of, self.cache.lookup
         for addr in reversed(self.write_buffer):
-            line = self.params.line_of(addr)
-            entry = self.cache.lookup(line)
+            line = line_of(addr)
+            entry = lookup(line)
             if entry is None:
                 raise ProtocolError(
                     f"core {self.core_id}: write-set line {line} not "
@@ -166,9 +171,10 @@ class CoreMemSystem:
         latency."""
         if not self.tx_active:
             raise ProtocolError(f"core {self.core_id}: commit without tx")
+        line_of, lookup = self.params.line_of, self.cache.lookup
         for addr in self.write_buffer:
-            line = self.params.line_of(addr)
-            entry = self.cache.lookup(line)
+            line = line_of(addr)
+            entry = lookup(line)
             if entry is None or entry.state is not LineState.MODIFIED:
                 raise ProtocolError(
                     f"core {self.core_id}: finalize_commit without owning "
@@ -242,13 +248,12 @@ class CoreMemSystem:
     def access(
         self,
         addr: int,
-        *,
         write: bool,
         tx: bool,
+        done: Callable[[object], None],
         value: int | None = None,
         cas: tuple[int, int] | None = None,
         acquire: bool = False,
-        done: Callable[[object], None],
     ) -> bool:
         """Perform one word access; ``done(result)`` fires when complete.
 
@@ -265,7 +270,8 @@ class CoreMemSystem:
 
         Returns True when a completion will be delivered; False when the
         access died immediately with a capacity abort (``done`` will
-        never fire).
+        never fire).  A miss while another miss is outstanding raises
+        :class:`ProtocolError`: the core issues one access at a time.
         """
         if tx and not self.tx_active:
             raise ProtocolError(f"core {self.core_id}: tx access outside tx")
@@ -296,12 +302,7 @@ class CoreMemSystem:
             self.abort_tx(AbortReason.CONFLICT_IMMEDIATE)
             return False
 
-        if self.cache.has_state(line, exclusive=exclusive):
-            entry = self.cache.lookup(line)
-            assert entry is not None
-            self.cache.touch(entry)
-            if tx:
-                self.cache.mark_tx(line, write=write or acquire)
+        if self.cache.hit(line, exclusive, tx, write or acquire) is not None:
             self.stats.l1_hits += 1
             if acquire:
                 result: object = None
@@ -311,36 +312,45 @@ class CoreMemSystem:
             return True
 
         # Miss path: make room, then ask the directory.
-        self.stats.l1_misses += 1
-        if not self._make_room(line, tx):
-            return False  # capacity abort already handled; access is moot
-
-        def on_grant(
-            first_touch: bool, latency: int, _line=line, _epoch=epoch
-        ) -> None:
-            # Install the line and apply the value effect at the grant
-            # instant — the coherence serialization point — and charge
-            # the data-return latency to this access's completion only.
-            state = LineState.MODIFIED if exclusive else LineState.SHARED
-            if self.cache.victim_for(_line) is not None:
-                # defensive re-check; with one outstanding access per
-                # core the reservation from _make_room still stands
-                victim = self._pick_victim(_line, protect_tx=self.tx_active)
-                if victim is not None:
-                    self._evict(victim)
-            self.cache.fill(_line, state)
-            if tx and self.tx_active and self.tx_epoch == _epoch:
-                self.cache.mark_tx(_line, write=write or acquire)
-            if acquire:
-                result: object = None
-            else:
-                result = self._apply_effect(addr, write, tx, value, cas, _epoch)
-            self.sim.after(
-                latency + self._l1_hit, done, result, label="fill-done"
+        if self._miss is not None:
+            raise ProtocolError(
+                f"core {self.core_id}: miss on line {line} while another "
+                f"miss is outstanding"
             )
-
-        self.machine.directory.request(self.core_id, line, exclusive, on_grant)
+        self.stats.l1_misses += 1
+        if not self._make_room(line):
+            return False  # capacity abort already handled; access is moot
+        self._miss = (
+            addr, write, tx, value, cas, acquire, done, line, epoch, exclusive
+        )
+        self.machine.directory.request(
+            self.core_id, line, exclusive, self._grant_cb
+        )
         return True
+
+    def _on_grant(self, first_touch: bool, latency: int) -> None:
+        """The outstanding miss is granted: install the line and apply
+        the value effect at the grant instant — the coherence
+        serialization point — and charge the data-return latency to this
+        access's completion only."""
+        miss, self._miss = self._miss, None
+        addr, write, tx, value, cas, acquire, done, line, epoch, exclusive = miss
+        # defensive re-check; with one outstanding access per core the
+        # reservation from _make_room still stands
+        victim = self.cache.victim_for(line, protect_tx=self.tx_active)
+        if victim is not None:
+            self._evict(victim)
+        self.cache.install(
+            line,
+            LineState.MODIFIED if exclusive else LineState.SHARED,
+            tx and self.tx_active and self.tx_epoch == epoch,
+            write or acquire,
+        )
+        if acquire:
+            result: object = None
+        else:
+            result = self._apply_effect(addr, write, tx, value, cas, epoch)
+        self.sim.after(latency + self._l1_hit, done, result, label="fill-done")
 
     def _apply_effect(
         self,
@@ -377,27 +387,11 @@ class CoreMemSystem:
         return memory.get(addr, 0)
 
     # -- eviction -----------------------------------------------------------
-    def _pick_victim(self, line: int, protect_tx: bool):
-        bucket_victim = self.cache.victim_for(line)
-        if bucket_victim is None:
-            return None
-        if not protect_tx or not bucket_victim.transactional:
-            return bucket_victim
-        # prefer any non-transactional way
-        candidates = [
-            e
-            for e in self.cache._set_of(line).values()
-            if not e.transactional
-        ]
-        if candidates:
-            return min(candidates, key=lambda e: e.lru)
-        return bucket_victim  # every way is transactional
-
-    def _make_room(self, line: int, tx: bool) -> bool:
+    def _make_room(self, line: int) -> bool:
         """Ensure a fill of ``line`` can succeed.  Returns False when the
         set is wedged with transactional lines and the transaction had to
         capacity-abort (the access dies with it)."""
-        victim = self._pick_victim(line, protect_tx=True)
+        victim = self.cache.victim_for(line, protect_tx=True)
         if victim is None:
             return True
         if victim.transactional:
@@ -522,10 +516,9 @@ class CoreMemSystem:
         if not any(p.line == line for p in self.pending_probes):
             return False
         entry = self.cache.lookup(line)
-        owns_m = entry is not None and entry.state is LineState.MODIFIED
-        if not self.cache.has_state(line, exclusive=exclusive):
-            return True
-        return write and not owns_m
+        return entry is None or (
+            entry.state is not LineState.MODIFIED and (exclusive or write)
+        )
 
     def _is_wedged(self, line: int, entry) -> bool:
         """True when the probed line is in our write set but not yet

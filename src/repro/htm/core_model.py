@@ -184,13 +184,7 @@ class Core:
         self._outstanding = True
         self._issue_token = token
         issued = self.mem.access(
-            addr,
-            write=write,
-            tx=self._in_htm,
-            value=value,
-            cas=cas,
-            acquire=acquire,
-            done=self._mem_done,
+            addr, write, self._in_htm, self._mem_done, value, cas, acquire
         )
         if not issued:
             # the access died with its transaction before reaching the

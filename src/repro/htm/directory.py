@@ -45,7 +45,6 @@ class PendingRequest:
     exclusive: bool
     grant_cb: Callable[[bool, int], None]
     acks_outstanding: int = 0
-    probed_holders: list[int] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -79,10 +78,6 @@ class Directory:
         — deliver a probe to a core's HTM/L1 controller; the controller
         calls ``ack_cb()`` when the line has been downgraded or
         invalidated (possibly after a grace period).
-    queue_wait_cb / queue_clear_cb:
-        Optional hooks notifying the machine that a core's request is
-        waiting behind another core's in-service request (used for
-        chain-size estimation and the waits-for graph).
     """
 
     def __init__(
@@ -92,8 +87,6 @@ class Directory:
         probe_fn: Callable[[int, int, bool, int, Callable[[], None]], None],
         *,
         topology=None,
-        queue_wait_cb: Callable[[int, int], None] | None = None,
-        queue_clear_cb: Callable[[int], None] | None = None,
     ) -> None:
         from repro.htm.interconnect import FixedLatency
 
@@ -103,8 +96,6 @@ class Directory:
         self.topology = (
             topology if topology is not None else FixedLatency(params.hop)
         )
-        self.queue_wait_cb = queue_wait_cb
-        self.queue_clear_cb = queue_clear_cb
         self.entries: dict[int, DirectoryEntry] = {}
         # counters for stats / tests
         self.requests = 0
@@ -144,10 +135,6 @@ class Directory:
     def _arrive(self, req: PendingRequest) -> None:
         entry = self.entry(req.line)
         entry.queue.append(req)
-        if entry.busy:
-            head = entry.queue[0]
-            if self.queue_wait_cb is not None and head is not req:
-                self.queue_wait_cb(req.core, head.core)
         self._service(entry)
 
     def _service(self, entry: DirectoryEntry) -> None:
@@ -183,7 +170,6 @@ class Directory:
             self._grant(req)
             return
         req.acks_outstanding = len(targets)
-        req.probed_holders = targets
         for target in targets:
             self.probes_sent += 1
             self.sim.after(
@@ -240,16 +226,6 @@ class Directory:
             self.params.mem_latency if first_touch else 0
         )
         req.grant_cb(first_touch, latency)
-        if self.queue_clear_cb is not None:
-            self.queue_clear_cb(req.core)
-        if entry.queue:
-            # the new head stops waiting on the old one
-            if self.queue_clear_cb is not None:
-                self.queue_clear_cb(entry.queue[0].core)
-            if self.queue_wait_cb is not None:
-                head = entry.queue[0]
-                for waiter in list(entry.queue)[1:]:
-                    self.queue_wait_cb(waiter.core, head.core)
         self._service(entry)
 
     # -- evictions ----------------------------------------------------------

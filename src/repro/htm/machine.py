@@ -107,8 +107,6 @@ class Machine:
             params,
             self._deliver_probe,
             topology=topology,  # None -> FixedLatency(params.hop)
-            queue_wait_cb=None,  # queue waits counted via queued_behind()
-            queue_clear_cb=None,
         )
 
     # ------------------------------------------------------------------

@@ -3,6 +3,7 @@ internals that the registry-level tests don't reach."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
@@ -11,7 +12,7 @@ from repro.errors import InvalidParameterError
 from repro.experiments import fig2, fig3
 from repro.experiments.report import _fmt, ascii_bars, render_series, render_table
 from repro.htm import MachineParams, NoDelay, TunedDelay
-from repro.workloads import StackWorkload
+from repro.workloads import StackWorkload, TxAppWorkload
 
 
 class TestFig3Helpers:
@@ -53,6 +54,42 @@ class TestFig3Helpers:
         assert len(rows) == 1
         assert rows[0]["threads"] == 2
         assert rows[0]["ops"] > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lone_core_cell_runs_once_per_repeat(self, jobs, tmp_path, monkeypatch):
+        """threads=(1, 4) over the four Figure 3 policies is 1 + 4
+        machine runs per repeat, inline and on a pool: a lone core is
+        never probed, so every policy's 1-thread row folds one run."""
+        from repro.htm import Machine
+        from repro.parallel import SupervisedPool
+
+        log = tmp_path / "runs"
+        run = Machine.run
+
+        def counted(machine, *args, **kwargs):
+            with open(log, "a") as fh:  # forked workers append here too
+                fh.write(f"{machine.params.n_cores}\n")
+            return run(machine, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "run", counted)
+        factory = functools.partial(TxAppWorkload, work_cycles=100)
+        rows = fig3.run_fig3(
+            factory,
+            threads=(1, 4),
+            horizon=8_000.0,
+            seed=5,
+            repeats=2,
+            pool=None if jobs == 1 else SupervisedPool(jobs),
+        )
+        assert sorted(log.read_text().split()) == ["1"] * 2 + ["4"] * 8
+        lone = [row for row in rows if row["threads"] == 1]
+        assert [row["policy"] for row in lone] == list(fig3.FIG3_POLICIES)
+        for row in lone:
+            reps = [
+                fig3._rep_worker(factory, 1, row["policy"], 8_000.0, 5, True, rep)
+                for rep in range(2)
+            ]
+            assert row == fig3._merge_cell(1, row["policy"], reps)
 
     def test_fig3_thread_axis(self):
         assert fig3.FIG3_THREADS[0] == 1

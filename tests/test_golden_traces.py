@@ -35,6 +35,7 @@ from repro.sim.engine import EventQueue
 from repro.synthetic import SyntheticHarness
 from repro.workloads import (
     CounterWorkload,
+    ListSetWorkload,
     QueueWorkload,
     StackWorkload,
     TxAppWorkload,
@@ -106,7 +107,7 @@ def test_scenarios_are_reproducible(name):
 
 
 # -- pinned machine digests ---------------------------------------------------
-# Digests and event counts of six machine cells, recorded once and
+# Digests and event counts of nine machine cells, recorded once and
 # compared across commits: a change that should not move the simulation
 # (a kernel or cache rewrite, say) must leave all of them unchanged.
 # The golden traces above cover only a 2-core counter cell; these cover
@@ -115,8 +116,12 @@ def test_scenarios_are_reproducible(name):
 # event heap inside run()), a stack whose low retry budget drives
 # operations through the CAS/Fence fallback path, the txapp cell under
 # the requestor-aborts and hybrid resolutions (NACKs and the
-# requestor-wins backstop timer), and a queue on a mesh with jittered
-# links (non-uniform and randomly delayed hops).  Like the goldens they
+# requestor-wins backstop timer), a queue on a mesh with jittered
+# links (non-uniform and randomly delayed hops), the txapp cell on a
+# 4-set x 2-way L1 (evictions, writebacks and capacity aborts), on a
+# 4-set x 4-way L1 whose associativity a fault plan shrinks by two ways
+# in a fifth of the transactions, and a hit-dominated linked-list set
+# on the default L1.  Like the goldens they
 # assume seeded NumPy streams and float arithmetic are stable across
 # Python and NumPy versions (recorded under CPython 3.11).
 PINNED = {
@@ -144,6 +149,18 @@ PINNED = {
         "a416fedb9d8d47fe634a68dcc42b74cee175151c33cb99d8b860fa50efd45bd6",
         14181,
     ),
+    "txapp_8core_small_l1": (
+        "1d528faaf3f1fc4c79ea782eed9a2588456c43585e40a451094207baf1dab0de",
+        11212,
+    ),
+    "txapp_8core_capacity_shrink": (
+        "b6c09d690c3ef275d100427f104594146fc5501f69b39a565dbac0a6f774fa4c",
+        25233,
+    ),
+    "listset_8core": (
+        "151cadd3c2db309754133efbbaf37826d779c19cf3e73fe312394293072e9256",
+        30915,
+    ),
 }
 
 #: the resolution policy of each txapp cell (RandDelay when absent)
@@ -163,12 +180,21 @@ def pinned_cell(name: str):
     elif name == "queue_8core_mesh_jitter":
         workload, horizon, topology = QueueWorkload(), 30_000.0, MeshTopology(8)
         faults = {"link_jitter_rate": 0.05, "link_jitter_cycles": 8}
+    elif name == "listset_8core":
+        workload, horizon, faults = ListSetWorkload(), 30_000.0, None
     else:
         workload = TxAppWorkload(work_cycles=100)
         if name == "txapp_8core":
             horizon, faults = 60_000.0, None
         elif name == "txapp_8core_spurious":
             horizon, faults = 30_000.0, {"spurious_abort_rate": 1e-4}
+        elif name == "txapp_8core_small_l1":
+            params = MachineParams(n_cores=8, l1_sets=4, l1_assoc=2)
+            horizon, faults = 30_000.0, None
+        elif name == "txapp_8core_capacity_shrink":
+            params = MachineParams(n_cores=8, l1_sets=4, l1_assoc=4)
+            horizon = 30_000.0
+            faults = {"capacity_shrink_prob": 0.2, "capacity_ways_lost": 2}
         else:
             horizon, faults = 30_000.0, None
     policy = PINNED_POLICIES.get(name, RandDelay)
@@ -207,3 +233,14 @@ def test_machine_digest_pinned(name, monkeypatch):
         jitter = machine.metrics.counter_values("fault_link_jitter")
         assert jitter == {"fault_link_jitter_events": 398}
         assert stats.total("fallback_ops") == 10
+    if name == "txapp_8core_small_l1":
+        assert stats.total("writebacks") == 377
+        assert stats.abort_reasons()["capacity"] == 158
+        assert stats.total("fallback_ops") == 23
+    if name == "txapp_8core_capacity_shrink":
+        assert stats.fault_counts() == {"capacity_shrinks": 205}
+        assert stats.total("writebacks") == 355
+        assert stats.abort_reasons()["capacity"] == 12
+    if name == "listset_8core":
+        assert stats.total("l1_hits") == 13_986
+        assert stats.total("l1_misses") == 4_482

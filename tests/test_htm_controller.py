@@ -121,6 +121,32 @@ class TestAccessPaths:
         assert not mem.tx_active
         assert mem.cache.transactional_lines() == []
 
+    def test_second_miss_while_one_is_outstanding_rejected(self):
+        machine = make_machine()
+        mem = machine.mems[0]
+        out = Collector()
+        mem.access(64, write=False, tx=False, done=out)
+        with pytest.raises(ProtocolError):
+            mem.access(128, write=False, tx=False, done=out)
+        complete(machine)
+        assert out.results == [0]  # the first miss still completes
+        assert mem.stats.l1_misses == 1
+
+    def test_hit_leaves_the_miss_slot_empty(self):
+        machine = make_machine()
+        mem = machine.mems[0]
+        out = Collector()
+        mem.access(64, write=False, tx=False, done=out)
+        assert mem._miss is not None
+        complete(machine)
+        assert mem._miss is None  # the grant emptied it
+        mem.access(64, write=False, tx=False, done=out)
+        assert mem._miss is None  # a hit never fills it
+        mem.access(128, write=False, tx=False, done=out)  # so a miss may
+        complete(machine)
+        assert (mem.stats.l1_hits, mem.stats.l1_misses) == (1, 2)
+        assert out.results == [0, 0, 0]
+
     def test_tx_access_outside_tx_rejected(self):
         machine = make_machine()
         with pytest.raises(ProtocolError):
