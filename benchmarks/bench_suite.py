@@ -132,9 +132,14 @@ def bench_des_event_loop(quick: bool, repeats: int) -> dict:
 
     def run_chain():
         sim = Simulator()
+        # the handler counts its own firings: run() adds to
+        # events_fired only when it returns
+        fired = 0
 
         def tick():
-            if sim.events_fired < n_events:
+            nonlocal fired
+            fired += 1
+            if fired < n_events:
                 sim.after(1.0, tick, label="tick")
 
         sim.after(0.0, tick, label="tick")

@@ -11,8 +11,8 @@ every import, so it is an entry point like any public function.
 Pragmas are honored at the *site*: an intrinsic effect whose line
 carries ``# simlint: disable=FLOW001`` (the effect's FLOW id, or the
 matching per-file id where one exists) is a documented exception and
-never enters the graph, so a sanctioned watchdog read does not taint
-every entry point that reaches ``Machine.run``.  The summary lists
+never enters the graph, so one justified site does not taint every
+entry point that reaches it.  The summary lists
 each such site under ``suppressed`` so the report can show it.
 """
 

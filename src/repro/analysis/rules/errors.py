@@ -113,7 +113,8 @@ class SwallowedWatchdogRule(Rule):
     rationale = (
         "catching ExperimentTimeoutError / KeyboardInterrupt / "
         "SystemExit without re-raising breaks the watchdog contract: "
-        "timeouts would be retried or recorded as ordinary failures."
+        "a timed-out experiment would keep running or be recorded as an "
+        "ordinary failure."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -140,11 +141,12 @@ class AtomicArtifactWriteRule(Rule):
     id = "ERR004"
     summary = "non-atomic write to a checkpoint/cache artifact"
     rationale = (
-        "writing a checkpoint, journal, or cache file with open(path, "
-        "'w') / Path.write_text truncates in place: a crash mid-write "
-        "leaves a torn artifact the next run must distrust.  Route "
-        "these writes through repro.parallel.cache.atomic_write_text "
-        "(temp file + fsync + os.replace) or an append-only log."
+        "writing a result-cache entry, or any artifact a later run reads "
+        "back, with open(path, 'w') / Path.write_text truncates in place: "
+        "a crash mid-write leaves a torn artifact the next run must "
+        "distrust.  Route these writes through "
+        "repro.parallel.cache.atomic_write_text (temp file + fsync + "
+        "os.replace) or an append-only log."
     )
 
     def _mentions_artifact(self, node: ast.AST) -> bool:

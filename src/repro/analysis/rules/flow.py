@@ -38,8 +38,8 @@ class ReachesWallClock(FlowRuleInfo):
         "import-time code included) that can reach time.time()/"
         "monotonic()/datetime.now() through any chain of calls makes rows "
         "depend on host speed.  The finding prints the full call chain to "
-        "the offending read; the watchdog deadline reads are the one "
-        "sanctioned suppression."
+        "the offending read; a read that only times the host, never the "
+        "simulation, needs a line pragma with its reason."
     )
 
 

@@ -159,16 +159,20 @@ class L1Cache:
         return entry
 
     # -- probes -------------------------------------------------------------
-    def downgrade(self, line: int) -> None:
+    # A probe is answered on the entry its handler already looked up, so
+    # neither method looks the line up again.
+    def downgrade(self, entry: CacheLine) -> None:
         """M -> S in response to a GETS probe."""
-        entry = self.lookup(line)
-        if entry is None or entry.state is not LineState.MODIFIED:
-            raise ProtocolError(f"downgrade of line {line} not in M")
+        if entry.state is not LineState.MODIFIED:
+            raise ProtocolError(f"downgrade of line {entry.line} not in M")
         entry.state = LineState.SHARED
 
-    def invalidate(self, line: int) -> None:
-        """Drop the line in response to a GETX probe (must be resident)."""
-        self.evict(line)
+    def invalidate(self, entry: CacheLine) -> None:
+        """Drop a resident line in response to a GETX probe."""
+        line = entry.line
+        if self._sets[line % self._n_sets].pop(line, None) is not entry:
+            raise ProtocolError(f"invalidating non-resident line {line}")
+        self._tx.pop(line, None)
 
     # -- transactional bits ---------------------------------------------------
     def clear_tx_bits(self) -> list[int]:

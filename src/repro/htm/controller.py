@@ -152,9 +152,10 @@ class CoreMemSystem:
         # first maximizes the owned-but-uncommitted window in which a
         # grace period can actually save the transaction (Figure 1's
         # "T1 holds A exclusive and is acquiring B" scenario).
-        line_of, lookup = self.params.line_of, self.cache.lookup
+        # every buffered address passed access's negative-address check
+        line_words, lookup = self._line_words, self.cache.lookup
         for addr in reversed(self.write_buffer):
-            line = line_of(addr)
+            line = addr // line_words
             entry = lookup(line)
             if entry is None:
                 raise ProtocolError(
@@ -171,9 +172,9 @@ class CoreMemSystem:
         latency."""
         if not self.tx_active:
             raise ProtocolError(f"core {self.core_id}: commit without tx")
-        line_of, lookup = self.params.line_of, self.cache.lookup
+        line_words, lookup = self._line_words, self.cache.lookup
         for addr in self.write_buffer:
-            line = line_of(addr)
+            line = addr // line_words
             entry = lookup(line)
             if entry is None or entry.state is not LineState.MODIFIED:
                 raise ProtocolError(
@@ -318,8 +319,14 @@ class CoreMemSystem:
                 f"miss is outstanding"
             )
         self.stats.l1_misses += 1
-        if not self._make_room(line):
-            return False  # capacity abort already handled; access is moot
+        victim = self.cache.victim_for(line, protect_tx=True)
+        if victim is not None:
+            if victim.transactional:
+                # Algorithm 1 line 4: evicting a transactional line
+                # aborts, and the access dies with its transaction
+                self.abort_tx(AbortReason.CAPACITY)
+                return False
+            self._evict(victim)
         self._miss = (
             addr, write, tx, value, cas, acquire, done, line, epoch, exclusive
         )
@@ -336,7 +343,7 @@ class CoreMemSystem:
         miss, self._miss = self._miss, None
         addr, write, tx, value, cas, acquire, done, line, epoch, exclusive = miss
         # defensive re-check; with one outstanding access per core the
-        # reservation from _make_room still stands
+        # way that access freed still stands
         victim = self.cache.victim_for(line, protect_tx=self.tx_active)
         if victim is not None:
             self._evict(victim)
@@ -387,20 +394,6 @@ class CoreMemSystem:
         return memory.get(addr, 0)
 
     # -- eviction -----------------------------------------------------------
-    def _make_room(self, line: int) -> bool:
-        """Ensure a fill of ``line`` can succeed.  Returns False when the
-        set is wedged with transactional lines and the transaction had to
-        capacity-abort (the access dies with it)."""
-        victim = self.cache.victim_for(line, protect_tx=True)
-        if victim is None:
-            return True
-        if victim.transactional:
-            # Algorithm 1 line 4: evicting a transactional line aborts.
-            self.abort_tx(AbortReason.CAPACITY)
-            return False
-        self._evict(victim)
-        return True
-
     def _evict(self, entry) -> None:
         if entry.state is LineState.MODIFIED:
             self.machine.directory.writeback(self.core_id, entry.line)
@@ -428,7 +421,16 @@ class CoreMemSystem:
             entry.tx_write or (exclusive and entry.tx_read)
         )
         if not conflicts:
-            self._apply_probe(line, exclusive)
+            # answer at once, applied to the entry already in hand
+            if exclusive:
+                self.cache.invalidate(entry)
+            elif entry.state is LineState.MODIFIED:
+                self.cache.downgrade(entry)
+            else:
+                raise ProtocolError(
+                    f"core {self.core_id}: GETS probe for line {line} held "
+                    f"in S"
+                )
             self.sim.after(1, ack, label="probe-ack")
             return
 
@@ -526,9 +528,11 @@ class CoreMemSystem:
         request occupies the line's directory slot."""
         if entry.state is LineState.MODIFIED:
             return False
-        return any(
-            self.params.line_of(addr) == line for addr in self.write_buffer
-        )
+        line_words = self._line_words
+        for addr in self.write_buffer:
+            if addr // line_words == line:
+                return True
+        return False
 
     def _grace_expired(self, epoch: int) -> None:
         self._grace_event = None
@@ -595,19 +599,6 @@ class CoreMemSystem:
             else AbortReason.CONFLICT_IMMEDIATE
         )
 
-    def _apply_probe(self, line: int, exclusive: bool) -> None:
-        entry = self.cache.lookup(line)
-        if entry is None:
-            return
-        if exclusive:
-            self.cache.invalidate(line)
-        elif entry.state is LineState.MODIFIED:
-            self.cache.downgrade(line)
-        else:
-            raise ProtocolError(
-                f"core {self.core_id}: GETS probe for line {line} held in S"
-            )
-
     def _release_probes(self, *, aborting: bool) -> None:
         """Answer every delayed probe (on commit or abort)."""
         probes, self.pending_probes = self.pending_probes, []
@@ -624,10 +615,10 @@ class CoreMemSystem:
         if entry is None:
             return
         if probe.exclusive:
-            self.cache.invalidate(probe.line)
+            self.cache.invalidate(entry)
             self.machine.directory.drop_sharer(self.core_id, probe.line)
         elif entry.state is LineState.MODIFIED:
-            self.cache.downgrade(probe.line)
+            self.cache.downgrade(entry)
 
     def _cancel_grace(self) -> None:
         if self._grace_event is not None:

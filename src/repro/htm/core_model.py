@@ -121,38 +121,61 @@ class Core:
             self._complete(token, stop.value)
             return
         # dispatch on the exact class; an instance of a derived class
-        # runs as the first ISA class it is an instance of
+        # runs as the first ISA class it is an instance of.  A memory
+        # instruction decodes to access operands and falls through to
+        # the one issue below; the others finish here.
         kind = type(instr)
         if kind not in _ISA_KINDS:
             kind = self._isa_kind(instr)
+        write = acquire = False
+        store = cas = None
         if kind is Read:
-            self._issue(token, instr.addr, False, None, None, False)
+            addr = instr.addr
         elif kind is Compute:
             self.sim.after(instr.cycles, self._advance, token, None,
                            label="compute")
+            return
         elif kind is Write:
-            self._issue(token, instr.addr, True, instr.value, None, False)
+            addr, write, store = instr.addr, True, instr.value
         elif kind is AcquireX:
             if not self._in_htm or self._phase != "commit":
                 raise SimulationError(
                     f"core {self.core_id}: AcquireX outside commit phase"
                 )
-            self._issue(token, instr.addr, False, None, None, True)
+            addr, acquire = instr.addr, True
         elif kind is CAS:
             if self._in_htm:
                 raise SimulationError(
                     f"core {self.core_id}: CAS inside a transaction"
                 )
-            self._issue(token, instr.addr, False, None,
-                        (instr.expected, instr.new), False)
+            addr, cas = instr.addr, (instr.expected, instr.new)
         elif kind is AbortTx:
             if not self._in_htm:
                 raise SimulationError(
                     f"core {self.core_id}: AbortTx outside a transaction"
                 )
             self.mem.abort_tx(AbortReason.EXPLICIT)
+            return
         else:  # Fence
             self.sim.after(1, self._advance, token, None, label="fence")
+            return
+        # Issue the access, keeping one request outstanding per core
+        # across aborts.  ``_outstanding`` must be set before the access:
+        # a capacity abort fires the abort callback synchronously from
+        # inside ``access``, and the callback needs to see whether a
+        # request slot is held.  With one access in flight per core, the
+        # issuing token is core state that :meth:`_mem_done` reads back.
+        self._outstanding = True
+        self._issue_token = token
+        if not self.mem.access(
+            addr, write, self._in_htm, self._mem_done, store, cas, acquire
+        ):
+            # the access died with its transaction before reaching the
+            # directory; release the slot and run any deferred retry
+            self._outstanding = False
+            if self._retry_pending:
+                self._retry_pending = False
+                self._schedule_retry()
 
     def _isa_kind(self, instr: object) -> type:
         """The ISA class ``instr`` is an instance of (first match in
@@ -163,36 +186,6 @@ class Core:
         raise SimulationError(
             f"core {self.core_id}: unknown instruction {instr!r}"
         )
-
-    def _issue(
-        self,
-        token: int,
-        addr: int,
-        write: bool,
-        value: int | None,
-        cas: tuple[int, int] | None,
-        acquire: bool,
-    ) -> None:
-        """Issue one memory access, maintaining the single-outstanding-
-        request invariant across aborts.
-
-        ``_outstanding`` must be set before the access: a capacity abort
-        fires the abort callback synchronously from inside ``access``,
-        and the callback needs to see whether a request slot is held.
-        With one access in flight per core, the issuing token is core
-        state that :meth:`_mem_done` reads back."""
-        self._outstanding = True
-        self._issue_token = token
-        issued = self.mem.access(
-            addr, write, self._in_htm, self._mem_done, value, cas, acquire
-        )
-        if not issued:
-            # the access died with its transaction before reaching the
-            # directory; release the slot and run any deferred retry
-            self._outstanding = False
-            if self._retry_pending:
-                self._retry_pending = False
-                self._schedule_retry()
 
     def _mem_done(self, value: object) -> None:
         """Memory-access completion: the single outstanding slot drains

@@ -97,6 +97,10 @@ class Directory:
             topology if topology is not None else FixedLatency(params.hop)
         )
         self.entries: dict[int, DirectoryEntry] = {}
+        # core -> requests queued behind its in-service request(s): the
+        # sum of len(queue) - 1 over busy entries whose head is that
+        # core's, kept where the sum changes (Machine.queued_behind)
+        self.queued_behind: dict[int, int] = {}
         # counters for stats / tests
         self.requests = 0
         self.probes_sent = 0
@@ -132,16 +136,20 @@ class Directory:
 
     # Each stage looks the line's entry up once; _arrive creates it and
     # entries are never removed, so the later stages index directly.
+    # A line is busy from the start of its head's lookup to that head's
+    # grant, and _grant starts the next head at once, so between events
+    # an idle line's queue is empty.  _arrive and _grant start a head's
+    # lookup themselves, and keep queued_behind where the queue changes.
     def _arrive(self, req: PendingRequest) -> None:
-        entry = self.entry(req.line)
+        entry = self.entries.get(req.line)
+        if entry is None:
+            entry = self.entries[req.line] = DirectoryEntry()
         entry.queue.append(req)
-        self._service(entry)
-
-    def _service(self, entry: DirectoryEntry) -> None:
-        if entry.busy or not entry.queue:
+        if entry.busy:
+            head = entry.queue[0].core
+            self.queued_behind[head] = self.queued_behind.get(head, 0) + 1
             return
-        entry.busy = True
-        req = entry.queue[0]
+        entry.busy = True  # req is the head, with nothing behind it
         self.sim.after(self.params.dir_lookup, self._lookup_done, req,
                        label="dir-lookup")
 
@@ -200,7 +208,8 @@ class Directory:
 
     def _grant(self, req: PendingRequest) -> None:
         entry = self.entries[req.line]
-        if not entry.queue or entry.queue[0] is not req:
+        queue = entry.queue
+        if not queue or queue[0] is not req:
             raise ProtocolError(f"grant for non-head request on line {req.line}")
         first_touch = not entry.touched
         entry.touched = True
@@ -213,8 +222,10 @@ class Directory:
                 entry.sharers.add(entry.owner)  # downgraded M -> S
             entry.owner = None
             entry.sharers.add(req.core)
-        entry.queue.popleft()
+        queue.popleft()
         entry.busy = False
+        if queue:  # no longer queued behind req.core
+            self.queued_behind[req.core] -= len(queue)
         self.grants += 1
         # Ownership transfers NOW (the directory is the serialization
         # point); the data-return latency is reported to the requestor,
@@ -226,7 +237,16 @@ class Directory:
             self.params.mem_latency if first_touch else 0
         )
         req.grant_cb(first_touch, latency)
-        self._service(entry)
+        if queue:  # the next head's lookup starts after the grant
+            entry.busy = True
+            head = queue[0]
+            behind = len(queue) - 1
+            if behind:
+                self.queued_behind[head.core] = (
+                    self.queued_behind.get(head.core, 0) + behind
+                )
+            self.sim.after(self.params.dir_lookup, self._lookup_done, head,
+                           label="dir-lookup")
 
     # -- evictions ----------------------------------------------------------
     def writeback(self, core: int, line: int) -> None:

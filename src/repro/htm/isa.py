@@ -14,7 +14,10 @@ whole body generator, so aborts can restart it from scratch.
 
 The records are slotted rather than frozen: a workload builds one per
 instruction, and a frozen dataclass pays ``object.__setattr__`` for
-every field.  Nothing mutates them after construction.
+every field.  Nothing mutates them after construction.  The records
+that validate their fields do it in their own ``__init__`` (the
+dataclass still provides eq and repr), one call per instruction instead
+of a generated ``__init__`` plus ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -26,42 +29,48 @@ from repro.errors import InvalidParameterError
 __all__ = ["Read", "Write", "Compute", "CAS", "Fence"]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Read:
     """Load one word.  Transactional inside a transaction body."""
 
     addr: int
 
-    def __post_init__(self) -> None:
-        if self.addr < 0:
-            raise InvalidParameterError(f"negative address {self.addr}")
+    def __init__(self, addr: int) -> None:
+        if addr < 0:
+            raise InvalidParameterError(f"negative address {addr}")
+        self.addr = addr
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Write:
     """Store one word.  Buffered until commit inside a transaction."""
 
     addr: int
     value: int
 
-    def __post_init__(self) -> None:
-        if self.addr < 0:
-            raise InvalidParameterError(f"negative address {self.addr}")
+    def __init__(self, addr: int, value: int) -> None:
+        if addr < 0:
+            raise InvalidParameterError(f"negative address {addr}")
+        self.addr = addr
+        self.value = value
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Compute:
     """Spin the ALU for ``cycles`` cycles (models the transaction body's
     local work; Figure 3's bimodal app varies exactly this)."""
 
     cycles: int
 
-    def __post_init__(self) -> None:
-        if self.cycles < 1:
-            raise InvalidParameterError(f"compute cycles must be >= 1")
+    def __init__(self, cycles: int) -> None:
+        if cycles < 1:
+            raise InvalidParameterError(
+                f"compute cycles must be >= 1, got {cycles}"
+            )
+        self.cycles = cycles
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class CAS:
     """Atomic compare-and-swap (lock-free fallback paths only).
 
@@ -74,9 +83,12 @@ class CAS:
     expected: int
     new: int
 
-    def __post_init__(self) -> None:
-        if self.addr < 0:
-            raise InvalidParameterError(f"negative address {self.addr}")
+    def __init__(self, addr: int, expected: int, new: int) -> None:
+        if addr < 0:
+            raise InvalidParameterError(f"negative address {addr}")
+        self.addr = addr
+        self.expected = expected
+        self.new = new
 
 
 @dataclass(slots=True)

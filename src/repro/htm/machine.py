@@ -317,12 +317,9 @@ class Machine:
         return 1 + len(waiters) + queued
 
     def queued_behind(self, core: int) -> int:
-        """Requests queued behind ``core``'s in-service request(s)."""
-        total = 0
-        for entry in self.directory.entries.values():
-            if entry.busy and entry.queue and entry.queue[0].core == core:
-                total += len(entry.queue) - 1
-        return total
+        """Requests queued behind ``core``'s in-service request(s), as
+        the directory counts them."""
+        return self.directory.queued_behind.get(core, 0)
 
     def check_cycle(self, requestor: int) -> None:
         """After adding edge ``requestor -> holder``: if the requestor is

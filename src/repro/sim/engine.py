@@ -22,9 +22,10 @@ Design notes
   entries) so long adversarial runs with heavy cancellation — grace
   timers killed by cycle aborts, fault-injected spurious aborts — keep
   memory proportional to live events instead of growing without bound.
-  Compaction rebuilds the heap list *in place*: :meth:`Simulator.run`
-  holds that list across handler calls, and a handler may cancel enough
-  events to compact mid-run.
+  Compaction rebuilds the heap list *in place*: the simulator holds
+  that list for :meth:`Simulator.at` / :meth:`Simulator.after` and
+  :meth:`Simulator.run` holds it across handler calls, and a handler may
+  cancel enough events to compact mid-run.
 * **No co-routines.**  Handlers are plain callables; components keep
   explicit state machines.  This is intentional: the HTM controllers
   are specified as state machines (MSI tables), and explicit states are
@@ -41,6 +42,9 @@ from typing import Any, Callable
 from repro.errors import SimulationError
 
 __all__ = ["EventQueue", "Simulator"]
+
+_heappush = heapq.heappush
+_INF = math.inf
 
 
 class _Firing:
@@ -169,6 +173,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self.queue = EventQueue()
+        # the queue's heap list (compaction keeps the same list) and its
+        # sequence counter, held for the scheduling hot path
+        self._heap = self.queue._heap
+        self._next_seq = self.queue._counter.__next__
         self.now = 0.0
         self.events_fired = 0
         self._running = False
@@ -197,9 +205,8 @@ class Simulator:
             )
         if not math.isfinite(time):
             raise SimulationError(f"event time must be finite, got {time}")
-        queue = self.queue
-        entry = [time, next(queue._counter), handler, args, label]
-        heapq.heappush(queue._heap, entry)
+        entry = [time, self._next_seq(), handler, args, label]
+        _heappush(self._heap, entry)
         return entry
 
     def after(
@@ -213,17 +220,13 @@ class Simulator:
         returns the event's handle for :meth:`cancel`."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        now = self.now
-        time = now + delay
-        if time < now:
-            raise SimulationError(
-                f"cannot schedule into the past: t={time} < now={now}"
-            )
-        if not math.isfinite(time):
+        # delay >= 0, so the time is never in the past; ``not time < inf``
+        # holds exactly for an infinite or NaN time
+        time = self.now + delay
+        if not time < _INF:
             raise SimulationError(f"event time must be finite, got {time}")
-        queue = self.queue
-        entry = [time, next(queue._counter), handler, args, label]
-        heapq.heappush(queue._heap, entry)
+        entry = [time, self._next_seq(), handler, args, label]
+        _heappush(self._heap, entry)
         return entry
 
     def cancel(self, entry: list) -> None:
@@ -248,18 +251,21 @@ class Simulator:
         the binding stop condition.
 
         The profiler is read once per call: attach it before ``run``.
+        ``events_fired`` grows by this call's count when it returns or
+        raises, so a handler reading it sees the count before the call.
         """
         if self._running:
             raise SimulationError("run() is not re-entrant")
         self._running = True
         fired = 0
+        now = self.now
         profiler = self.profiler
         if profiler is not None:
             profiler.loop_enter()
         # hoisted for the hot loop; the heap list is safe to hold because
         # EventQueue._compact rebuilds it in place
         queue = self.queue
-        heap = queue._heap
+        heap = self._heap
         heappop = heapq.heappop
         try:
             while True:
@@ -279,15 +285,15 @@ class Simulator:
                     break
                 when = entry[0]
                 if when >= until:
-                    self.now = max(self.now, min(until, when))
+                    self.now = max(now, min(until, when))
                     break
                 heappop(heap)
-                if when < self.now:
+                if when < now:
                     raise SimulationError(
-                        f"event queue produced a past event: {when} < {self.now}"
+                        f"event queue produced a past event: {when} < {now}"
                     )
-                self.now = when
-                self.events_fired += 1
+                self.now = now = when
+                fired += 1
                 # fired: a later cancel of this handle is a no-op
                 entry[2] = None
                 if profiler is not None:
@@ -297,9 +303,9 @@ class Simulator:
                     )
                 else:
                     handler(*entry[3])
-                fired += 1
         finally:
             self._running = False
+            self.events_fired += fired
             if profiler is not None:
                 profiler.loop_exit()
         return self.now

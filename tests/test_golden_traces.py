@@ -107,7 +107,7 @@ def test_scenarios_are_reproducible(name):
 
 
 # -- pinned machine digests ---------------------------------------------------
-# Digests and event counts of nine machine cells, recorded once and
+# Digests and event counts of ten machine cells, recorded once and
 # compared across commits: a change that should not move the simulation
 # (a kernel or cache rewrite, say) must leave all of them unchanged.
 # The golden traces above cover only a 2-core counter cell; these cover
@@ -117,7 +117,8 @@ def test_scenarios_are_reproducible(name):
 # operations through the CAS/Fence fallback path, the txapp cell under
 # the requestor-aborts and hybrid resolutions (NACKs and the
 # requestor-wins backstop timer), a queue on a mesh with jittered
-# links (non-uniform and randomly delayed hops), the txapp cell on a
+# links (non-uniform and randomly delayed hops), the txapp cell with
+# jittered links on the default fixed-latency network, the txapp cell on a
 # 4-set x 2-way L1 (evictions, writebacks and capacity aborts), on a
 # 4-set x 4-way L1 whose associativity a fault plan shrinks by two ways
 # in a fifth of the transactions, and a hit-dominated linked-list set
@@ -148,6 +149,10 @@ PINNED = {
     "queue_8core_mesh_jitter": (
         "a416fedb9d8d47fe634a68dcc42b74cee175151c33cb99d8b860fa50efd45bd6",
         14181,
+    ),
+    "txapp_8core_jitter": (
+        "12d577920067772029c8314548adde01b57d695de67243d165d957dee833ad7b",
+        26297,
     ),
     "txapp_8core_small_l1": (
         "1d528faaf3f1fc4c79ea782eed9a2588456c43585e40a451094207baf1dab0de",
@@ -188,6 +193,9 @@ def pinned_cell(name: str):
             horizon, faults = 60_000.0, None
         elif name == "txapp_8core_spurious":
             horizon, faults = 30_000.0, {"spurious_abort_rate": 1e-4}
+        elif name == "txapp_8core_jitter":
+            horizon = 30_000.0
+            faults = {"link_jitter_rate": 0.05, "link_jitter_cycles": 8}
         elif name == "txapp_8core_small_l1":
             params = MachineParams(n_cores=8, l1_sets=4, l1_assoc=2)
             horizon, faults = 30_000.0, None
@@ -233,6 +241,9 @@ def test_machine_digest_pinned(name, monkeypatch):
         jitter = machine.metrics.counter_values("fault_link_jitter")
         assert jitter == {"fault_link_jitter_events": 398}
         assert stats.total("fallback_ops") == 10
+    if name == "txapp_8core_jitter":
+        jitter = machine.metrics.counter_values("fault_link_jitter")
+        assert jitter["fault_link_jitter_events"] > 0
     if name == "txapp_8core_small_l1":
         assert stats.total("writebacks") == 377
         assert stats.abort_reasons()["capacity"] == 158
@@ -244,3 +255,30 @@ def test_machine_digest_pinned(name, monkeypatch):
     if name == "listset_8core":
         assert stats.total("l1_hits") == 13_986
         assert stats.total("l1_misses") == 4_482
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["txapp_8core", "listset_8core", "queue_8core_mesh_jitter",
+     "txapp_8core_spurious"],
+)
+def test_queued_behind_matches_full_scan(name, monkeypatch):
+    """At every chain-size decision, each core's count of requests queued
+    behind its in-service request equals a full scan of the directory."""
+    seen = []
+    chain_size = Machine.chain_size
+
+    def checking_chain_size(machine, holder):
+        scan = dict.fromkeys(range(machine.params.n_cores), 0)
+        for entry in machine.directory.entries.values():
+            if entry.busy and entry.queue:
+                scan[entry.queue[0].core] += len(entry.queue) - 1
+        for waiter in machine.transitive_waiters(holder):
+            assert machine.queued_behind(waiter) == scan[waiter]
+        assert {core: machine.queued_behind(core) for core in scan} == scan
+        seen.append(sum(scan.values()))
+        return chain_size(machine, holder)
+
+    monkeypatch.setattr(Machine, "chain_size", checking_chain_size)
+    pinned_cell(name)
+    assert seen and any(seen), "the cell never queued behind a waiter"

@@ -129,18 +129,21 @@ class TestVictimSelection:
 class TestProbeActions:
     def test_downgrade(self, cache):
         cache.install(2, M, False, False)
-        cache.downgrade(2)
+        cache.downgrade(cache.lookup(2))
         assert cache.lookup(2).state is S
 
     def test_downgrade_requires_m(self, cache):
         cache.install(2, S, False, False)
         with pytest.raises(ProtocolError):
-            cache.downgrade(2)
+            cache.downgrade(cache.lookup(2))
 
     def test_invalidate(self, cache):
         cache.install(2, S, False, False)
-        cache.invalidate(2)
+        entry = cache.lookup(2)
+        cache.invalidate(entry)
         assert cache.lookup(2) is None
+        with pytest.raises(ProtocolError):
+            cache.invalidate(entry)  # no longer resident
 
 
 class TestTransactionalBits:
@@ -225,7 +228,7 @@ class TestTransactionalBits:
             elif op < 0.5:
                 cache.hit(line, False, True, rng.random() < 0.5)
             elif op < 0.6:
-                cache.invalidate(line)
+                cache.invalidate(cache.lookup(line))
             elif op < 0.65:
                 before = scan()
                 assert sorted(cache.clear_tx_bits()) == before

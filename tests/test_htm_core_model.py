@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import InvalidParameterError, SimulationError
 from repro.htm import Machine, MachineParams, NoDelay
 from repro.htm.isa import CAS, AbortTx, AcquireX, Compute, Read, Write
 from repro.workloads.base import Operation, Workload
@@ -107,3 +107,31 @@ def test_abort_on_fallback_path_rejected():
 def test_acquire_from_body_rejected():
     with pytest.raises(SimulationError, match="AcquireX outside commit phase"):
         run_script([Write(8, 1), AcquireX(8)])
+
+
+@pytest.mark.parametrize(
+    "kind, fields, bad, message",
+    [
+        (Read, {"addr": 0}, {"addr": -1}, "negative address"),
+        (Write, {"addr": 0, "value": 7}, {"addr": -1}, "negative address"),
+        (CAS, {"addr": 0, "expected": 1, "new": 2}, {"addr": -1},
+         "negative address"),
+        (Compute, {"cycles": 1}, {"cycles": 0}, "compute cycles must be >= 1"),
+    ],
+)
+def test_isa_record_validation(kind, fields, bad, message):
+    """ISA records validate at construction, whether built by position or
+    by keyword, and compare and print by their fields."""
+    record = kind(*fields.values())
+    assert record == kind(**fields)
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    first = next(iter(fields))
+    assert record != kind(**{**fields, first: fields[first] + 1})
+    assert repr(record) == f"{kind.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in fields.items()
+    ) + ")"
+    broken = {**fields, **bad}
+    with pytest.raises(InvalidParameterError, match=message):
+        kind(*broken.values())
+    with pytest.raises(InvalidParameterError, match=message):
+        kind(**broken)

@@ -97,6 +97,12 @@ class TestEventQueue:
             Simulator().after(math.inf, lambda: None)
         with pytest.raises(SimulationError):
             Simulator().at(math.nan, lambda: None)
+        with pytest.raises(SimulationError, match="must be finite"):
+            EventQueue().push(math.nan, lambda: None)
+        with pytest.raises(SimulationError, match="must be finite"):
+            Simulator().after(math.nan, lambda: None)
+        with pytest.raises(SimulationError, match="negative delay"):
+            Simulator().after(-math.inf, lambda: None)
 
 
 class TestCompaction:
