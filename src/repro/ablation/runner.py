@@ -17,7 +17,7 @@ affects:
 
 All randomness flows through :mod:`repro.rngutil` streams derived from
 the cell coordinates, so rows are identical wherever the cell executes
-(simlint FLOW006) and byte-identical at any ``--jobs``.
+and byte-identical at any ``--jobs``.
 """
 
 from __future__ import annotations

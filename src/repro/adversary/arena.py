@@ -140,77 +140,6 @@ class ConflictLedgerArena:
             offline_conflict_cost=offline,
         )
 
-    def run_batch(
-        self,
-        schedules: list[ConflictSchedule],
-        rngs: list[np.random.Generator | int | None],
-    ) -> list[ArenaOutcome]:
-        """Score many schedules with one ``cost_vec``/``opt_vec`` pass
-        per chain size (struct-of-arrays over the whole batch).
-
-        Bit-identical to sequential :meth:`run` calls: each schedule
-        draws from its own rng in the same per-``k``-group order, the
-        batched kernels are elementwise, and per-group sums keep
-        ``ndarray.sum``'s pairwise structure by summing each schedule's
-        contiguous slice of the concatenation.
-        """
-        if len(schedules) != len(rngs):
-            raise InvalidParameterError(
-                f"got {len(schedules)} schedules but {len(rngs)} rngs"
-            )
-        n = len(schedules)
-        total_rhos: list[float] = []
-        row_ks: list[list[int]] = []
-        # k -> [(row index, remaining, delays)] in row order
-        groups: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-        for i, (schedule, rng) in enumerate(zip(schedules, rngs)):
-            gen = ensure_rng(rng)
-            schedule.validate()
-            total_rhos.append(schedule.total_rho())
-            by_k: dict[int, list[Conflict]] = {}
-            for c in schedule.conflicts:
-                by_k.setdefault(c.k, []).append(c)
-            row_ks.append(sorted(by_k))
-            for k in row_ks[-1]:
-                remaining = np.asarray([c.remaining for c in by_k[k]])
-                delays = self.policy_for(k).sample_many(remaining.size, gen)
-                groups.setdefault(k, []).append((i, remaining, delays))
-        # one vectorized scoring pass per chain size, split back per row
-        sums: dict[tuple[int, int], tuple[float, float]] = {}
-        for k, members in sorted(groups.items()):
-            model = self.model_for(k)
-            remaining = np.concatenate([m[1] for m in members])
-            delays = np.concatenate([m[2] for m in members])
-            cost = model.cost_vec(delays, remaining)
-            opt = model.opt_vec(remaining)
-            pos = 0
-            for i, rem, _ in members:
-                size = rem.size
-                sums[(i, k)] = (
-                    float(cost[pos : pos + size].sum()),
-                    float(opt[pos : pos + size].sum()),
-                )
-                pos += size
-        outcomes: list[ArenaOutcome] = []
-        for i, schedule in enumerate(schedules):
-            online = 0.0
-            offline = 0.0
-            for k in row_ks[i]:
-                on_k, off_k = sums[(i, k)]
-                online += on_k
-                offline += off_k
-            outcomes.append(
-                ArenaOutcome(
-                    online_total=total_rhos[i] + online,
-                    offline_total=total_rhos[i] + offline,
-                    total_rho=total_rhos[i],
-                    n_conflicts=len(schedule),
-                    online_conflict_cost=online,
-                    offline_conflict_cost=offline,
-                )
-            )
-        return outcomes
-
 
 @dataclass
 class AttemptRecord:

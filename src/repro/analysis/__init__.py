@@ -1,11 +1,12 @@
 """``repro.analysis`` — simlint, the determinism & contract linter.
 
 Every claim this repository reproduces rests on the simulator being
-bit-deterministic under a seed.  This package enforces that contract
-statically: AST rules catch wall-clock reads, unseeded randomness,
-unordered-set iteration, watchdog-swallowing ``except`` blocks,
-mutable defaults, frozen-dataclass mutation, and protocol/registration
-violations *before* they can corrupt a digest.
+bit-deterministic under a seed.  Runtime gates (golden digests,
+``--jobs`` and chaos byte-identity) catch most breaks of that
+contract; this package catches the rest statically: wall-clock reads
+and file writes reachable from simulation code, unordered-set
+iteration, watchdog-swallowing ``except`` blocks, mutable defaults,
+frozen-dataclass mutation, and protocol/registration violations.
 
 Entry points:
 

@@ -4,36 +4,22 @@ Examples::
 
     python -m repro lint                       # lint src/ (default)
     python -m repro lint src tests/test_x.py   # explicit targets
-    python -m repro lint --format json         # machine-readable
     python -m repro lint --select FLOW,ORD     # rule families
     python -m repro lint --list-rules          # catalog + rationale
-    python -m repro lint --format sarif        # SARIF 2.1.0 (CI upload)
-    python -m repro lint --write-baseline      # accept current FLOW findings
+    python -m repro lint --show-suppressed     # pragmas and their reasons
 
 Exit codes: ``0`` clean, ``1`` findings, ``2`` usage error (unknown
-rule, missing path, malformed baseline).  See
-``docs/STATIC_ANALYSIS.md`` for the rule catalog, the suppression
-policy, and the FLOW baseline workflow.
+rule, missing path).  See ``docs/STATIC_ANALYSIS.md`` for the rule
+catalog and the suppression policy.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_PATH,
-    load_baseline,
-    render_baseline,
-)
 from repro.analysis.engine import lint_paths
-from repro.analysis.report import (
-    render_human,
-    render_json,
-    render_rule_catalog,
-)
-from repro.analysis.sarif import render_sarif
+from repro.analysis.report import render_human, render_rule_catalog
 
 __all__ = ["main", "build_parser"]
 
@@ -52,12 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("human", "json", "sarif"),
-        default="human",
-        help="report format (default: human)",
     )
     parser.add_argument(
         "--select",
@@ -82,19 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print suppressed findings and their justifications",
     )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline file accepting known FLOW findings (default: "
-        f"{DEFAULT_BASELINE_PATH} when it exists)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the surviving FLOW findings to the baseline file "
-        "(with placeholder justifications) and exit 0",
-    )
     return parser
 
 
@@ -109,55 +76,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.list_rules:
         print(render_rule_catalog())
         return 0
-
-    baseline_entries: list[dict] = []
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE_PATH).is_file():
-        baseline_path = DEFAULT_BASELINE_PATH
     try:
-        if baseline_path and not args.write_baseline:
-            baseline_entries = load_baseline(baseline_path)
         result = lint_paths(
-            args.paths,
-            select=_split(args.select),
-            ignore=_split(args.ignore),
-            baseline_entries=baseline_entries,
+            args.paths, select=_split(args.select), ignore=_split(args.ignore)
         )
     except (ValueError, FileNotFoundError) as exc:
         print(f"simlint: error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        target = baseline_path or DEFAULT_BASELINE_PATH
-        Path(target).write_text(
-            render_baseline(result.flow), encoding="utf-8"
-        )
-        print(
-            f"simlint: wrote {len(result.flow)} FLOW finding(s) to "
-            f"{target}; edit the justifications before committing",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.format == "json":
-        print(render_json(result))
-    elif args.format == "sarif":
-        print(render_sarif(result))
-    else:
-        print(render_human(result))
-        if args.show_suppressed and result.suppressed:
-            print("suppressed:")
-            for sup in result.suppressed:
-                reason = f" -- {sup.reason}" if sup.reason else ""
-                f = sup.finding
-                print(f"  {f.path}:{f.line}: {f.rule}{reason}")
-        if result.baselined:
-            print("baselined:")
-            for b in result.baselined:
-                print(
-                    f"  {b['path']}:{b['line']}: {b['rule']} -- "
-                    f"{b['justification']}"
-                )
+    print(render_human(result))
+    if args.show_suppressed and result.suppressed:
+        print("suppressed:")
+        for sup in result.suppressed:
+            reason = f" -- {sup.reason}" if sup.reason else ""
+            f = sup.finding
+            print(f"  {f.path}:{f.line}: {f.rule}{reason}")
     return 0 if result.ok else 1
 
 

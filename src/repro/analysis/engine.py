@@ -3,22 +3,18 @@
 The engine parses every target file once, runs the single-file rules,
 then hands the whole parsed set to the project rules (cross-file
 contracts) and, when a FLOW rule is selected, to the whole-program
-pass (:mod:`repro.analysis.flow`): call-graph purity inference and
-seed-provenance tracking, with findings filtered through the
-committed baseline.
+pass (:mod:`repro.analysis.flow`): call-graph purity inference.
 
-Suppression is line-scoped and per-rule::
+Suppression has one form, line-scoped and per-rule::
 
     deadline = time.monotonic() + t  # simlint: disable=FLOW001 -- watchdog
 
-``# simlint: disable`` (no ``=``) suppresses every rule on that line;
 ``# simlint: disable=FLOW001,ORD001`` suppresses several; spaces
-around ``=`` and the commas are tolerated.  ``# simlint: skip-file``
-near the top of a file excludes it entirely.  The text after ``--`` is
-the justification and is carried into the JSON report, so
-suppressions stay auditable.  A pragma naming an unknown rule id, or
-one that does not parse, is itself a finding (``PRG001``) — silently
-inert suppressions are how pragma ledgers rot.
+around ``=`` and the commas are tolerated.  The text after ``--`` is
+the justification and ``--show-suppressed`` prints it, so suppressions
+stay auditable.  Any other ``# simlint:`` comment, or a pragma naming
+an unknown rule id, is itself a finding (``PRG001``) — silently inert
+suppressions are how pragma ledgers rot.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.baseline import apply_baseline
 from repro.analysis.flow import analyze
 from repro.analysis.rules import (
     ALL_RULES,
@@ -53,14 +48,8 @@ PARSE_ERROR_RULE = "E999"
 #: Pragma hygiene findings (unknown/malformed ids) carry this rule id.
 PRAGMA_RULE = "PRG001"
 
-_PRAGMA = re.compile(
-    r"#\s*simlint:\s*(?P<kind>skip-file|disable)(?P<tail>[^\r\n]*)"
-)
+_PRAGMA = re.compile(r"#\s*simlint:(?P<tail>[^\r\n]*)")
 _RULE_ID = re.compile(r"^[A-Za-z]{1,4}\d{0,4}$")
-
-#: ``skip-file`` must appear in the first N lines (prevents a stray
-#: pragma deep in a file from silently excluding it).
-_SKIP_FILE_WINDOW = 10
 
 
 @dataclass(frozen=True, order=True)
@@ -76,12 +65,9 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[SuppressedFinding] = field(default_factory=list)
     files_scanned: int = 0
-    rules_run: list[str] = field(default_factory=list)
-    #: raw FLOW findings that survived baseline + suppression
-    #: (dicts with entry/chain/site detail; see repro.analysis.flow).
+    #: raw FLOW findings that survived suppression (dicts with
+    #: entry/chain/site detail; see repro.analysis.flow).
     flow: list[dict] = field(default_factory=list)
-    #: FLOW findings accepted by the baseline, with justifications.
-    baselined: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -98,29 +84,25 @@ def _known_rule_ids() -> set[str]:
     return {rule.id for rule in ALL_RULES} | {PARSE_ERROR_RULE, PRAGMA_RULE}
 
 
-def _parse_disable_tail(
-    tail: str,
-) -> tuple[set[str] | None, str, list[str]]:
-    """``(suppressed ids | None for blanket, reason, problems)`` for the
-    text after ``disable`` in a pragma."""
-    rules_part, _sep, reason = tail.partition("--")
-    rules_part = rules_part.strip()
+def _parse_pragma(text: str) -> tuple[set[str], str, list[str]]:
+    """``(suppressed ids, reason, problems)`` for the text after
+    ``simlint:`` in a comment."""
+    body, _sep, reason = text.partition("--")
+    keyword, eq, rules_part = body.partition("=")
     reason = reason.strip()
-    if not rules_part:
-        return None, reason, []  # blanket disable
-    if not rules_part.startswith("="):
+    if keyword.strip() != "disable" or not eq:
         return (
             set(),
             reason,
             [
-                "malformed pragma: expected '=RULE[,RULE...]' after "
-                f"'disable', got {rules_part!r}"
+                "malformed pragma: expected 'disable=RULE[,RULE...]', "
+                f"got {body.strip()!r}"
             ],
         )
     ids: set[str] = set()
     problems: list[str] = []
     known = _known_rule_ids()
-    for token in rules_part[1:].split(","):
+    for token in rules_part.split(","):
         token = token.strip()
         if not token:
             problems.append("malformed pragma: empty rule id in disable list")
@@ -155,34 +137,23 @@ def _comment_lines(source: str) -> list[tuple[int, str]]:
         return list(enumerate(source.splitlines(), start=1))
 
 
-def _parse_pragmas_full(
+def _parse_pragmas(
     source: str,
-) -> tuple[
-    bool, dict[int, set[str] | None], dict[int, str], list[tuple[int, str]]
-]:
-    """(skip_file, line -> suppressed ids (None = all), line -> reason,
-    [(line, pragma problem)])."""
-    skip_file = False
-    suppressions: dict[int, set[str] | None] = {}
+) -> tuple[dict[int, set[str]], dict[int, str], list[tuple[int, str]]]:
+    """(line -> suppressed ids, line -> reason, [(line, pragma problem)])."""
+    suppressions: dict[int, set[str]] = {}
     reasons: dict[int, str] = {}
     problems: list[tuple[int, str]] = []
     for lineno, line in _comment_lines(source):
         match = _PRAGMA.search(line)
         if match is None:
             continue
-        if match.group("kind") == "skip-file":
-            if lineno <= _SKIP_FILE_WINDOW:
-                skip_file = True
-            continue
-        ids, reason, line_problems = _parse_disable_tail(match.group("tail"))
+        ids, reason, line_problems = _parse_pragma(match.group("tail"))
         problems.extend((lineno, msg) for msg in line_problems)
-        if ids is None:
-            suppressions[lineno] = None  # blanket disable
-        elif suppressions.get(lineno, set()) is not None:
-            suppressions[lineno] = (suppressions.get(lineno) or set()) | ids
+        suppressions.setdefault(lineno, set()).update(ids)
         if reason:
             reasons[lineno] = reason
-    return skip_file, suppressions, reasons, problems
+    return suppressions, reasons, problems
 
 
 def _in_scope(path: str) -> bool:
@@ -202,13 +173,12 @@ def _make_context(path: str, source: str) -> FileContext | Finding:
             PARSE_ERROR_RULE,
             f"file does not parse: {exc.msg}",
         )
-    skip_file, suppressions, reasons, problems = _parse_pragmas_full(source)
+    suppressions, reasons, problems = _parse_pragmas(source)
     return FileContext(
         path=path,
         source=source,
         tree=tree,
         in_scope=_in_scope(path),
-        skip_file=skip_file,
         suppressions=suppressions,
         reasons=reasons,
         pragma_findings=[
@@ -228,56 +198,44 @@ def _run_rules(
     result = LintResult(
         findings=list(pre_findings),
         files_scanned=len(ctxs) + len(pre_findings),
-        rules_run=[r.id for r in rules],
     )
     by_path = {ctx.path: ctx for ctx in ctxs}
-    live = [ctx for ctx in ctxs if not ctx.skip_file]
 
     def route(finding: Finding) -> None:
         ctx = by_path.get(finding.path)
-        if ctx is not None:
-            if ctx.skip_file:
-                return
-            suppressed = ctx.suppressions.get(finding.line, "missing")
-            if suppressed is None or (
-                isinstance(suppressed, set) and finding.rule in suppressed
-            ):
-                result.suppressed.append(
-                    SuppressedFinding(
-                        finding, ctx.reasons.get(finding.line, "")
-                    )
-                )
-                return
-        result.findings.append(finding)
+        if ctx is not None and finding.rule in ctx.suppressions.get(
+            finding.line, ()
+        ):
+            reason = ctx.reasons.get(finding.line, "")
+            result.suppressed.append(SuppressedFinding(finding, reason))
+        else:
+            result.findings.append(finding)
 
     file_rules = [
         r for r in rules if not isinstance(r, (ProjectRule, FlowRuleInfo))
     ]
-    for ctx in live:
+    for ctx in ctxs:
         for rule in file_rules:
             if rule.scoped and not ctx.in_scope:
                 continue
             for finding in rule.check(ctx):
                 route(finding)
     if any(r.id == PRAGMA_RULE for r in rules):
-        for ctx in live:
+        for ctx in ctxs:
             for finding in ctx.pragma_findings:
                 route(finding)
     for rule in rules:
         if isinstance(rule, ProjectRule):
-            for finding in rule.check_project(live):
+            for finding in rule.check_project(ctxs):
                 route(finding)
     for finding in flow_findings:
         route(finding)
     for site in flow_sites:  # stopped by a pragma at the effect's site
-        ctx = by_path[site["path"]]
-        if not ctx.skip_file:
-            finding = Finding(
-                site["path"], site["line"], 1, site["rule"], site["detail"]
-            )
-            result.suppressed.append(
-                SuppressedFinding(finding, ctx.reasons.get(site["line"], ""))
-            )
+        finding = Finding(
+            site["path"], site["line"], 1, site["rule"], site["detail"]
+        )
+        reason = by_path[site["path"]].reasons.get(site["line"], "")
+        result.suppressed.append(SuppressedFinding(finding, reason))
     result.findings = sorted(set(result.findings))
     result.suppressed = sorted(set(result.suppressed))
     return result
@@ -292,15 +250,13 @@ def lint_sources(
     *,
     select: list[str] | None = None,
     ignore: list[str] | None = None,
-    baseline_entries: list[dict] | None = None,
 ) -> LintResult:
     """Lint in-memory sources (path -> text).  Test/fixture entry point;
     paths behave like repo-relative paths for scoping purposes.
 
-    When a FLOW rule is selected the whole-program pass runs too;
-    ``baseline_entries`` (see :mod:`repro.analysis.baseline`) accept
-    known FLOW findings with justifications.  A pragma that stopped a
-    FLOW effect at its site is listed under ``suppressed``.
+    When a FLOW rule is selected the whole-program pass runs too.  A
+    pragma that stopped a FLOW effect at its site is listed under
+    ``suppressed``.
     """
     rules = resolve_selection(select, ignore)
     ctxs: list[FileContext] = []
@@ -317,19 +273,16 @@ def lint_sources(
     sites: list[dict] = []
     if flow_ids:
         raw, sites = analyze(ctxs)
-    flow_kept, baselined = apply_baseline(
-        [f for f in raw if f["rule"] in flow_ids], baseline_entries or []
-    )
+    raw = [f for f in raw if f["rule"] in flow_ids]
     result = _run_rules(
         ctxs,
         rules,
         errors,
-        [_flow_finding(f) for f in flow_kept],
+        [_flow_finding(f) for f in raw],
         [site for site in sites if site["rule"] in flow_ids],
     )
     final = set(result.findings)
-    result.flow = [f for f in flow_kept if _flow_finding(f) in final]
-    result.baselined = baselined
+    result.flow = [f for f in raw if _flow_finding(f) in final]
     return result
 
 
@@ -375,7 +328,6 @@ def lint_paths(
     *,
     select: list[str] | None = None,
     ignore: list[str] | None = None,
-    baseline_entries: list[dict] | None = None,
 ) -> LintResult:
     """Lint files/directories on disk.  Raises ``FileNotFoundError``
     for a missing path and ``ValueError`` for an unknown rule id."""
@@ -383,9 +335,4 @@ def lint_paths(
     sources: dict[str, str] = {}
     for file in files:
         sources[_display_path(file)] = file.read_text(encoding="utf-8")
-    return lint_sources(
-        sources,
-        select=select,
-        ignore=ignore,
-        baseline_entries=baseline_entries,
-    )
+    return lint_sources(sources, select=select, ignore=ignore)

@@ -1,9 +1,9 @@
 """Whole-program determinism analysis: the FLOW rules.
 
-Call-graph purity inference + RNG seed-provenance tracking over the
-whole project: :mod:`extract` summarizes each module once,
-:mod:`graph` resolves calls and propagates effect signatures to
-fixpoint, and :mod:`driver` runs both over the engine's parsed files.
+Call-graph purity inference over the whole project: :mod:`extract`
+summarizes each module once, :mod:`graph` resolves calls and
+propagates effect signatures to fixpoint, and :mod:`driver` runs both
+over the engine's parsed files.
 Findings carry rule ids from the FLOW family
 (:mod:`repro.analysis.rules.flow`) and print full call chains.
 """

@@ -45,7 +45,7 @@ def analyze(ctxs: list[FileContext]) -> tuple[list[dict], list[dict]]:
     """Run the FLOW analysis over parsed files.
 
     Returns ``(raw findings, suppressed sites)``.  Raw findings are
-    unfiltered: the engine applies selection and the baseline.  Each
+    unfiltered: the engine applies selection and suppression.  Each
     suppressed site carries ``path``, ``line``, ``rule`` and
     ``detail``.
     """

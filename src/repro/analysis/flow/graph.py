@@ -3,8 +3,8 @@
 Takes the per-module summaries from :mod:`extract`, resolves the
 symbolic call references into a node graph (``module:qualname``),
 propagates intrinsic effects to fixpoint, and emits the raw FLOW
-findings as plain dicts (the engine applies selection and the
-baseline).
+findings as plain dicts (the engine applies selection and
+suppression).
 
 Everything here is deterministic by construction: modules, functions,
 edges and worklists are always iterated in sorted order, and chains
@@ -24,9 +24,6 @@ __all__ = ["ProjectGraph"]
 #: human-readable effect names for messages.
 _EFFECT_TEXT = {
     "wall-clock": "a wall-clock read",
-    "ambient-rng": "ambient randomness",
-    "unordered-iter": "unordered-set iteration",
-    "global-mutation": "global-state mutation",
     "fs-write": "a filesystem write",
 }
 
@@ -58,11 +55,8 @@ class ProjectGraph:
                 self.classes[(module, cls)] = summ["classes"][cls]
         self.edges: dict[str, list[str]] = {}
         self.effects: dict[str, set[str]] = {}
-        self.ambient_returns: dict[str, bool] = {}
-        self._ambient_via: dict[str, str] = {}
         self._build_edges()
         self._propagate_effects()
-        self._propagate_ambient_returns()
 
     # -- reference resolution -----------------------------------------
     def _locate_class(self, dotted: str) -> tuple[str, str] | None:
@@ -185,24 +179,6 @@ class ProjectGraph:
                     self.effects[caller] |= missing
                     work.append(caller)
 
-    def _propagate_ambient_returns(self) -> None:
-        for node_id, (_m, _q, info) in self.functions.items():
-            self.ambient_returns[node_id] = bool(info["ambient_return"])
-        changed = True
-        while changed:
-            changed = False
-            for node_id in sorted(self.functions):
-                if self.ambient_returns[node_id]:
-                    continue
-                module, _qual, info = self.functions[node_id]
-                for ref in info["return_refs"]:
-                    target = self.resolve(module, ref)
-                    if target is not None and self.ambient_returns[target]:
-                        self.ambient_returns[node_id] = True
-                        self._ambient_via[node_id] = target
-                        changed = True
-                        break
-
     # -- chains -------------------------------------------------------
     def chain(self, entry: str, effect: str) -> list[str] | None:
         """Shortest entry->leaf call chain ending at a node with an
@@ -222,14 +198,6 @@ class ProjectGraph:
                     prev[target] = node_id
                     queue.append(target)
         return None
-
-    def ambient_chain(self, start: str) -> list[str]:
-        """Helper chain explaining why ``start`` returns an ambient
-        generator (follows the recorded fixpoint witnesses)."""
-        path = [start]
-        while path[-1] in self._ambient_via:
-            path.append(self._ambient_via[path[-1]])
-        return path
 
     # -- entry points -------------------------------------------------
     def entries(self) -> list[str]:
@@ -260,19 +228,10 @@ class ProjectGraph:
 
     # -- findings -----------------------------------------------------
     def findings(self) -> list[dict]:
-        raw: list[dict] = []
-        raw.extend(self._purity_findings())
-        raw.extend(self._seed_findings())
-        raw.sort(
-            key=lambda f: (f["path"], f["line"], f["rule"], f["message"])
-        )
-        return raw
-
-    def _purity_findings(self) -> list[dict]:
         out: list[dict] = []
         for entry in self.entries():
             module = self.functions[entry][0]
-            for effect in sorted(self.effects[entry] & set(EFFECT_RULES)):
+            for effect in sorted(self.effects[entry]):
                 chain = self.chain(entry, effect)
                 if chain is None:  # pragma: no cover - effects imply a chain
                     continue
@@ -304,86 +263,5 @@ class ProjectGraph:
                         "message": message,
                     }
                 )
+        out.sort(key=lambda f: (f["path"], f["line"], f["rule"], f["message"]))
         return out
-
-    def _seed_findings(self) -> list[dict]:
-        out: list[dict] = []
-        for module in sorted(self.summaries):
-            summ = self.summaries[module]
-            if not summ["entry_scope"]:
-                continue
-            path = summ["path"]
-            for qual in sorted(summ["functions"]):
-                info = summ["functions"][qual]
-                node_id = _node(module, qual)
-                for site in info["rng_sites"]:
-                    finding = self._seed_site_finding(
-                        module, path, node_id, site
-                    )
-                    if finding is not None:
-                        out.append(finding)
-        return out
-
-    def _seed_site_finding(
-        self, module: str, path: str, node_id: str, site: dict
-    ) -> dict | None:
-        base = {
-            "rule": site["rule"],
-            "path": path,
-            "line": site["line"],
-            "entry": node_id,
-            "site": {
-                "path": path,
-                "line": site["line"],
-                "detail": site["detail"],
-            },
-        }
-        if site["provenance"] == "ambient":
-            return {
-                **base,
-                "effect": "seed-provenance",
-                "chain": [node_id],
-                "message": (
-                    f"{_pretty(node_id)}: {site['detail']} — every "
-                    f"generator in sim-critical code must derive from a "
-                    f"seed parameter or rngutil.seedseq_for"
-                ),
-            }
-        if site["provenance"] == "shared":
-            return {
-                **base,
-                "effect": "rng-boundary",
-                "chain": [node_id],
-                "message": (
-                    f"{module}: {site['detail']} — module-level generators "
-                    f"are shared across every caller and worker; derive one "
-                    f"per call from a seed argument (rngutil.seedseq_for)"
-                ),
-            }
-        if site["provenance"] == "capture":
-            return {
-                **base,
-                "effect": "rng-boundary",
-                "chain": [node_id],
-                "message": (
-                    f"{_pretty(node_id)}: {site['detail']} — pass a seed "
-                    f"and derive a per-task generator inside the worker"
-                ),
-            }
-        if site["provenance"] == "call":
-            target = self.resolve(module, site["ref"])
-            if target is None or not self.ambient_returns.get(target, False):
-                return None
-            chain = [node_id] + self.ambient_chain(target)
-            pretty_chain = " -> ".join(_pretty(n) for n in chain)
-            return {
-                **base,
-                "effect": "seed-provenance",
-                "chain": chain,
-                "message": (
-                    f"{_pretty(node_id)}: {site['detail']} whose callee "
-                    f"returns an ambient-seeded generator; chain: "
-                    f"{pretty_chain}"
-                ),
-            }
-        return None

@@ -14,11 +14,9 @@ Rules are grouped by contract family:
 ``OBS``   observability: sim-critical code reports through the
           metrics registry / trace bus, never bare print or logging
 ``PRG``   pragma hygiene: suppressions must name real rules
-``FLOW``  determinism: no wall clock, unseeded randomness, unordered
-          iteration, global mutation or file write reachable from
-          sim-critical code, and every generator derived from a seed
-          — transitive over the project call graph
-          (:mod:`repro.analysis.flow`)
+``FLOW``  determinism: no wall-clock read or file write reachable
+          from sim-critical code — transitive over the project call
+          graph (:mod:`repro.analysis.flow`)
 ========  ==========================================================
 
 FLOW rules are catalog descriptors: their findings come from the

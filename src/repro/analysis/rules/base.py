@@ -28,10 +28,10 @@ __all__ = [
 ]
 
 #: Directories whose code runs inside (or feeds) the discrete-event
-#: simulation.  Scoped rules (ORD, OBS) only apply here: set iteration
-#: or a bare print in, say, the CLI is harmless, but inside these
-#: packages it would silently break the bit-determinism contract every
-#: reproduced claim rests on.
+#: simulation.  Scoped rules (OBS) only apply here: a bare print in,
+#: say, the CLI is harmless, but inside these packages it interleaves
+#: across workers and bypasses the trace bus.  Every other family,
+#: ORD included, applies to every linted file.
 SCOPED_DIRS = frozenset(
     {"sim", "htm", "workloads", "adversary", "faults", "distributions"}
 )
@@ -61,9 +61,8 @@ class FileContext:
     source: str
     tree: ast.Module
     in_scope: bool = False
-    skip_file: bool = False
-    #: line -> set of suppressed rule ids, or None meaning "all rules"
-    suppressions: dict[int, set[str] | None] = field(default_factory=dict)
+    #: line -> set of suppressed rule ids
+    suppressions: dict[int, set[str]] = field(default_factory=dict)
     #: line -> justification text after ``--`` in the pragma
     reasons: dict[int, str] = field(default_factory=dict)
     #: PRG001 findings for unknown/malformed pragmas (engine-produced)

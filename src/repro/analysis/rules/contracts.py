@@ -47,7 +47,6 @@ DEFAULT_INJECTOR_HOOKS = frozenset(
         "arm",
         "on_begin_tx",
         "on_end_tx",
-        "probe_duplicated",
         "stall_cycles",
         "noisy_context",
         "noisy_commit_duration",

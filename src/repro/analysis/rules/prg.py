@@ -21,7 +21,7 @@ class PragmaHygieneRule(Rule):
     summary = "simlint pragma names an unknown rule id or is malformed"
     rationale = (
         "A ``# simlint: disable=FLOW01`` typo, or an id retired since "
-        "(DET001), suppresses nothing but reads like an audited "
+        "(DET001, FLOW002), suppresses nothing but reads like an audited "
         "exception; a malformed pragma "
         "(``disable FLOW001`` without ``=``) used to silently disable "
         "every rule on the line.  Both now warn so the pragma ledger "

@@ -27,7 +27,6 @@ from repro.core.backoff import progress_attempt_bound
 from repro.core.model import ConflictKind
 from repro.core.requestor_wins import UniformRW
 from repro.distributions import ExponentialLengths, UniformLengths
-from repro.errors import InvalidParameterError
 from repro.rngutil import seedseq_for, stream_for
 from repro.sim.mc import TrialProgram
 
@@ -44,18 +43,8 @@ def run_cor1(
     B: float = 300.0,
     mu: float = 500.0,
     seed: int | None = None,
-    engine: str = "batch",
 ) -> list[dict[str, object]]:
-    """Measured global ratio vs the Corollary 1 bound, per adversary.
-
-    ``engine="batch"`` scores every (lengths, adversary) schedule in
-    one struct-of-arrays pass per chain size
-    (:meth:`ConflictLedgerArena.run_batch`); ``engine="scalar"`` keeps
-    the original one-schedule-at-a-time loop as the golden reference.
-    Both produce bit-identical rows.
-    """
-    if engine not in ("batch", "scalar"):
-        raise InvalidParameterError(f"unknown engine {engine!r}")
+    """Measured global ratio vs the Corollary 1 bound, per adversary."""
     adversaries = [
         RandomAdversary(0.3),
         RandomAdversary(0.9, max_hits=3, chain_weights={2: 0.6, 3: 0.3, 5: 0.1}),
@@ -74,14 +63,7 @@ def run_cor1(
             rng = stream_for(seed, "cor1", dist_name, adv.name)
             txns = make_transactions(n_threads, per_thread, dist, rng)
             cells.append((dist_name, adv, adv.build(txns, rng), rng))
-    if engine == "batch":
-        outcomes = arena.run_batch(
-            [cell[2] for cell in cells], [cell[3] for cell in cells]
-        )
-    else:
-        outcomes = [
-            arena.run(schedule, rng) for _, _, schedule, rng in cells
-        ]
+    outcomes = [arena.run(schedule, rng) for _, _, schedule, rng in cells]
     return [
         {
             "lengths": dist_name,

@@ -62,9 +62,9 @@ def _rep_worker(
     fan-out.
 
     Module-level so process pools can pickle it; the machine seed comes
-    in via ``base_seed`` (simlint FLOW006) and depends only on the task
-    coordinates ``(n, rep)``, so the result is identical wherever the
-    repeat executes.  Returns the raw per-rep statistics
+    in via ``base_seed`` and depends only on the task coordinates
+    ``(n, rep)``, so the result is identical wherever the repeat
+    executes.  Returns the raw per-rep statistics
     ``(throughput, ops, aborts, commits, fallbacks)``; rows are folded
     per cell by :func:`_merge_cell` in rep order.
     """

@@ -27,9 +27,9 @@ def _cell_worker(
 ) -> dict[str, object]:
     """One B/µ point — the unit of parallel fan-out.
 
-    Module-level (picklable) with its seed as an argument (simlint
-    FLOW006); the cell's stream depends only on ``(seed, ratio)``, so
-    the row is identical wherever it executes.
+    Module-level (picklable) with its seed as an argument; the cell's
+    stream depends only on ``(seed, ratio)``, so the row is identical
+    wherever it executes.
     """
     B = mu * ratio
     dist = ExponentialLengths(mu)

@@ -425,8 +425,9 @@ _RUNTIME_ONLY = ("pool", "cache")
 #: replace=True)`` safe.  Only the scorecard reads it (through
 #: :func:`_stored_rows`), so ``--no-cache`` still recomputes every
 #: experiment a caller names.  Reading it is safe because rows are a
-#: pure function of the key: it changes wall time, never a row, which
-#: is not the run-order dependence FLOW004 guards against.
+#: pure function of the key: it changes wall time, never a row, so it
+#: adds no run-order dependence (a store keyed too coarsely would, and
+#: CI's ``--jobs 1`` vs ``--jobs 4`` row diff would show it).
 _LAST_ROWS: dict[str, tuple[tuple, str]] = {}
 
 

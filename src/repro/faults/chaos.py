@@ -127,5 +127,5 @@ def corrupt_bytes(
         offset = int(_draw(seed, "corrupt", path.name, i) * len(raw))
         raw[offset] ^= 0xFF
         flipped += 1
-    path.write_bytes(bytes(raw))
+    path.write_bytes(bytes(raw))  # simlint: disable=FLOW005 -- chaos-harness artifact damage: corrupt_bytes flips deterministically chosen bytes in a result-cache entry to exercise checksum rejection; harness-only, never on the simulation path
     return flipped

@@ -5,8 +5,8 @@ The :class:`FaultInjector` is the active half of a
 schedules spurious-abort timers, applies capacity pressure, wraps the
 interconnect with jitter, and perturbs the estimator inputs the
 conflict policies see.  The machine talks to it through a small hook
-surface (begin/end transaction, probe delivery, operation issue,
-context construction) so the HTM protocol code stays fault-agnostic.
+surface (begin/end transaction, operation issue, context
+construction) so the HTM protocol code stays fault-agnostic.
 
 When no plan is given (or the plan is all-zero), the machine keeps the
 module-level :data:`NULL_INJECTOR` — every hook is a no-op that neither
@@ -55,9 +55,6 @@ class NullInjector:
 
     def on_end_tx(self, mem: "CoreMemSystem") -> None:
         return None
-
-    def probe_duplicated(self) -> bool:
-        return False
 
     def stall_cycles(self) -> int:
         return 0
@@ -150,19 +147,6 @@ class FaultInjector(NullInjector):
             mem.sim.cancel(event)
         if mem.cache.reserved_ways:
             mem.cache.reserved_ways = 0
-
-    # -- coherence messages ----------------------------------------------
-    def probe_duplicated(self) -> bool:
-        """At-least-once delivery: the duplicate reaches the receiver,
-        which deduplicates by (requestor, line) message id — exactly
-        what full-map directories do for retried probes — so the only
-        architectural effect is the counter.  Latency effects of flaky
-        links are modeled separately by the link-jitter injector."""
-        plan = self.plan
-        if plan.probe_dup_rate > 0 and self._rng.random() < plan.probe_dup_rate:
-            self._count("probe_dups_dropped")
-            return True
-        return False
 
     # -- core issue path ---------------------------------------------------
     def stall_cycles(self) -> int:

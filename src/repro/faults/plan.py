@@ -19,9 +19,6 @@ capacity_ways_lost           temporarily loses ways (models SMT sibling
 link_jitter_rate +           per coherence traversal, probability of
 link_jitter_cycles           paying up to that many extra cycles
                              (models interconnect congestion / NUMA)
-probe_dup_rate               probability a probe is delivered twice; the
-                             duplicate is deduplicated at the receiver
-                             and counted (models at-least-once fabrics)
 stall_rate + stall_cycles    per-operation probability that the issuing
                              core stalls (models OS preemption)
 b_noise / k_noise / mu_noise log-normal sigmas on the B, k, µ estimates
@@ -46,7 +43,6 @@ __all__ = ["FaultPlan"]
 _PROBABILITIES = (
     "capacity_shrink_prob",
     "link_jitter_rate",
-    "probe_dup_rate",
     "stall_rate",
 )
 _NON_NEGATIVE = (
@@ -69,7 +65,6 @@ class FaultPlan:
     capacity_ways_lost: int = 1
     link_jitter_rate: float = 0.0
     link_jitter_cycles: int = 0
-    probe_dup_rate: float = 0.0
     stall_rate: float = 0.0
     stall_cycles: int = 0
     b_noise: float = 0.0
@@ -112,7 +107,6 @@ class FaultPlan:
             self.spurious_abort_rate == 0.0
             and self.capacity_shrink_prob == 0.0
             and self.link_jitter_rate == 0.0
-            and self.probe_dup_rate == 0.0
             and self.stall_rate == 0.0
             and self.b_noise == 0.0
             and self.k_noise == 0.0
@@ -128,8 +122,6 @@ class FaultPlan:
             out.append("capacity_shrink")
         if self.link_jitter_rate > 0:
             out.append("link_jitter")
-        if self.probe_dup_rate > 0:
-            out.append("probe_dup")
         if self.stall_rate > 0:
             out.append("core_stall")
         if self.b_noise > 0 or self.k_noise > 0 or self.mu_noise > 0:
@@ -161,7 +153,6 @@ class FaultPlan:
             spurious_abort_rate=min(1.0, self.spurious_abort_rate * factor),
             capacity_shrink_prob=min(1.0, self.capacity_shrink_prob * factor),
             link_jitter_rate=min(1.0, self.link_jitter_rate * factor),
-            probe_dup_rate=min(1.0, self.probe_dup_rate * factor),
             stall_rate=min(1.0, self.stall_rate * factor),
         )
 

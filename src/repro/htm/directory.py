@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import ProtocolError
 from repro.htm.params import MachineParams
@@ -73,18 +73,19 @@ class Directory:
         The discrete-event simulator.
     params:
         Machine parameters (latencies).
-    probe_fn:
-        ``probe_fn(target_core, line, needs_exclusive, requestor, ack_cb)``
-        — deliver a probe to a core's HTM/L1 controller; the controller
-        calls ``ack_cb()`` when the line has been downgraded or
-        invalidated (possibly after a grace period).
+    controllers:
+        The cores' HTM/L1 controllers, indexed by core id.  A probe is
+        ``controllers[target].handle_probe(line, needs_exclusive,
+        requestor, ack_cb)``; the controller calls ``ack_cb()`` when the
+        line has been downgraded or invalidated (possibly after a grace
+        period).  The method is looked up when the probe is sent.
     """
 
     def __init__(
         self,
         sim: Simulator,
         params: MachineParams,
-        probe_fn: Callable[[int, int, bool, int, Callable[[], None]], None],
+        controllers: Sequence,
         *,
         topology=None,
     ) -> None:
@@ -92,7 +93,7 @@ class Directory:
 
         self.sim = sim
         self.params = params
-        self.probe_fn = probe_fn
+        self.controllers = controllers
         self.topology = (
             topology if topology is not None else FixedLatency(params.hop)
         )
@@ -182,8 +183,7 @@ class Directory:
             self.probes_sent += 1
             self.sim.after(
                 self.topology.dir_to_core(req.line, target),
-                self.probe_fn,
-                target,
+                self.controllers[target].handle_probe,
                 req.line,
                 req.exclusive,
                 req.core,

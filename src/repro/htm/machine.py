@@ -105,7 +105,7 @@ class Machine:
         self.directory = Directory(
             self.sim,
             params,
-            self._deliver_probe,
+            self.mems,  # replaced by load()
             topology=topology,  # None -> FixedLatency(params.hop)
         )
 
@@ -170,6 +170,7 @@ class Machine:
             CoreMemSystem(i, self, self._policy_factory(i), self._streams[i])
             for i in range(n)
         ]
+        self.directory.controllers = self.mems
         self.workload = workload
         workload.setup(self)
         self.cores = [
@@ -246,16 +247,6 @@ class Machine:
         for core in self.cores:
             core.stats = fresh.core(core.core_id)
         self.stats = fresh
-
-    # ------------------------------------------------------------------
-    # Probe delivery (directory -> core controller)
-    # ------------------------------------------------------------------
-    def _deliver_probe(self, target, line, exclusive, requestor, ack) -> None:
-        # at-least-once fabrics may duplicate the probe in flight; the
-        # receiver dedupes by message id, so the duplicate is counted
-        # by the injector and dropped here (see docs/ROBUSTNESS.md)
-        self.faults.probe_duplicated()
-        self.mems[target].handle_probe(line, exclusive, requestor, ack)
 
     # ------------------------------------------------------------------
     # Waits-for graph

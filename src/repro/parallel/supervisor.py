@@ -43,7 +43,7 @@ SIGKILL-riddled run against a fault-free one.  Supervision events
 to the bus that is active when the pool runs, never into the
 per-experiment captures of worker processes.  Functions handed to
 ``starmap`` must be module-level (picklable) and take their seed or
-stream as an argument — simlint rule FLOW006 (docs/STATIC_ANALYSIS.md).
+stream as an argument; CI's ``--jobs 1`` vs ``4`` row diff checks it.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A minimal but complete event-driven kernel used by both the adversarial
 throughput arena (Section 6) and the HTM machine simulator (Section 8.2):
 a stable binary-heap event queue, a simulator facade with scheduling
-helpers, and online statistics accumulators.
+helpers, and an online mean/variance accumulator.
 
 :mod:`repro.sim.mc` adds the batched struct-of-arrays Monte-Carlo
 engine: :func:`run_trials` executes thousands of independent
@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from repro.sim.engine import EventQueue, Simulator
 from repro.sim.mc import TrialProgram, TrialResults, run_trials
-from repro.sim.stats import Welford, RatioTracker, Histogram
+from repro.sim.stats import Welford
 
 __all__ = [
     "EventQueue",
     "Simulator",
     "Welford",
-    "RatioTracker",
-    "Histogram",
     "TrialProgram",
     "TrialResults",
     "run_trials",

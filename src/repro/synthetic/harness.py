@@ -54,9 +54,10 @@ def _shard_worker(
     """One trial shard (module-level so process pools can pickle it).
 
     Takes its stream as an explicit ``SeedSequence`` argument — never
-    constructs RNG state of its own (simlint FLOW006): shard streams
-    must be spawned by the caller so the shard tree is a pure function
-    of ``(seed, n_shards)``, not of which worker ran what.
+    constructs RNG state of its own: shard streams must be spawned by
+    the caller so the shard tree is a pure function of
+    ``(seed, n_shards)``, not of which worker ran what (CI diffs the
+    rows at ``--jobs 1`` and ``--jobs 4``).
     """
     return harness._accumulate(dist, trials, np.random.default_rng(seedseq), batch)
 

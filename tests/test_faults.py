@@ -26,7 +26,6 @@ FULL_PLAN = FaultPlan(
     capacity_ways_lost=2,
     link_jitter_rate=0.25,
     link_jitter_cycles=12,
-    probe_dup_rate=0.1,
     stall_rate=0.1,
     stall_cycles=80,
     b_noise=0.3,
@@ -60,7 +59,7 @@ class TestFaultPlan:
             dict(spurious_abort_rate=1.5),
             dict(capacity_shrink_prob=2.0),
             dict(link_jitter_rate=-0.1),
-            dict(probe_dup_rate=1.01),
+            dict(stall_rate=1.01),
             dict(stall_cycles=-5),
             dict(b_noise=-0.2),
         ],
@@ -86,7 +85,6 @@ class TestFaultPlan:
             "spurious_abort",
             "capacity_shrink",
             "link_jitter",
-            "probe_dup",
             "core_stall",
             "estimator_noise",
         ]
@@ -101,7 +99,7 @@ class TestFaultPlan:
     def test_scaled(self):
         doubled = FULL_PLAN.scaled(2.0)
         assert doubled.spurious_abort_rate == 2 * FULL_PLAN.spurious_abort_rate
-        assert doubled.probe_dup_rate == pytest.approx(0.2)
+        assert doubled.stall_rate == pytest.approx(0.2)
         assert doubled.b_noise == FULL_PLAN.b_noise  # sigmas untouched
         assert FULL_PLAN.scaled(100.0).stall_rate == 1.0  # capped
         assert FULL_PLAN.scaled(0.0).is_null() is False  # noise remains
@@ -155,7 +153,6 @@ class TestInjectorEffects:
             "spurious_aborts",
             "capacity_shrinks",
             "link_jitter_events",
-            "probe_dups_dropped",
             "core_stalls",
             "noisy_estimates",
         ):

@@ -29,6 +29,7 @@ def make_machine(n_cores=2, policy=None, **params_kwargs):
         CoreMemSystem(i, machine, machine._policy_factory(i), streams[i])
         for i in range(n_cores)
     ]
+    machine.directory.controllers = machine.mems
     return machine
 
 

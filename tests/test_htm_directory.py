@@ -11,24 +11,36 @@ from repro.sim.engine import Simulator
 
 
 class Fabric:
-    """Scripted probe endpoint: acks immediately (optionally delayed)."""
+    """Scripted probe endpoints: ack immediately (optionally delayed)."""
 
-    def __init__(self, sim: Simulator):
+    def __init__(self, sim: Simulator, n_cores: int):
         self.sim = sim
         self.probes: list[tuple[int, int, bool, int]] = []
         self.delay_acks: dict[int, float] = {}  # target -> delay
+        self.controllers = [_Port(self, core) for core in range(n_cores)]
 
     def probe(self, target, line, exclusive, requestor, ack):
         self.probes.append((target, line, exclusive, requestor))
         self.sim.after(self.delay_acks.get(target, 1.0), ack)
 
 
+class _Port:
+    """One core's controller as the directory sees it."""
+
+    def __init__(self, fabric: Fabric, core: int):
+        self.fabric = fabric
+        self.core = core
+
+    def handle_probe(self, line, exclusive, requestor, ack):
+        self.fabric.probe(self.core, line, exclusive, requestor, ack)
+
+
 @pytest.fixture
 def setup():
     sim = Simulator()
     params = MachineParams(n_cores=4)
-    fabric = Fabric(sim)
-    directory = Directory(sim, params, fabric.probe)
+    fabric = Fabric(sim, params.n_cores)
+    directory = Directory(sim, params, fabric.controllers)
     return sim, directory, fabric
 
 

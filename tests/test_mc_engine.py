@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.adversary.arena import TimedArena
 from repro.errors import InvalidParameterError, SimulationError
 from repro.experiments.ablations import run_abl_backoff
-from repro.experiments.corollary import run_cor1, run_cor2
+from repro.experiments.corollary import run_cor2
 from repro.parallel import SupervisedPool
 from repro.sim.mc import (
     DEFAULT_SHARDS,
@@ -207,12 +207,6 @@ class TestDeterminism:
 
 
 class TestExperimentSeedStability:
-    def test_cor1_rows_scalar_vs_batch(self):
-        kwargs = dict(n_threads=4, per_thread=25, seed=13)
-        assert run_cor1(engine="batch", **kwargs) == run_cor1(
-            engine="scalar", **kwargs
-        )
-
     @pytest.mark.parametrize("trials", [1, 7, 4096])
     def test_cor2_rows_scalar_vs_batch(self, trials):
         kwargs = dict(trials=trials, seed=13)
@@ -289,10 +283,6 @@ class TestValidation:
     def test_bad_shards(self):
         with pytest.raises(InvalidParameterError, match="n_shards"):
             run_trials(cor2_program(), 8, n_shards=0)
-
-    def test_cor1_bad_engine(self):
-        with pytest.raises(InvalidParameterError, match="engine"):
-            run_cor1(n_threads=2, per_thread=5, engine="nope")
 
 
 class TestPlumbing:

@@ -86,7 +86,6 @@ def _random_plan(rng) -> FaultPlan:
         capacity_ways_lost=int(rng.choice([1, 2, 4])),
         link_jitter_rate=float(rng.choice([0.0, 0.1, 0.4])),
         link_jitter_cycles=int(rng.choice([1, 8, 32])),
-        probe_dup_rate=float(rng.choice([0.0, 0.05, 0.2])),
         stall_rate=float(rng.choice([0.0, 0.05, 0.2])),
         stall_cycles=int(rng.choice([10, 100, 400])),
         b_noise=float(rng.choice([0.0, 0.3, 1.0])),

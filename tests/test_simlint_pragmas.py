@@ -1,6 +1,7 @@
 """Pragma-parsing contract: multi-rule disables, whitespace
 tolerance, and PRG001 hygiene findings for unknown/malformed
-pragmas."""
+pragmas.  ``# simlint: disable=RULE[,RULE] -- reason`` is the only
+suppression form."""
 
 from __future__ import annotations
 
@@ -16,14 +17,14 @@ def hits(result, rule):
 class TestMultiRuleDisable:
     def test_two_rules_one_pragma(self):
         src = (
-            "import time\nimport numpy as np\n\n\n"
-            "def f():\n"
-            "    return time.time() + np.random.rand()"
-            "  # simlint: disable=FLOW001,FLOW002 -- both sanctioned\n"
+            "import time\n\n\n"
+            "def f(path):\n"
+            "    return time.time(), open(path, 'w')"
+            "  # simlint: disable=FLOW001,FLOW005 -- both sanctioned\n"
         )
         result = lint_sources({SIM: src})
         assert hits(result, "FLOW001") == []
-        assert hits(result, "FLOW002") == []
+        assert hits(result, "FLOW005") == []
         assert len(result.suppressed) == 2
         assert all(
             s.reason == "both sanctioned" for s in result.suppressed
@@ -31,27 +32,27 @@ class TestMultiRuleDisable:
 
     def test_spaces_around_equals_and_commas(self):
         src = (
-            "import time\nimport numpy as np\n\n\n"
-            "def f():\n"
-            "    return time.time() + np.random.rand()"
-            "  # simlint: disable = FLOW001 , FLOW002 -- spaced\n"
+            "import time\n\n\n"
+            "def f(path):\n"
+            "    return time.time(), open(path, 'w')"
+            "  # simlint: disable = FLOW001 , FLOW005 -- spaced\n"
         )
         result = lint_sources({SIM: src})
         assert hits(result, "FLOW001") == []
-        assert hits(result, "FLOW002") == []
+        assert hits(result, "FLOW005") == []
         assert hits(result, "PRG001") == []
 
     def test_partial_disable_leaves_other_rule(self):
         src = (
-            "import time\nimport numpy as np\n\n\n"
-            "def f():\n"
-            "    return time.time() + np.random.rand()"
+            "import time\n\n\n"
+            "def f(path):\n"
+            "    return time.time(), open(path, 'w')"
             "  # simlint: disable=FLOW001 -- clock only\n"
         )
         result = lint_sources({SIM: src})
         assert hits(result, "FLOW001") == []
-        (flow2,) = hits(result, "FLOW002")
-        assert flow2.line == 5  # anchored at the entry's def
+        (flow5,) = hits(result, "FLOW005")
+        assert flow5.line == 4  # anchored at the entry's def
 
 
 class TestPragmaHygiene:
@@ -91,15 +92,29 @@ class TestPragmaHygiene:
         assert len(hits(result, "FLOW001")) == 1
         assert result.suppressed == []
 
-    def test_blanket_disable_still_works(self):
+    def test_blanket_disable_is_malformed(self):
+        """Every suppression names its rules: a bare ``disable`` is a
+        PRG001 finding and suppresses nothing."""
         src = (
             "import time\n\n\n"
             "def f():\n"
             "    return time.time()  # simlint: disable -- audited\n"
         )
         result = lint_sources({SIM: src})
-        assert result.findings == []
-        assert len(result.suppressed) == 1
+        assert len(hits(result, "PRG001")) == 1
+        assert len(hits(result, "FLOW001")) == 1
+        assert result.suppressed == []
+
+    def test_retired_rule_id_warns(self):
+        src = (
+            "import random\n\n\n"
+            "def f():\n"
+            "    return random.random()  # simlint: disable=FLOW002 -- old\n"
+        )
+        result = lint_sources({SIM: src})
+        (finding,) = result.findings
+        assert finding.rule == "PRG001"
+        assert "'FLOW002'" in finding.message
 
     def test_docstring_mention_is_not_a_pragma(self):
         src = (

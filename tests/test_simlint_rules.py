@@ -3,10 +3,11 @@ trigger it, a snippet that must pass clean, and a suppression check.
 
 Paths matter: the FLOW rules report sim-critical code (sim/htm/core/
 workloads/adversary/faults/distributions/experiments/synthetic), and
-ORD/OBS apply only under the simulation dirs, so fixtures use
+OBS applies only under the simulation dirs, so fixtures use
 ``src/repro/htm/...`` paths to opt in and ``src/repro/serve/...`` to
-opt out.  FLOW runs on every lint, so tests of the other families
-select their own family.
+opt out.  ORD, ERR, API, POL and PRG apply to every linted file.  FLOW
+runs on every lint, so tests of the other families select their own
+family.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import re
 import pytest
 
 from repro.analysis import lint_sources
+from repro.analysis.cli import main as lint_main
 
 SIM_PATH = "src/repro/htm/fixture.py"
 UNSCOPED_PATH = "src/repro/serve/fixture.py"
-WORKER_PATH = "src/repro/experiments/fixture.py"
 
 
 def hits(source, path=SIM_PATH, select=None, **extra_sources):
@@ -78,143 +79,29 @@ class TestWallClock:
 
 
 # ---------------------------------------------------------------------------
-# FLOW002 — stdlib random
-# ---------------------------------------------------------------------------
-class TestStdlibRandom:
-    def test_import_random_flagged(self):
-        # the draw is flagged, not the import
-        src = "import random\n\ndef f():\n    return random.random()\n"
-        assert hits(src) == ["FLOW002"]
-        assert hits("import random\n") == []
-
-    def test_from_random_flagged(self):
-        src = "from random import choice\n\ndef f(xs):\n    return choice(xs)\n"
-        assert hits(src) == ["FLOW002"]
-
-    def test_numpy_import_clean(self):
-        assert hits("import numpy as np\n") == []
-
-    def test_rngutil_clean(self):
-        assert hits("from repro.rngutil import stream_for\n") == []
-
-    def test_suppression(self):
-        src = "import random\nx = random.random()  # simlint: disable=FLOW002\n"
-        assert hits(src) == []
-
-
-# ---------------------------------------------------------------------------
-# FLOW002/006/007 — numpy RNG singleton and unseeded generators
-# ---------------------------------------------------------------------------
-class TestNumpySingleton:
-    def test_np_random_seed_flagged(self):
-        src = "import numpy as np\nnp.random.seed(0)\n"
-        assert hits(src) == ["FLOW002"]
-
-    def test_unseeded_default_rng_flagged(self):
-        # import-time: an ambient draw, an ambient-born generator, and
-        # a generator shared by every importer
-        src = "import numpy as np\ng = np.random.default_rng()\n"
-        assert hits(src) == ["FLOW002", "FLOW006", "FLOW007"]
-
-    def test_seeded_default_rng_clean(self):
-        src = (
-            "import numpy as np\n"
-            "def f():\n"
-            "    return np.random.default_rng(42)\n"
-        )
-        assert hits(src) == []
-
-    def test_generator_use_clean(self):
-        src = "def f(rng):\n    return rng.random()\n"
-        assert hits(src) == []
-
-    def test_stdlib_random_not_mislabeled(self):
-        # random.random() is an ambient draw, not a generator born ambient
-        src = "import random\nx = random.random()\n"
-        assert hits(src) == ["FLOW002"]
-
-    def test_suppression(self):
-        src = (
-            "import numpy as np\n"
-            "np.random.seed(0)  # simlint: disable=FLOW002 -- legacy shim\n"
-        )
-        assert hits(src) == []
-
-
-# ---------------------------------------------------------------------------
-# FLOW002/006 — pool workers draw only from their arguments
-# ---------------------------------------------------------------------------
-class TestWorkerSeed:
-    def test_applies_outside_sim_scope(self):
-        # workers live in experiments/, outside the simulation dirs; a
-        # private worker with an effect is an entry point of its own
-        src = (
-            "import numpy as np\n"
-            "def _shard_worker(x):\n"
-            "    return x * np.random.default_rng().random()\n"
-        )
-        assert hits(src, path=WORKER_PATH) == ["FLOW002", "FLOW006"]
-
-    @pytest.mark.parametrize(
-        "params", ["a, seed", "a, base_seed", "rng, n", "a, *, stream",
-                   "a, seedseq"]
-    )
-    def test_seed_bearing_params_clean(self, params):
-        seed = next(
-            p for p in re.split(r"[\s,*]+", params)
-            if re.search("rng|seed|stream", p)
-        )
-        src = (
-            "import numpy as np\n"
-            f"def _cell_worker({params}):\n"
-            f"    return np.random.default_rng({seed}).random()\n"
-        )
-        assert hits(src, path=WORKER_PATH) == []
-
-    def test_non_worker_function_ignored(self):
-        src = "def run_sweep(a, b):\n    return a + b\n"
-        assert hits(src, path=WORKER_PATH) == []
-
-    def test_unseeded_rng_inside_worker_flagged(self):
-        src = (
-            "import numpy as np\n"
-            "def _shard_worker(seed):\n"
-            "    return np.random.default_rng().random()\n"
-        )
-        assert hits(src, path=WORKER_PATH) == ["FLOW002", "FLOW006"]
-
-    def test_global_singleton_inside_worker_flagged(self):
-        src = (
-            "import numpy as np\n"
-            "def _shard_worker(seed):\n"
-            "    return np.random.uniform()\n"
-        )
-        assert hits(src, path=WORKER_PATH) == ["FLOW002"]
-
-    def test_seeded_rng_inside_worker_clean(self):
-        src = (
-            "import numpy as np\n"
-            "def _shard_worker(seedseq):\n"
-            "    return np.random.default_rng(seedseq).random()\n"
-        )
-        assert hits(src, path=WORKER_PATH) == []
-
-    def test_suppression_with_justification(self):
-        src = (
-            "import numpy as np\n"
-            "def _worker_entry(conn, task):\n"
-            "    return np.random.default_rng().random()  "
-            "# simlint: disable=FLOW002,FLOW006 -- entropy on purpose\n"
-        )
-        assert hits(src, path=WORKER_PATH) == []
-        sups = suppressed(src, path=WORKER_PATH)
-        assert [s.finding.rule for s in sups] == ["FLOW002", "FLOW006"]
-        assert {s.reason for s in sups} == {"entropy on purpose"}
-
-
-# ---------------------------------------------------------------------------
 # ORD001 / ORD002 — unordered iteration
 # ---------------------------------------------------------------------------
+#: A sim/ entry whose helper in util/ iterates a set-typed local, pops a
+#: set and comprehends over set(...).
+ORD_PROBE_TREE = {
+    "sim/__init__.py": "",
+    "sim/step.py": (
+        "from util.order import drain\n\n\n"
+        "def step(items):\n"
+        "    return drain(items)\n"
+    ),
+    "util/__init__.py": "",
+    "util/order.py": (
+        "def drain(items):\n"
+        "    pending = set(items)\n"
+        "    for item in pending:\n"
+        "        consume(item)\n"
+        "    first = pending.pop()\n"
+        "    return first, [x for x in set(items)]\n"
+    ),
+}
+
+
 class TestOrdering:
     def test_for_over_set_literal_flagged(self):
         src = "for x in {1, 2, 3}:\n    consume(x)\n"
@@ -278,6 +165,22 @@ class TestOrdering:
     def test_reassignment_clears_tracking(self):
         src = "s = {1, 2}\ns = [1, 2]\nfor x in s:\n    consume(x)\n"
         assert hits(src, select=["ORD"]) == []
+
+    def test_helper_outside_simulation_dirs_flagged(self, tmp_path, capsys):
+        """ORD runs on every linted file, so a sim entry's helper in
+        util/ (outside SCOPED_DIRS) is covered in all three set forms:
+        a set-typed local, set.pop() and a comprehension over set()."""
+        for rel, text in ORD_PROBE_TREE.items():
+            path = tmp_path / rel
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
+        assert lint_main([str(tmp_path)]) == 1
+        found = [
+            match.group(1)
+            for line in capsys.readouterr().out.splitlines()
+            if (match := re.match(r"\S+:\d+:\d+: (ORD\d+) ", line))
+        ]
+        assert sorted(found) == ["ORD001", "ORD001", "ORD002"]
 
 
 # ---------------------------------------------------------------------------
@@ -607,23 +510,27 @@ class TestPrintLogging:
 # ---------------------------------------------------------------------------
 class TestEngine:
     def test_skip_file_pragma(self):
-        src = "# simlint: skip-file\nimport random\nx = random.random()\n"
-        assert hits(src) == []
+        """``skip-file`` is not a pragma: it is reported and skips
+        nothing."""
+        src = "# simlint: skip-file\nimport time\nx = time.time()\n"
+        assert hits(src) == ["PRG001", "FLOW001"]
 
     def test_skip_file_pragma_deep_in_file_ignored(self):
         src = (
-            "import random\nx = random.random()\n" + "y = 1\n" * 12
+            "import time\nx = time.time()\n" + "y = 1\n" * 12
             + "# simlint: skip-file\n"
         )
-        assert hits(src) == ["FLOW002"]
+        assert hits(src) == ["FLOW001", "PRG001"]
 
     def test_blanket_disable(self):
-        src = "import random\nx = random.random()  # simlint: disable\n"
-        assert hits(src) == []
+        """A disable without a rule list is malformed and suppresses
+        nothing: every suppression names its rules."""
+        src = "import time\nx = time.time()  # simlint: disable\n"
+        assert hits(src) == ["FLOW001", "PRG001"]
 
     def test_disable_other_rule_does_not_mask(self):
-        src = "import random\nx = random.random()  # simlint: disable=ORD001\n"
-        assert hits(src) == ["FLOW002"]
+        src = "import time\nx = time.time()  # simlint: disable=ORD001\n"
+        assert hits(src) == ["FLOW001"]
 
     def test_syntax_error_is_finding(self):
         result = lint_sources({SIM_PATH: "def f(:\n"})
@@ -634,26 +541,25 @@ class TestEngine:
             lint_sources({SIM_PATH: "x = 1\n"}, select=["NOPE999"])
 
     def test_family_prefix_selection(self):
-        src = "import random\nx = random.random()\nfor y in {1, 2}:\n    print(y)\n"
-        assert hits(src, select=["FLOW"]) == ["FLOW002", "FLOW003"]
+        src = "import time\nx = time.time()\nfor y in {1, 2}:\n    print(y)\n"
+        assert hits(src, select=["FLOW"]) == ["FLOW001"]
         assert hits(src, select=["ORD"]) == ["ORD001"]
 
     def test_ignore_family(self):
-        src = "import random\nx = random.random()\nfor y in {1, 2}:\n    consume(y)\n"
+        src = "import time\nx = time.time()\nfor y in {1, 2}:\n    consume(y)\n"
         result = lint_sources({SIM_PATH: src}, ignore=["FLOW"])
         assert [f.rule for f in result.findings] == ["ORD001"]
 
     def test_findings_sorted_and_deduped(self):
         src = (
-            "import random\n"
+            "import time\n"
             "s = {1, 2}\n"
             "for x in s:\n"
             "    consume(x)\n"
-            "y = random.random()\n"
+            "y = time.time()\n"
         )
         result = lint_sources({SIM_PATH: src})
-        # FLOW003 sees set literals and set() calls, not set-typed locals
-        assert [f.rule for f in result.findings] == ["ORD001", "FLOW002"]
+        assert [f.rule for f in result.findings] == ["ORD001", "FLOW001"]
         lines = [f.line for f in result.findings]
         assert lines == sorted(lines)
         assert len(result.findings) == len(set(result.findings))
