@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from repro.core.model import ConflictKind, ConflictModel
 from repro.core.policy import DelayPolicy
 from repro.distributions.base import LengthDistribution
 from repro.errors import InvalidParameterError
-from repro.rngutil import ensure_rng, spawn_streams
+from repro.rngutil import spawn_streams
 from repro.sim.engine import Simulator
 
 __all__ = ["ThreadState", "ThroughputArena", "ThroughputTrace"]

@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.rngutil import ensure_rng
 
 __all__ = ["LengthDistribution", "DISTRIBUTION_REGISTRY", "get_distribution"]
 

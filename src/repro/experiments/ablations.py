@@ -19,7 +19,6 @@ import numpy as np
 from repro.adversary import TimedArena
 from repro.core.hybrid import HybridResolver
 from repro.core.model import ConflictKind, ConflictModel
-from repro.core.policy import FixedDelayPolicy
 from repro.core.ratios import rand_ra_ratio, rand_rw_optimal_ratio
 from repro.core.requestor_wins import MeanConstrainedRW, UniformRW
 from repro.core.verify import competitive_ratio, constrained_competitive_ratio

@@ -14,8 +14,6 @@ against a common adversary ensemble, three ways:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.hybrid import preferred_kind
 from repro.core.model import ConflictKind, ConflictModel
 from repro.core.ratios import rand_ra_ratio, rand_rw_optimal_ratio

@@ -32,6 +32,12 @@ class LineState(enum.Enum):
     MODIFIED = "M"
 
 
+# Hot code reads the members through module names: an Enum class
+# attribute load is never specialized (EnumType defines __getattr__).
+_SHARED = LineState.SHARED
+_MODIFIED = LineState.MODIFIED
+
+
 @dataclass(slots=True)
 class CacheLine:
     """One resident line's bookkeeping."""
@@ -91,7 +97,7 @@ class L1Cache:
         is held in S."""
         entry = self._sets[line % self._n_sets].get(line)
         if entry is None or (
-            exclusive and entry.state is not LineState.MODIFIED
+            exclusive and entry.state is not _MODIFIED
         ):
             return None
         self._tick += 1
@@ -163,9 +169,9 @@ class L1Cache:
     # neither method looks the line up again.
     def downgrade(self, entry: CacheLine) -> None:
         """M -> S in response to a GETS probe."""
-        if entry.state is not LineState.MODIFIED:
+        if entry.state is not _MODIFIED:
             raise ProtocolError(f"downgrade of line {entry.line} not in M")
-        entry.state = LineState.SHARED
+        entry.state = _SHARED
 
     def invalidate(self, entry: CacheLine) -> None:
         """Drop a resident line in response to a GETX probe."""

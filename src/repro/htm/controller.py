@@ -54,6 +54,16 @@ class AbortReason(enum.Enum):
     SPURIOUS = "spurious"                      # injected machine fault
 
 
+# Hot code reads enum members through module names: an Enum class
+# attribute load is never specialized (EnumType defines __getattr__).
+_MODIFIED = LineState.MODIFIED
+_SHARED = LineState.SHARED
+_CONFLICT_IMMEDIATE = AbortReason.CONFLICT_IMMEDIATE
+_CONFLICT_TIMEOUT = AbortReason.CONFLICT_TIMEOUT
+_CAPACITY = AbortReason.CAPACITY
+_NACKED = AbortReason.NACKED
+
+
 @dataclass(slots=True)
 class PendingProbe:
     """A conflicting probe being delayed by the grace period."""
@@ -162,7 +172,7 @@ class CoreMemSystem:
                     f"core {self.core_id}: write-set line {line} not "
                     f"resident at commit (tx should have aborted)"
                 )
-            if entry.state is not LineState.MODIFIED:
+            if entry.state is not _MODIFIED:
                 return addr
         return None
 
@@ -176,7 +186,7 @@ class CoreMemSystem:
         for addr in self.write_buffer:
             line = addr // line_words
             entry = lookup(line)
-            if entry is None or entry.state is not LineState.MODIFIED:
+            if entry is None or entry.state is not _MODIFIED:
                 raise ProtocolError(
                     f"core {self.core_id}: finalize_commit without owning "
                     f"line {line}"
@@ -218,20 +228,21 @@ class CoreMemSystem:
         self._cancel_grace()
         self.machine.faults.on_end_tx(self)
         self.stats.tx_aborted += 1
-        self.stats.abort_reasons[reason.value] = (
-            self.stats.abort_reasons.get(reason.value, 0) + 1
+        key = reason.value  # a property: read it once
+        self.stats.abort_reasons[key] = (
+            self.stats.abort_reasons.get(key, 0) + 1
         )
         # NACKED is the one requestor-aborts death; everything else
         # (timeouts, capacity, cycles, spurious, ...) counts as the
         # requestor-wins family for the lifecycle invariant
         # aborts_rw + aborts_ra + commits == txns_started
-        if reason is AbortReason.NACKED:
+        if reason is _NACKED:
             self._m_aborts_ra.inc()
         else:
             self._m_aborts_rw.inc()
         if self.machine.tracing:
             self.machine.emit(
-                "abort", self.core_id, reason=reason.value, age=self.tx_age()
+                "abort", self.core_id, reason=key, age=self.tx_age()
             )
         if self.pending_probes:
             self._release_probes(aborting=True)
@@ -300,7 +311,7 @@ class CoreMemSystem:
             self.stats.abort_reasons["wedged"] = (
                 self.stats.abort_reasons.get("wedged", 0) + 1
             )
-            self.abort_tx(AbortReason.CONFLICT_IMMEDIATE)
+            self.abort_tx(_CONFLICT_IMMEDIATE)
             return False
 
         if self.cache.hit(line, exclusive, tx, write or acquire) is not None:
@@ -319,12 +330,12 @@ class CoreMemSystem:
                 f"miss is outstanding"
             )
         self.stats.l1_misses += 1
-        victim = self.cache.victim_for(line, protect_tx=True)
+        victim = self.cache.victim_for(line, True)  # protect_tx
         if victim is not None:
             if victim.transactional:
                 # Algorithm 1 line 4: evicting a transactional line
                 # aborts, and the access dies with its transaction
-                self.abort_tx(AbortReason.CAPACITY)
+                self.abort_tx(_CAPACITY)
                 return False
             self._evict(victim)
         self._miss = (
@@ -342,14 +353,20 @@ class CoreMemSystem:
         access's completion only."""
         miss, self._miss = self._miss, None
         addr, write, tx, value, cas, acquire, done, line, epoch, exclusive = miss
-        # defensive re-check; with one outstanding access per core the
-        # way that access freed still stands
-        victim = self.cache.victim_for(line, protect_tx=self.tx_active)
-        if victim is not None:
-            self._evict(victim)
-        self.cache.install(
+        cache = self.cache
+        # Re-check only while ways are reserved.  The access made room
+        # under the reserved_ways of its own moment; until this grant
+        # nothing installs into this L1 (one outstanding miss per core),
+        # and probes and aborts only remove lines.  With no ways
+        # reserved now, the set holds the line itself or fewer than
+        # l1_assoc lines, so victim_for would return None.
+        if cache.reserved_ways:
+            victim = cache.victim_for(line, self.tx_active)  # protect_tx
+            if victim is not None:
+                self._evict(victim)
+        cache.install(
             line,
-            LineState.MODIFIED if exclusive else LineState.SHARED,
+            _MODIFIED if exclusive else _SHARED,
             tx and self.tx_active and self.tx_epoch == epoch,
             write or acquire,
         )
@@ -395,7 +412,7 @@ class CoreMemSystem:
 
     # -- eviction -----------------------------------------------------------
     def _evict(self, entry) -> None:
-        if entry.state is LineState.MODIFIED:
+        if entry.state is _MODIFIED:
             self.machine.directory.writeback(self.core_id, entry.line)
             self.stats.writebacks += 1
         self.cache.evict(entry.line)
@@ -424,7 +441,7 @@ class CoreMemSystem:
             # answer at once, applied to the entry already in hand
             if exclusive:
                 self.cache.invalidate(entry)
-            elif entry.state is LineState.MODIFIED:
+            elif entry.state is _MODIFIED:
                 self.cache.downgrade(entry)
             else:
                 raise ProtocolError(
@@ -449,7 +466,7 @@ class CoreMemSystem:
                 PendingProbe(line, exclusive, requestor, ack)
             )
             self.machine.note_wait(requestor, self.core_id)
-            self.abort_tx(AbortReason.CONFLICT_IMMEDIATE)
+            self.abort_tx(_CONFLICT_IMMEDIATE)
             return
         self.pending_probes.append(
             PendingProbe(line, exclusive, requestor, ack)
@@ -519,14 +536,14 @@ class CoreMemSystem:
             return False
         entry = self.cache.lookup(line)
         return entry is None or (
-            entry.state is not LineState.MODIFIED and (exclusive or write)
+            entry.state is not _MODIFIED and (exclusive or write)
         )
 
     def _is_wedged(self, line: int, entry) -> bool:
         """True when the probed line is in our write set but not yet
         exclusively owned — we could never commit while this probe's
         request occupies the line's directory slot."""
-        if entry.state is LineState.MODIFIED:
+        if entry.state is _MODIFIED:
             return False
         line_words = self._line_words
         for addr in self.write_buffer:
@@ -564,7 +581,7 @@ class CoreMemSystem:
             for probe in list(self.pending_probes):
                 mem = self.machine.mems[probe.requestor]
                 if mem.tx_active:
-                    mem.abort_tx(AbortReason.NACKED)
+                    mem.abort_tx(_NACKED)
                     nacked += 1
             self.stats.nacks_sent += nacked
             # The receiver lives on; probes are answered at its commit or
@@ -593,11 +610,7 @@ class CoreMemSystem:
                 label="ra-backstop",
             )
             return
-        self.abort_tx(
-            AbortReason.CONFLICT_TIMEOUT
-            if timeout
-            else AbortReason.CONFLICT_IMMEDIATE
-        )
+        self.abort_tx(_CONFLICT_TIMEOUT if timeout else _CONFLICT_IMMEDIATE)
 
     def _release_probes(self, *, aborting: bool) -> None:
         """Answer every delayed probe (on commit or abort)."""
@@ -617,7 +630,7 @@ class CoreMemSystem:
         if probe.exclusive:
             self.cache.invalidate(entry)
             self.machine.directory.drop_sharer(self.core_id, probe.line)
-        elif entry.state is LineState.MODIFIED:
+        elif entry.state is _MODIFIED:
             self.cache.downgrade(entry)
 
     def _cancel_grace(self) -> None:

@@ -36,6 +36,8 @@ __all__ = ["Core"]
 #: is matched against them.
 _ISA = (Compute, Read, Write, CAS, AcquireX, AbortTx, Fence)
 _ISA_KINDS = frozenset(_ISA)
+# an Enum class attribute load is never specialized; read it once
+_EXPLICIT = AbortReason.EXPLICIT
 
 
 class Core:
@@ -71,6 +73,9 @@ class Core:
         self._issue_token = 0  # the token that issued it
         self._retry_pending = False
         self.idle = False
+        # the event handlers scheduled per instruction, bound once
+        self._advance_cb = self._advance
+        self._mem_done_cb = self._mem_done
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -132,7 +137,7 @@ class Core:
         if kind is Read:
             addr = instr.addr
         elif kind is Compute:
-            self.sim.after(instr.cycles, self._advance, token, None,
+            self.sim.after(instr.cycles, self._advance_cb, token, None,
                            label="compute")
             return
         elif kind is Write:
@@ -154,10 +159,10 @@ class Core:
                 raise SimulationError(
                     f"core {self.core_id}: AbortTx outside a transaction"
                 )
-            self.mem.abort_tx(AbortReason.EXPLICIT)
+            self.mem.abort_tx(_EXPLICIT)
             return
         else:  # Fence
-            self.sim.after(1, self._advance, token, None, label="fence")
+            self.sim.after(1, self._advance_cb, token, None, label="fence")
             return
         # Issue the access, keeping one request outstanding per core
         # across aborts.  ``_outstanding`` must be set before the access:
@@ -168,7 +173,7 @@ class Core:
         self._outstanding = True
         self._issue_token = token
         if not self.mem.access(
-            addr, write, self._in_htm, self._mem_done, store, cas, acquire
+            addr, write, self._in_htm, self._mem_done_cb, store, cas, acquire
         ):
             # the access died with its transaction before reaching the
             # directory; release the slot and run any deferred retry

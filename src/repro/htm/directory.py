@@ -106,6 +106,10 @@ class Directory:
         self.requests = 0
         self.probes_sent = 0
         self.grants = 0
+        # the stage handlers scheduled per request, bound once
+        self._arrive_cb = self._arrive
+        self._lookup_done_cb = self._lookup_done
+        self._grant_cb = self._grant
 
     # ------------------------------------------------------------------
     def entry(self, line: int) -> DirectoryEntry:
@@ -130,7 +134,7 @@ class Directory:
         req = PendingRequest(core, line, exclusive, grant_cb)
         self.sim.after(
             self.topology.core_to_dir(core, line),
-            self._arrive,
+            self._arrive_cb,
             req,
             label="dir-arrive",
         )
@@ -151,7 +155,7 @@ class Directory:
             self.queued_behind[head] = self.queued_behind.get(head, 0) + 1
             return
         entry.busy = True  # req is the head, with nothing behind it
-        self.sim.after(self.params.dir_lookup, self._lookup_done, req,
+        self.sim.after(self.params.dir_lookup, self._lookup_done_cb, req,
                        label="dir-lookup")
 
     def _lookup_done(self, req: PendingRequest) -> None:
@@ -201,7 +205,7 @@ class Directory:
             # the closing ack travels back to the directory slice
             self.sim.after(
                 self.topology.core_to_dir(target, req.line),
-                self._grant,
+                self._grant_cb,
                 req,
                 label="dir-ack",
             )
@@ -245,8 +249,8 @@ class Directory:
                 self.queued_behind[head.core] = (
                     self.queued_behind.get(head.core, 0) + behind
                 )
-            self.sim.after(self.params.dir_lookup, self._lookup_done, head,
-                           label="dir-lookup")
+            self.sim.after(self.params.dir_lookup, self._lookup_done_cb,
+                           head, label="dir-lookup")
 
     # -- evictions ----------------------------------------------------------
     def writeback(self, core: int, line: int) -> None:

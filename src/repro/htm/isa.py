@@ -12,12 +12,15 @@ and queue) be expressed naturally.
 The transaction boundary is *not* an instruction: the core brackets the
 whole body generator, so aborts can restart it from scratch.
 
-The records are slotted rather than frozen: a workload builds one per
-instruction, and a frozen dataclass pays ``object.__setattr__`` for
-every field.  Nothing mutates them after construction.  The records
-that validate their fields do it in their own ``__init__`` (the
-dataclass still provides eq and repr), one call per instruction instead
-of a generated ``__init__`` plus ``__post_init__``.
+The records are slotted rather than frozen: a workload builds most of
+them per instruction, and a frozen dataclass pays
+``object.__setattr__`` for every field.  Nothing mutates them after
+construction, so a record whose operands are fixed at setup (a
+fallback-lock load, say) is built once there and yielded by every
+attempt on every core.  The records that validate their fields do it
+in their own ``__init__`` (the dataclass still provides eq and repr),
+one call per record instead of a generated ``__init__`` plus
+``__post_init__``.
 """
 
 from __future__ import annotations

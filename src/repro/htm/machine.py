@@ -16,7 +16,6 @@ import numpy as np
 from repro.errors import InvalidParameterError, SimulationError
 from repro.faults.injectors import injector_for
 from repro.faults.plan import FaultPlan
-from repro.htm.conflict_policy import CyclePolicy
 from repro.htm.controller import AbortReason, CoreMemSystem
 from repro.htm.directory import Directory
 from repro.htm.params import MachineParams
@@ -39,8 +38,8 @@ class Machine:
     Typical use::
 
         machine = Machine(params, policy_factory=lambda cid: RandDelay())
-        machine.load(workload)
-        stats = machine.run(horizon_cycles=2_000_000, seed=1)
+        machine.load(workload, seed=1)
+        stats = machine.run(2_000_000)
         print(stats.throughput_ops_per_sec(params.clock_ghz))
     """
 

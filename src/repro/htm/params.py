@@ -8,7 +8,7 @@ constants, which the ablation benches confirm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.errors import InvalidParameterError
 

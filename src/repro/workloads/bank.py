@@ -59,7 +59,7 @@ class TransferOp(Operation):
 
     def body(self, ctx: OpContext) -> Generator:
         w = self.workload
-        lock = yield Read(w.lock_addr)
+        lock = yield w.lock_read
         if lock != 0:
             yield AbortTx()
         result = yield from self._logic(locked=False)
@@ -71,7 +71,7 @@ class TransferOp(Operation):
     def fallback(self, ctx: OpContext) -> Generator:
         w = self.workload
         while True:
-            held = yield Read(w.lock_addr)
+            held = yield w.lock_read
             if held != 0:
                 yield Fence()
                 continue
@@ -103,7 +103,7 @@ class AuditOp(Operation):
 
     def body(self, ctx: OpContext) -> Generator:
         w = self.workload
-        lock = yield Read(w.lock_addr)
+        lock = yield w.lock_read
         if lock != 0:
             yield AbortTx()
         total = yield from self._logic()
@@ -115,7 +115,7 @@ class AuditOp(Operation):
     def fallback(self, ctx: OpContext) -> Generator:
         w = self.workload
         while True:
-            held = yield Read(w.lock_addr)
+            held = yield w.lock_read
             if held != 0:
                 yield Fence()
                 continue
@@ -166,12 +166,16 @@ class BankWorkload(Workload):
         self.work_cycles = work_cycles
         self.account_addr: list[int] = []
         self.lock_addr = -1
+        self.lock_read: Read | None = None
         self.transfers_committed = 0
         self.audit_sums: list[int] = []
 
     def setup(self, machine: "Machine") -> None:
         self.account_addr = [machine.alloc(1) for _ in range(self.n_accounts)]
         self.lock_addr = machine.alloc(1)
+        # the lock load every attempt yields, built once (records are
+        # never mutated, so attempts and cores share it)
+        self.lock_read = Read(self.lock_addr)
         self.transfers_committed = 0
         self.audit_sums = []
         for addr in self.account_addr:

@@ -57,7 +57,7 @@ class _LockMixin:
     def _acquire_lock(self, ctx: OpContext) -> Generator:
         w = self.workload  # type: ignore[attr-defined]
         while True:
-            held = yield Read(w.lock_addr)
+            held = yield w.lock_read
             if held != 0:
                 yield Fence()
                 continue
@@ -68,7 +68,7 @@ class _LockMixin:
 
     def _subscribe(self) -> Generator:
         w = self.workload  # type: ignore[attr-defined]
-        lock = yield Read(w.lock_addr)
+        lock = yield w.lock_read
         if lock != 0:
             yield AbortTx()
 
@@ -206,6 +206,7 @@ class ListSetWorkload(Workload):
         self.pool_capacity = pool_capacity
         self.head_addr = -1
         self.lock_addr = -1
+        self.lock_read: Read | None = None
         self.pool: NodePool | None = None
         self.log: list[tuple[str, int, bool]] = []
         self.lookups = 0
@@ -214,6 +215,9 @@ class ListSetWorkload(Workload):
         n = machine.params.n_cores
         self.head_addr = machine.alloc(2)  # sentinel: [unused, next]
         self.lock_addr = machine.alloc(1)
+        # the lock load every attempt yields, built once (records are
+        # never mutated, so attempts and cores share it)
+        self.lock_read = Read(self.lock_addr)
         self.pool = NodePool(machine, n, self.pool_capacity, 2)
         self.log = []
         self.lookups = 0

@@ -56,14 +56,15 @@ class AppTxOp(Operation):
         # not run concurrently with a fallback lock holder, so read the
         # lock into the tx read set and self-abort while it is held —
         # the holder's release then conflicts us out if it races.
-        lock = yield Read(w.lock_addr)
+        lock = yield w.lock_read
         if lock != 0:
             yield AbortTx()
-        a_val = yield Read(w.obj_addr[self.obj_a])
-        yield Compute(max(1, self.work // 2))
+        first, second = w.computes[self.work]
+        a_val = yield w.obj_read[self.obj_a]
+        yield first
         yield Write(w.obj_addr[self.obj_a], a_val + 1)
-        b_val = yield Read(w.obj_addr[self.obj_b])
-        yield Compute(max(1, self.work - self.work // 2))
+        b_val = yield w.obj_read[self.obj_b]
+        yield second
         yield Write(w.obj_addr[self.obj_b], b_val + 1)
         return (self.obj_a, self.obj_b)
 
@@ -74,7 +75,7 @@ class AppTxOp(Operation):
         # global test-and-CAS lock
         w = self.workload
         while True:
-            held = yield Read(w.lock_addr)
+            held = yield w.lock_read
             if held != 0:
                 yield Fence()
                 continue
@@ -82,11 +83,12 @@ class AppTxOp(Operation):
             if ok:
                 break
             yield Fence()
-        a_val = yield Read(w.obj_addr[self.obj_a])
-        yield Compute(max(1, self.work // 2))
+        first, second = w.computes[self.work]
+        a_val = yield w.obj_read[self.obj_a]
+        yield first
         yield Write(w.obj_addr[self.obj_a], a_val + 1)
-        b_val = yield Read(w.obj_addr[self.obj_b])
-        yield Compute(max(1, self.work - self.work // 2))
+        b_val = yield w.obj_read[self.obj_b]
+        yield second
         yield Write(w.obj_addr[self.obj_b], b_val + 1)
         yield Write(w.lock_addr, 0)
         return (self.obj_a, self.obj_b)
@@ -132,6 +134,9 @@ class TxAppWorkload(Workload):
         self.long_factor = long_factor
         self.obj_addr: list[int] = []
         self.lock_addr = -1
+        self.obj_read: list[Read] = []
+        self.lock_read: Read | None = None
+        self.computes: dict[int, tuple[Compute, Compute]] = {}
         self.touches = [0] * n_objects
         self.committed = 0
         self._phase: list[int] = []
@@ -139,6 +144,17 @@ class TxAppWorkload(Workload):
     def setup(self, machine: "Machine") -> None:
         self.obj_addr = [machine.alloc(1) for _ in range(self.n_objects)]
         self.lock_addr = machine.alloc(1)
+        # the loads and body halves every attempt yields, built once
+        # (records are never mutated, so attempts and cores share them)
+        self.obj_read = [Read(addr) for addr in self.obj_addr]
+        self.lock_read = Read(self.lock_addr)
+        works = [self.work_cycles]
+        if self.bimodal:
+            works.append(self.work_cycles * self.long_factor)
+        self.computes = {
+            work: (Compute(max(1, work // 2)), Compute(max(1, work - work // 2)))
+            for work in works
+        }
         self.touches = [0] * self.n_objects
         self.committed = 0
         self._phase = [0] * machine.params.n_cores

@@ -338,6 +338,31 @@ class TestEvictionPaths:
         assert machine.directory.entry(1).owner is None
         assert mem.stats.writebacks == 1
 
+    def test_grant_rechecks_room_when_ways_shrink_mid_miss(self):
+        # one set, three ways: lines 1 and 2 (non-tx), then 3 (tx)
+        machine = make_machine(l1_sets=1, l1_assoc=3)
+        mem = machine.mems[0]
+        out = Collector()
+        lw = machine.params.line_words
+        mem.access(1 * lw, write=False, tx=False, done=out)
+        complete(machine)
+        mem.access(2 * lw, write=False, tx=False, done=out)
+        complete(machine)
+        mem.begin_tx(lambda r: None)
+        mem.access(3 * lw, write=False, tx=True, done=out)
+        complete(machine)
+        # the miss on line 4 evicts LRU line 1 under reserved_ways = 0
+        assert mem.access(4 * lw, write=False, tx=True, done=out)
+        assert mem.cache.lookup(1) is None
+        # a way is reserved before the grant: two ways left, so the
+        # grant must evict the LRU non-tx way (line 2) to install
+        mem.cache.reserved_ways = 1
+        complete(machine)
+        assert mem.cache.lookup(2) is None
+        assert sorted(mem.cache.resident_lines()) == [3, 4]
+        assert mem.cache.transactional_lines() == [3, 4]
+        assert mem.tx_active
+
 
 class TestNackBackstop:
     def test_ra_receiver_gets_backstop_timer(self):
