@@ -1,15 +1,15 @@
 """Shared schema for committed bench artifacts.
 
-Every bench harness (``bench_parallel.py`` → ``BENCH_parallel.json``,
-``bench_suite.py`` → ``BENCH_core.json``, ``bench_serve.py`` /
-``python -m repro loadgen`` → ``BENCH_serve.json``) validates its
-payload against this module **at write time**, so a malformed artifact
-fails the producing run loudly instead of silently skewing the perf
-trajectory or the CI regression gate.
+Every producer (``bench_parallel.py`` → ``BENCH_parallel.json``,
+``python -m repro loadgen`` → ``BENCH_serve.json``, ``python -m repro
+ablate`` → ``BENCH_ablate.json``) validates its payload against this
+module **at write time**, so a malformed artifact fails the producing
+run loudly instead of being committed.
 
 No external dependency: a field spec is ``(types, required,
 predicate)`` and validation is a plain recursive walk.  The same specs
-double as the *read*-side check in the CI bench gate and the tests.
+double as the *read*-side check CI runs over every committed artifact
+(``python -m benchmarks.schema BENCH_*.json``) and the tests.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import pathlib
 
 __all__ = [
     "BenchSchemaError",
-    "validate_bench_entry",
-    "validate_core_payload",
     "validate_parallel_payload",
     "validate_serve_payload",
     "validate_ablate_payload",
@@ -73,34 +71,8 @@ def _check_fields(obj: dict, spec: dict, path: str) -> None:
         _fail(path, f"unknown fields {sorted(unknown)}")
 
 
-#: One named bench inside ``BENCH_core.json``.  ``median_s`` is the
-#: median-of-repeats wall clock of the kernel path; ``ops`` is a
-#: machine-independent work count (grid cells, events fired);
-#: ``baseline_s``/``speedup`` are present when a scalar reference path
-#: was timed alongside.
-_ENTRY_SPEC = {
-    "median_s": ((int, float), True, lambda v: _is_finite_number(v) and v >= 0),
-    "repeats": (int, True, lambda v: v >= 1),
-    "ops": (int, False, lambda v: v >= 0),
-    "baseline_s": (
-        (int, float),
-        False,
-        lambda v: _is_finite_number(v) and v >= 0,
-    ),
-    "speedup": ((int, float), False, _is_finite_number),
-}
-
-_CORE_SPEC = {
-    "schema_version": (int, True, lambda v: v == 1),
-    "suite": (str, True, lambda v: v == "core"),
-    "generated_by": (str, True, None),
-    "quick": (bool, True, None),
-    "seed": (int, True, None),
-    "python": (str, True, None),
-    "cpu_count": (int, True, lambda v: v >= 1),
-    "benches": (dict, True, lambda v: len(v) > 0),
-}
-
+#: ``BENCH_parallel.json`` — serial against ``--jobs N`` wall clock of
+#: one experiment set (``benchmarks/bench_parallel.py``).
 _PARALLEL_SPEC = {
     "experiments": (list, True, lambda v: all(isinstance(e, str) for e in v)),
     "quick": (bool, True, None),
@@ -140,7 +112,7 @@ def _is_sha256(value) -> bool:
 
 
 #: ``BENCH_serve.json`` — the decision-service replay artifact
-#: (``python -m repro loadgen`` / ``benchmarks/bench_serve.py``).
+#: (``python -m repro loadgen``).
 #: ``decision_log_sha256`` fingerprints the canonical decision log so
 #: the committed artifact itself witnesses the determinism contract:
 #: re-running with the payload's seed must reproduce the digest.
@@ -233,27 +205,6 @@ _ABLATE_METRIC_SPEC = {
 }
 
 
-def validate_bench_entry(name: str, entry: dict) -> None:
-    if not name or not isinstance(name, str):
-        _fail("benches", f"bench name must be a non-empty string, got {name!r}")
-    _check_fields(entry, _ENTRY_SPEC, f"benches[{name!r}]")
-    baseline = entry.get("baseline_s")
-    speedup = entry.get("speedup")
-    if (baseline is None) != (speedup is None):
-        _fail(
-            f"benches[{name!r}]",
-            "baseline_s and speedup must be present together",
-        )
-
-
-def validate_core_payload(payload: dict) -> dict:
-    """Validate a ``BENCH_core.json`` payload; returns it unchanged."""
-    _check_fields(payload, _CORE_SPEC, "payload")
-    for name, entry in payload["benches"].items():
-        validate_bench_entry(name, entry)
-    return payload
-
-
 def validate_parallel_payload(payload: dict) -> dict:
     """Validate a ``BENCH_parallel.json`` payload; returns it unchanged."""
     _check_fields(payload, _PARALLEL_SPEC, "payload")
@@ -327,10 +278,8 @@ def validate_ablate_payload(payload: dict) -> dict:
 
 
 def validate_payload(payload: dict, kind: str) -> dict:
-    """Validate by artifact kind: ``"core"``, ``"parallel"``,
-    ``"serve"`` or ``"ablate"``."""
-    if kind == "core":
-        return validate_core_payload(payload)
+    """Validate by artifact kind: ``"parallel"``, ``"serve"`` or
+    ``"ablate"``."""
     if kind == "parallel":
         return validate_parallel_payload(payload)
     if kind == "serve":

@@ -102,9 +102,6 @@ class ConflictSchedule:
         """Σ_T ρ_T — the conflict-free sum of running times."""
         return float(sum(t.rho for t in self.transactions))
 
-    def conflicts_for(self, txn: Transaction) -> list[Conflict]:
-        return [c for c in self.conflicts if c.receiver.tid == txn.tid]
-
     def validate(self) -> None:
         """Structural checks for assumptions (a)-(c).
 

@@ -108,15 +108,6 @@ class DelayPolicy(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
 
-    # -- validation helper for subclasses -------------------------------
-    @staticmethod
-    def _require_positive(value: float, what: str) -> float:
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            raise InvalidParameterError(f"{what} must be finite, got {value!r}")
-        if value <= 0:
-            raise InvalidParameterError(f"{what} must be positive, got {value}")
-        return float(value)
-
 
 class DeterministicDelayPolicy(DelayPolicy):
     """Base class for point-mass (deterministic) policies."""

@@ -363,7 +363,13 @@ class CoreMemSystem:
         if cache.reserved_ways:
             victim = cache.victim_for(line, self.tx_active)  # protect_tx
             if victim is not None:
-                self._evict(victim)
+                if victim.transactional:
+                    # Algorithm 1 line 4, as in access: the abort drops
+                    # every transactional line, which makes room, and
+                    # the line below installs non-transactionally
+                    self.abort_tx(_CAPACITY)
+                else:
+                    self._evict(victim)
         cache.install(
             line,
             _MODIFIED if exclusive else _SHARED,

@@ -13,7 +13,7 @@ through :class:`SupervisedPool`:
   *once* per run and then fed tasks over duplex pipes until the queue
   drains.
 * **Heartbeats** — each worker runs a tiny side thread that pings the
-  parent every ``heartbeat_interval`` seconds; a worker whose beats
+  parent every ``HEARTBEAT_INTERVAL`` seconds; a worker whose beats
   stop (SIGSTOP, deadlocked interpreter, dead machine slot) is declared
   hung after ``heartbeat_timeout`` and killed.
 * **Crash supervision** — a worker that dies (pipe EOF) has its exit
@@ -72,7 +72,10 @@ __all__ = [
 ]
 
 #: How often a worker's heartbeat thread pings the parent (seconds).
-DEFAULT_HEARTBEAT_INTERVAL = 0.2
+HEARTBEAT_INTERVAL = 0.2
+#: Longest the parent waits on its workers' pipes before it checks
+#: heartbeats and deadlines again (seconds).
+POLL_INTERVAL = 0.05
 #: Parent-side silence budget before a worker is declared hung.
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 #: Re-executions of a task whose worker process died mid-flight.
@@ -275,7 +278,7 @@ def _call_error(outcome: ExperimentOutcome) -> errors.ReproError:
     return errors.ExperimentError(f"{outcome.error_type}: {outcome.error}")
 
 
-def _pool_worker(conn, worker_id: int, heartbeat_interval: float, chaos_config: dict | None) -> None:
+def _pool_worker(conn, worker_id: int, chaos_config: dict | None) -> None:
     """Persistent worker loop: recv task, run, send result, repeat.
 
     A side thread heartbeats over the same pipe (send-locked) so the
@@ -299,7 +302,7 @@ def _pool_worker(conn, worker_id: int, heartbeat_interval: float, chaos_config: 
 
     def beat() -> None:
         n = 0
-        while not stop.wait(heartbeat_interval):
+        while not stop.wait(HEARTBEAT_INTERVAL):
             n += 1
             if not send(("hb", worker_id, n)):
                 return
@@ -361,11 +364,8 @@ class SupervisedPool:
         max_worker_restarts: int = DEFAULT_MAX_WORKER_RESTARTS,
         timeout: float | None = None,
         kill_grace: float = 5.0,
-        poll_interval: float = 0.05,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float | None = DEFAULT_HEARTBEAT_TIMEOUT,
         chaos=None,
-        start_method: str | None = None,
     ) -> None:
         if jobs < 1:
             raise errors.InvalidParameterError(f"need jobs >= 1, got {jobs}")
@@ -383,13 +383,9 @@ class SupervisedPool:
         self.max_worker_restarts = max_worker_restarts
         self.timeout = timeout
         self.kill_grace = kill_grace
-        self.poll_interval = poll_interval
-        self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.chaos = chaos
-        self._ctx = multiprocessing.get_context(
-            start_method or best_start_method()
-        )
+        self._ctx = multiprocessing.get_context(best_start_method())
         self.stats = SupervisorStats()
         self._workers: dict = {}  # conn -> _Worker
         self._next_worker_id = 0
@@ -403,7 +399,6 @@ class SupervisedPool:
             args=(
                 child_conn,
                 self._next_worker_id,
-                self.heartbeat_interval,
                 self.chaos.to_dict() if self.chaos is not None else None,
             ),
             name=f"repro-worker-{self._next_worker_id}",
@@ -649,7 +644,7 @@ class SupervisedPool:
                         continue  # the EOF path below reaps it
                     worker.inflight = (index, task, attempt, time.monotonic())
             ready = multiprocessing.connection.wait(
-                list(self._workers), timeout=self.poll_interval
+                list(self._workers), timeout=POLL_INTERVAL
             )
             now = time.monotonic()
             for conn in ready:

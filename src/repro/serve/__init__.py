@@ -21,8 +21,8 @@ Three modules:
 * :mod:`repro.serve.replay` — the in-process harness that drives a
   generated stream through the service with N concurrent submitters
   and reports p50/p99 decision latency, sustained decisions/sec and
-  the decision log (``BENCH_serve.json`` via
-  ``benchmarks/bench_serve.py`` and ``python -m repro loadgen``).
+  the decision log (``BENCH_serve.json`` via ``python -m repro
+  loadgen``).
 
 CLI verbs: ``python -m repro serve`` (one-shot smoke serving) and
 ``python -m repro loadgen`` (the full replay + bench artifact).

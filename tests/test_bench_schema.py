@@ -1,4 +1,4 @@
-"""Bench-artifact schema and perf-regression gate logic."""
+"""Bench-artifact schemas: the committed ``BENCH_*.json`` kinds."""
 
 from __future__ import annotations
 
@@ -8,31 +8,6 @@ import math
 import pytest
 
 from benchmarks import schema
-from benchmarks.bench_suite import DEFAULT_THRESHOLD, compare_to_baseline
-
-
-def core_payload(**overrides) -> dict:
-    payload = {
-        "schema_version": 1,
-        "suite": "core",
-        "generated_by": "benchmarks/bench_suite.py",
-        "quick": True,
-        "seed": 2018,
-        "python": "3.11.7",
-        "cpu_count": 1,
-        "benches": {
-            "fig2_expectation_row": {
-                "median_s": 0.0004,
-                "repeats": 5,
-                "ops": 64,
-                "baseline_s": 0.006,
-                "speedup": 15.0,
-            },
-            "des_event_loop": {"median_s": 0.02, "repeats": 5, "ops": 20000},
-        },
-    }
-    payload.update(overrides)
-    return payload
 
 
 def parallel_payload(**overrides) -> dict:
@@ -81,53 +56,6 @@ def serve_payload(**overrides) -> dict:
     }
     payload.update(overrides)
     return payload
-
-
-class TestCoreSchema:
-    def test_valid_payload_passes(self):
-        assert schema.validate_core_payload(core_payload()) is not None
-
-    def test_missing_field_fails(self):
-        bad = core_payload()
-        del bad["seed"]
-        with pytest.raises(schema.BenchSchemaError, match="seed"):
-            schema.validate_core_payload(bad)
-
-    def test_unknown_field_fails(self):
-        with pytest.raises(schema.BenchSchemaError, match="extra"):
-            schema.validate_core_payload(core_payload(extra=1))
-
-    def test_wrong_suite_fails(self):
-        with pytest.raises(schema.BenchSchemaError, match="suite"):
-            schema.validate_core_payload(core_payload(suite="parallel"))
-
-    def test_empty_benches_fails(self):
-        with pytest.raises(schema.BenchSchemaError, match="benches"):
-            schema.validate_core_payload(core_payload(benches={}))
-
-    def test_non_finite_median_fails(self):
-        bad = core_payload()
-        bad["benches"]["des_event_loop"]["median_s"] = math.nan
-        with pytest.raises(schema.BenchSchemaError, match="median_s"):
-            schema.validate_core_payload(bad)
-
-    def test_negative_median_fails(self):
-        bad = core_payload()
-        bad["benches"]["des_event_loop"]["median_s"] = -1.0
-        with pytest.raises(schema.BenchSchemaError, match="median_s"):
-            schema.validate_core_payload(bad)
-
-    def test_bool_is_not_a_number(self):
-        bad = core_payload()
-        bad["benches"]["des_event_loop"]["median_s"] = True
-        with pytest.raises(schema.BenchSchemaError, match="median_s"):
-            schema.validate_core_payload(bad)
-
-    def test_baseline_without_speedup_fails(self):
-        bad = core_payload()
-        del bad["benches"]["fig2_expectation_row"]["speedup"]
-        with pytest.raises(schema.BenchSchemaError, match="together"):
-            schema.validate_core_payload(bad)
 
 
 def scaling_point(**overrides) -> dict:
@@ -183,11 +111,10 @@ class TestParallelSchema:
             schema.validate_parallel_payload(parallel_payload(warning=""))
 
     def test_kind_dispatch(self):
-        schema.validate_payload(core_payload(), "core")
         schema.validate_payload(parallel_payload(), "parallel")
         schema.validate_payload(serve_payload(), "serve")
         with pytest.raises(schema.BenchSchemaError, match="kind"):
-            schema.validate_payload(core_payload(), "nope")
+            schema.validate_payload(serve_payload(), "nope")
 
 
 class TestServeSchema:
@@ -244,6 +171,11 @@ class TestServeSchema:
         with pytest.raises(schema.BenchSchemaError, match="p50_us"):
             schema.validate_serve_payload(serve_payload(p50_us=-1.0))
 
+    def test_non_finite_latency_fails(self):
+        for value in (math.nan, math.inf):
+            with pytest.raises(schema.BenchSchemaError, match="p50_us"):
+                schema.validate_serve_payload(serve_payload(p50_us=value))
+
     def test_real_replay_payload_validates(self):
         """End-to-end: a tiny real replay produces a valid payload."""
         from repro.serve.loadgen import default_config
@@ -257,63 +189,15 @@ class TestServeSchema:
 
 class TestDumpPayload:
     def test_round_trip(self, tmp_path):
-        out = tmp_path / "BENCH_core.json"
-        schema.dump_payload(core_payload(), "core", out)
-        assert json.loads(out.read_text()) == core_payload()
+        out = tmp_path / "BENCH_serve.json"
+        schema.dump_payload(serve_payload(), "serve", out)
+        assert json.loads(out.read_text()) == serve_payload()
 
     def test_invalid_payload_never_written(self, tmp_path):
-        out = tmp_path / "BENCH_core.json"
+        out = tmp_path / "BENCH_serve.json"
         with pytest.raises(schema.BenchSchemaError):
-            schema.dump_payload(core_payload(suite="bad"), "core", out)
+            schema.dump_payload(serve_payload(suite="bad"), "serve", out)
         assert not out.exists()
-
-
-class TestRegressionGate:
-    def test_identical_run_passes(self):
-        assert compare_to_baseline(core_payload(), core_payload()) == []
-
-    def test_slowdown_within_threshold_passes(self):
-        cur = core_payload()
-        cur["benches"]["des_event_loop"]["median_s"] = 0.039  # 1.95x
-        assert compare_to_baseline(cur, core_payload()) == []
-
-    def test_slowdown_beyond_threshold_fails(self):
-        cur = core_payload()
-        cur["benches"]["des_event_loop"]["median_s"] = 0.05  # 2.5x
-        failures = compare_to_baseline(cur, core_payload())
-        assert len(failures) == 1
-        assert "des_event_loop" in failures[0]
-
-    def test_custom_threshold(self):
-        cur = core_payload()
-        cur["benches"]["des_event_loop"]["median_s"] = 0.05
-        assert compare_to_baseline(cur, core_payload(), threshold=3.0) == []
-        assert compare_to_baseline(cur, core_payload(), threshold=1.5)
-
-    def test_ops_mismatch_fails(self):
-        cur = core_payload()
-        cur["benches"]["des_event_loop"]["ops"] = 10_000
-        failures = compare_to_baseline(cur, core_payload())
-        assert any("ops" in f for f in failures)
-
-    def test_missing_bench_fails(self):
-        cur = core_payload()
-        del cur["benches"]["des_event_loop"]
-        failures = compare_to_baseline(cur, core_payload())
-        assert any("des_event_loop" in f for f in failures)
-
-    def test_new_bench_in_current_run_is_fine(self):
-        cur = core_payload()
-        cur["benches"]["new_bench"] = {"median_s": 1.0, "repeats": 3}
-        assert compare_to_baseline(cur, core_payload()) == []
-
-    def test_speedup_improvement_passes(self):
-        cur = core_payload()
-        cur["benches"]["des_event_loop"]["median_s"] = 0.001
-        assert compare_to_baseline(cur, core_payload()) == []
-
-    def test_default_threshold_is_two(self):
-        assert DEFAULT_THRESHOLD == 2.0
 
 
 class TestCommittedBaseline:
@@ -321,8 +205,6 @@ class TestCommittedBaseline:
         import pathlib
 
         root = pathlib.Path(__file__).resolve().parent.parent
-        core = root / "BENCH_core.json"
-        schema.validate_core_payload(json.loads(core.read_text()))
         par = root / "BENCH_parallel.json"
         if par.exists():
             schema.validate_parallel_payload(json.loads(par.read_text()))
@@ -344,27 +226,3 @@ class TestCommittedBaseline:
         assert report.conflicts == doc["conflicts"]
         assert report.regime_switches == doc["regime_switches"]
         assert report.grid_builds == doc["grid_builds"]
-
-    def test_committed_baseline_records_vectorization_win(self):
-        """The acceptance evidence: at least one grid-shaped bench in
-        the committed baseline shows >= 3x over the scalar path."""
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        doc = json.loads((root / "BENCH_core.json").read_text())
-        speedups = [
-            e["speedup"] for e in doc["benches"].values() if "speedup" in e
-        ]
-        assert speedups and max(speedups) >= 3.0
-
-    def test_committed_baseline_records_mc_engine_win(self):
-        """PR acceptance evidence: the batched Monte-Carlo engine
-        benches are in the committed baseline at >= 10x over the scalar
-        reference."""
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        doc = json.loads((root / "BENCH_core.json").read_text())
-        for name in ("mc_cor2_trials", "mc_ablation_grid"):
-            assert name in doc["benches"], name
-            assert doc["benches"][name]["speedup"] >= 10.0, name

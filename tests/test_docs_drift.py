@@ -1,15 +1,12 @@
-"""Docs drift: the figures README.md and docs/PERFORMANCE.md quote from
-``BENCH_core.json`` and ``BENCH_serve.json`` must be the artifacts'
-numbers.
+"""Docs drift: the figures docs/PERFORMANCE.md quotes from
+``BENCH_serve.json`` must be the artifact's numbers.
 
-Each quote is located by the words around it.  A ``BENCH_core.json``
-speedup must equal the bench's recorded ``speedup`` rounded to one
-decimal, or the recorded value itself.  A
-``BENCH_serve.json`` quote must equal the field as the artifact writes
-it (the digest may be quoted by a prefix).  Regenerating an artifact
-without updating the docs, or editing a figure by hand, fails here.
-Only current quotes are listed: an earlier figure the docs keep as
-history sits in other words and matches none of the contexts.
+Each quote is located by the words around it and must equal the field
+as the artifact writes it (the digest may be quoted by a prefix).
+Regenerating the artifact without updating the docs, or editing a
+figure by hand, fails here.  Only current quotes are listed: an earlier
+figure the docs keep as history sits in other words and matches none
+of the contexts.
 """
 
 from __future__ import annotations
@@ -21,22 +18,6 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-
-#: (document, bench, the words around the quote; ``{x}`` marks the figure)
-QUOTES = [
-    ("README.md", "fig2_expectation_row",
-     "the fig2 expectation row **{x}x** faster as one curve"),
-    ("README.md", "mc_cor2_trials", "the Corollary 2 trial batch **{x}x**"),
-    ("README.md", "mc_ablation_grid", "the backoff-ablation grid **{x}x**"),
-    ("docs/PERFORMANCE.md", "fig2_expectation_row",
-     "| fig2 expectation row (64 `D` points, uniform RW quadrature) "
-     "| 11.61 ms | 0.26 ms | **{x}x** |"),
-    ("docs/PERFORMANCE.md", "mc_cor2_trials",
-     "doubling program) **{x}x** faster batched"),
-    ("docs/PERFORMANCE.md", "mc_ablation_grid",
-     "800 trials each) **{x}x** (1086 ms vs 48 ms)"),
-]
-
 
 #: (document, ``BENCH_serve.json`` field, the words around the quote)
 SERVE_QUOTES = [
@@ -58,39 +39,11 @@ SERVE_FIGURES = {
 }
 
 
-def speedups() -> dict[str, float]:
-    benches = json.loads((ROOT / "BENCH_core.json").read_text())["benches"]
-    return {name: b["speedup"] for name, b in benches.items()
-            if "speedup" in b}
-
-
-def quote_pattern(context: str, figure: str = r"([0-9]+\.[0-9]+)"
-                  ) -> re.Pattern:
+def quote_pattern(context: str, figure: str) -> re.Pattern:
     """``context`` as a regex: its words, any whitespace between them
     (the docs wrap lines), and ``figure`` as the capture group."""
     words = [re.escape(w).replace(r"\{x\}", figure) for w in context.split()]
     return re.compile(r"\s+".join(words))
-
-
-@pytest.mark.parametrize(
-    "doc,bench,context", QUOTES,
-    ids=[f"{doc}:{bench}" for doc, bench, _ in QUOTES],
-)
-def test_quoted_speedup_matches_artifact(doc, bench, context):
-    text = (ROOT / doc).read_text(encoding="utf-8")
-    found = quote_pattern(context).findall(text)
-    assert found, f"{doc}: no quote of {bench} ({context!r})"
-    recorded = speedups()[bench]
-    for figure in found:
-        assert figure in (f"{recorded:.1f}", repr(recorded)), (
-            f"{doc} quotes {bench} at {figure}x; BENCH_core.json records "
-            f"{recorded} ({recorded:.1f}x)"
-        )
-
-
-def test_every_recorded_speedup_is_checked():
-    """A bench that gains a ``speedup`` must be quoted and listed here."""
-    assert {bench for _, bench, _ in QUOTES} == set(speedups())
 
 
 @pytest.mark.parametrize(

@@ -184,8 +184,8 @@ class TestModuleNames:
         )
 
     def test_loose_script_uses_stem(self):
-        assert module_names(["benchmarks/bench_suite.py"]) == {
-            "benchmarks/bench_suite.py": "bench_suite"
+        assert module_names(["benchmarks/bench_parallel.py"]) == {
+            "benchmarks/bench_parallel.py": "bench_parallel"
         }
 
 

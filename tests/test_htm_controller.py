@@ -363,6 +363,34 @@ class TestEvictionPaths:
         assert mem.cache.transactional_lines() == [3, 4]
         assert mem.tx_active
 
+    def test_grant_aborts_when_shrunk_ways_are_all_transactional(self):
+        # one set, three ways: line 1 (non-tx), then 2 and 3 (tx)
+        machine = make_machine(l1_sets=1, l1_assoc=3)
+        mem = machine.mems[0]
+        out = Collector()
+        reasons = Collector()
+        lw = machine.params.line_words
+        mem.access(1 * lw, write=False, tx=False, done=out)
+        complete(machine)
+        mem.begin_tx(reasons)
+        mem.access(2 * lw, write=False, tx=True, done=out)
+        complete(machine)
+        mem.access(3 * lw, write=False, tx=True, done=out)
+        complete(machine)
+        # the miss on line 4 evicts the non-tx line 1 under
+        # reserved_ways = 0
+        assert mem.access(4 * lw, write=False, tx=True, done=out)
+        assert mem.cache.lookup(1) is None
+        # a way is reserved before the grant: both ways left hold tx
+        # lines, so making room is a capacity abort, as in access
+        mem.cache.reserved_ways = 1
+        complete(machine)
+        assert reasons.results == [AbortReason.CAPACITY]
+        assert mem.stats.abort_reasons.get("capacity") == 1
+        assert not mem.tx_active
+        assert sorted(mem.cache.resident_lines()) == [4]
+        assert mem.cache.transactional_lines() == []
+
 
 class TestNackBackstop:
     def test_ra_receiver_gets_backstop_timer(self):

@@ -87,7 +87,7 @@ class TestLintCli:
         # the worker's send boundary, and the chaos harness's damage to
         # a cache entry (a site pragma on the write)
         assert (
-            "repro/parallel/supervisor.py:297: ERR002 -- unpicklable "
+            "repro/parallel/supervisor.py:300: ERR002 -- unpicklable "
             "payload or vanished parent" in out
         )
         assert (
