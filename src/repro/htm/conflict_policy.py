@@ -38,6 +38,7 @@ import numpy as np
 from repro.core.estimators import EstimateSnapshot, OnlineEstimator
 from repro.core.hybrid import preferred_kind
 from repro.core.ratios import rw_mean_regime_threshold
+from repro.core.requestor_aborts import optimal_requestor_aborts
 from repro.core.requestor_wins import optimal_requestor_wins
 from repro.errors import InvalidParameterError
 from repro.htm.params import MachineParams
@@ -270,8 +271,6 @@ class RequestorAbortsDelay(CyclePolicy):
         self._cache: dict[tuple[int, int], object] = {}
 
     def decide(self, ctx: ConflictContext, rng: np.random.Generator) -> int:
-        from repro.core.requestor_aborts import optimal_requestor_aborts
-
         B = _bucket(max(ctx.abort_cost, 1))
         key = (B, ctx.chain_k)
         policy = self._cache.get(key)

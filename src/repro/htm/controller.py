@@ -150,10 +150,11 @@ class CoreMemSystem:
         whose line still needs exclusive ownership (None when the write
         set is fully owned and :meth:`finalize_commit` may run).
 
-        The core acquires these one at a time with ``AcquireX``; each
-        acquisition probes readers/writers elsewhere, which is exactly
-        where requestor-wins conflicts — and the grace-period decision
-        on the other side — happen in the paper's implementation.
+        The core acquires these one at a time, each with an exclusive
+        ``access(..., acquire=True)``; each acquisition probes
+        readers/writers elsewhere, which is exactly where requestor-wins
+        conflicts — and the grace-period decision on the other side —
+        happen in the paper's implementation.
         """
         if not self.tx_active:
             raise ProtocolError(f"core {self.core_id}: commit without tx")

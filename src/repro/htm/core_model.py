@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.htm.controller import AbortReason
-from repro.htm.isa import CAS, AbortTx, AcquireX, Compute, Fence, Read, Write
+from repro.htm.isa import CAS, AbortTx, Compute, Fence, Read, Write
 from repro.workloads.base import OpContext
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,7 +34,7 @@ __all__ = ["Core"]
 
 #: The instruction classes, in the order an instance of a derived class
 #: is matched against them.
-_ISA = (Compute, Read, Write, CAS, AcquireX, AbortTx, Fence)
+_ISA = (Compute, Read, Write, CAS, AbortTx, Fence)
 _ISA_KINDS = frozenset(_ISA)
 # an Enum class attribute load is never specialized; read it once
 _EXPLICIT = AbortReason.EXPLICIT
@@ -66,7 +66,6 @@ class Core:
         self._gen = None
         self._attempt = 0
         self._in_htm = False
-        self._phase = "body"  # "body" -> "commit" (lazy write-set acquire)
         self._body_result: object = None
         self._token = 0
         self._outstanding = False  # a memory access is in flight
@@ -76,6 +75,7 @@ class Core:
         # the event handlers scheduled per instruction, bound once
         self._advance_cb = self._advance
         self._mem_done_cb = self._mem_done
+        self._acquired_cb = self._acquired
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -104,7 +104,6 @@ class Core:
             self._attempt >= self.params.max_retries
             and self._op.has_fallback()
         )
-        self._phase = "body"
         self._body_result = None
         if use_fallback:
             self._in_htm = False
@@ -132,7 +131,7 @@ class Core:
         kind = type(instr)
         if kind not in _ISA_KINDS:
             kind = self._isa_kind(instr)
-        write = acquire = False
+        write = False
         store = cas = None
         if kind is Read:
             addr = instr.addr
@@ -142,12 +141,6 @@ class Core:
             return
         elif kind is Write:
             addr, write, store = instr.addr, True, instr.value
-        elif kind is AcquireX:
-            if not self._in_htm or self._phase != "commit":
-                raise SimulationError(
-                    f"core {self.core_id}: AcquireX outside commit phase"
-                )
-            addr, acquire = instr.addr, True
         elif kind is CAS:
             if self._in_htm:
                 raise SimulationError(
@@ -173,14 +166,12 @@ class Core:
         self._outstanding = True
         self._issue_token = token
         if not self.mem.access(
-            addr, write, self._in_htm, self._mem_done_cb, store, cas, acquire
+            addr, write, self._in_htm, self._mem_done_cb, store, cas
         ):
             # the access died with its transaction before reaching the
             # directory; release the slot and run any deferred retry
             self._outstanding = False
-            if self._retry_pending:
-                self._retry_pending = False
-                self._schedule_retry()
+            self._retry_if_deferred()
 
     def _isa_kind(self, instr: object) -> type:
         """The ISA class ``instr`` is an instance of (first match in
@@ -201,9 +192,8 @@ class Core:
         token = self._issue_token
         if token == self._token:
             self._advance(token, value)
-        elif self._retry_pending:
-            self._retry_pending = False
-            self._schedule_retry()
+        else:
+            self._retry_if_deferred()
 
     # ------------------------------------------------------------------
     def _complete(self, token: int, result: object) -> None:
@@ -213,24 +203,38 @@ class Core:
             self.stats.fallback_ops += 1
             self._op_done(result)
             return
-        if self._phase == "body":
-            # lazy validation: acquire the write set exclusively before
-            # the commit can apply (this is the paper's "commit phase")
-            self._body_result = result
-            self._phase = "commit"
-            self._gen = self._commit_gen()
-            self._advance(token, None)
-            return
-        # commit phase finished: every write-set line is owned
-        self.mem.finalize_commit(self._committed)
+        # lazy validation: acquire the write set exclusively before the
+        # commit can apply (this is the paper's "commit phase")
+        self._body_result = result
+        self._acquire_next(token)
 
-    def _commit_gen(self):
-        """Yield one AcquireX per write-set line still lacking M."""
-        while True:
-            addr = self.mem.next_commit_addr()
-            if addr is None:
-                return
-            yield AcquireX(addr)
+    def _acquire_next(self, token: int) -> None:
+        """Commit phase: issue an exclusive access for the next
+        write-set line still lacking M, or finalize the commit once the
+        whole write set is owned."""
+        mem = self.mem
+        addr = mem.next_commit_addr()
+        if addr is None:
+            mem.finalize_commit(self._committed)
+            return
+        # one access in flight per core, as for a body access (_advance)
+        self._outstanding = True
+        self._issue_token = token
+        if not mem.access(
+            addr, False, True, self._acquired_cb, None, None, True
+        ):
+            self._outstanding = False
+            self._retry_if_deferred()
+
+    def _acquired(self, value: object) -> None:
+        """Completion of a commit-phase acquisition: the slot drains as
+        in :meth:`_mem_done`, then the next line is acquired."""
+        self._outstanding = False
+        token = self._issue_token
+        if token == self._token:
+            self._acquire_next(token)
+        else:
+            self._retry_if_deferred()
 
     def _committed(self) -> None:
         # finalize_commit cannot fail: the write set is fully owned and
@@ -262,6 +266,13 @@ class Core:
             self._retry_pending = True
             return
         self._schedule_retry()
+
+    def _retry_if_deferred(self) -> None:
+        """The slot drained without resuming a live attempt: run the
+        retry that :meth:`_on_abort` deferred until now, if any."""
+        if self._retry_pending:
+            self._retry_pending = False
+            self._schedule_retry()
 
     def _schedule_retry(self) -> None:
         delay = self.params.abort_cycles + self._backoff_cycles()

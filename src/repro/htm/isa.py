@@ -10,7 +10,10 @@ letting data-dependent access patterns (pointer chasing in the stack
 and queue) be expressed naturally.
 
 The transaction boundary is *not* an instruction: the core brackets the
-whole body generator, so aborts can restart it from scratch.
+whole body generator, so aborts can restart it from scratch.  Nor is
+the commit phase: once the body completes, the core itself issues one
+exclusive access per write-set line still lacking M (lazy validation),
+so no workload can name an acquisition.
 
 The records are slotted rather than frozen: a workload builds most of
 them per instruction, and a frozen dataclass pays
@@ -109,13 +112,3 @@ class AbortTx:
     lock-elision discipline (running a transaction concurrently with a
     fallback lock holder would break atomicity).
     """
-
-
-@dataclass(slots=True)
-class AcquireX:
-    """Internal commit-phase instruction: acquire exclusive ownership of
-    the line containing ``addr`` (lazy validation acquires the write set
-    at commit).  Emitted by the core's commit sequence, not by
-    workloads."""
-
-    addr: int

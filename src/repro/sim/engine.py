@@ -26,6 +26,11 @@ Design notes
   that list for :meth:`Simulator.at` / :meth:`Simulator.after` and
   :meth:`Simulator.run` holds it across handler calls, and a handler may
   cancel enough events to compact mid-run.
+* **One pop per event.**  :meth:`Simulator.run` pops the earliest entry
+  before it looks at it: a cancelled entry is dropped, a live one
+  fires, and one at or past ``until`` goes back on the heap unfired.
+  Its ``(time, seq)`` key is unique, so pushing it back changes no
+  later pop.
 * **No co-routines.**  Handlers are plain callables; components keep
   explicit state machines.  This is intentional: the HTM controllers
   are specified as state machines (MSI tables), and explicit states are
@@ -273,21 +278,21 @@ class Simulator:
                     break
                 if max_events is not None and fired >= max_events:
                     break
-                # peek: drop dead entries off the top; stop once drained
+                # pop once: drop cancelled entries; stop once drained
                 while heap:
-                    entry = heap[0]
-                    handler = entry[2]
+                    entry = heappop(heap)
+                    when, _, handler, args, label = entry
                     if handler is not None:
                         break
-                    heappop(heap)
                     queue._dead -= 1
                 else:
                     break
-                when = entry[0]
                 if when >= until:
-                    self.now = max(now, min(until, when))
+                    # not fired: back on the heap, where its unique
+                    # (time, seq) key puts it first again
+                    _heappush(heap, entry)
+                    self.now = max(now, until)
                     break
-                heappop(heap)
                 if when < now:
                     raise SimulationError(
                         f"event queue produced a past event: {when} < {now}"
@@ -298,11 +303,10 @@ class Simulator:
                 entry[2] = None
                 if profiler is not None:
                     profiler.record_fire(
-                        entry[4] or "<unlabeled>",
-                        _Firing(handler, entry[3]).fire,
+                        label or "<unlabeled>", _Firing(handler, args).fire
                     )
                 else:
-                    handler(*entry[3])
+                    handler(*args)
         finally:
             self._running = False
             self.events_fired += fired

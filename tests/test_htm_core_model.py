@@ -1,9 +1,10 @@
-"""The core model's instruction checks: illegal yields raise.
+"""The core model: instruction checks and the commit phase.
 
-Each case runs a one-core machine whose single operation yields a
-scripted instruction sequence on its transactional body and on its
-fallback path; the core must reject the illegal instruction with a
-:class:`SimulationError` rather than carry on.
+Each case runs a one-core machine whose operations yield a scripted
+instruction sequence on their transactional body and on their fallback
+path.  The core must reject an illegal instruction with a
+:class:`SimulationError` rather than carry on, and must commit a body
+by acquiring exactly the write-set lines it does not own yet.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import pytest
 
 from repro.errors import InvalidParameterError, SimulationError
 from repro.htm import Machine, MachineParams, NoDelay
-from repro.htm.isa import CAS, AbortTx, AcquireX, Compute, Read, Write
+from repro.htm.controller import AbortReason
+from repro.htm.isa import CAS, AbortTx, Compute, Read, Write
 from repro.workloads.base import Operation, Workload
 
 
@@ -59,14 +61,33 @@ class ScriptedWorkload(Workload):
         return 1
 
 
-def run_script(body, fallback=None, *, max_retries: int = 8):
+def load_script(body, fallback=None, *, max_retries: int = 8, ops: int = 1):
     machine = Machine(
         MachineParams(n_cores=1, max_retries=max_retries), lambda i: NoDelay()
     )
-    workload = ScriptedWorkload(body, fallback)
-    machine.load(workload, seed=1)
+    machine.load(ScriptedWorkload(body, fallback, ops), seed=1)
+    return machine
+
+
+def run_script(body, fallback=None, *, max_retries: int = 8):
+    machine = load_script(body, fallback, max_retries=max_retries)
     machine.run(10_000.0)
     return machine
+
+
+def record_accesses(machine) -> list[tuple[int, bool, bool]]:
+    """Wrap core 0's memory accesses; the returned list fills with
+    ``(addr, write, acquire)`` per access the core issues."""
+    mem = machine.mems[0]
+    real_access = mem.access
+    log = []
+
+    def access(addr, write, tx, done, value=None, cas=None, acquire=False):
+        log.append((addr, write, acquire))
+        return real_access(addr, write, tx, done, value, cas, acquire)
+
+    mem.access = access
+    return log
 
 
 def test_legal_script_runs_on_both_paths():
@@ -104,9 +125,84 @@ def test_abort_on_fallback_path_rejected():
         run_script([AbortTx()], [Read(8), AbortTx()], max_retries=1)
 
 
-def test_acquire_from_body_rejected():
-    with pytest.raises(SimulationError, match="AcquireX outside commit phase"):
-        run_script([Write(8, 1), AcquireX(8)])
+def test_commit_acquires_only_lines_not_yet_owned():
+    """The first commit acquires the line its store fetched in S; the
+    second transaction's store hits that M line, so it commits with no
+    acquisition access at all."""
+    machine = load_script([Write(8, 1)], ops=2)
+    log = record_accesses(machine)
+    machine.run(10_000.0)
+    assert machine.stats.total("tx_committed") == 2
+    assert log == [(8, True, False), (8, False, True), (8, True, False)]
+    assert machine.peek(8) == 1
+
+
+def test_read_only_commit_issues_no_access():
+    """A read-only body reaches the commit phase with an empty write
+    set: ``_acquire_next`` finalizes at once."""
+    machine = load_script([Read(8)])
+    log = record_accesses(machine)
+    core = machine.cores[0]
+    real_acquire_next = core._acquire_next
+    commit_steps = []
+
+    def acquire_next(token):
+        commit_steps.append(token)
+        real_acquire_next(token)
+
+    core._acquire_next = acquire_next
+    machine.run(10_000.0)
+    assert machine.stats.total("tx_committed") == 1
+    assert machine.stats.total("ops_completed") == 1
+    assert commit_steps == [core._token]
+    assert log == [(8, False, False)]
+
+
+def test_abort_during_acquisition_defers_retry_until_it_drains():
+    """An abort that lands while a commit-phase acquisition is in flight
+    must not retry yet (that would give the core two outstanding
+    requests).  The stale ``_acquired`` drains the slot and schedules
+    the retry, and the retried transaction commits."""
+    machine = load_script([Write(8, 1)])
+    core, mem, sim = machine.cores[0], machine.mems[0], machine.sim
+    real_access = mem.access
+    events = []
+
+    def access(addr, write, tx, done, value=None, cas=None, acquire=False):
+        issued = real_access(addr, write, tx, done, value, cas, acquire)
+        if acquire and not events:
+            sim.after(1, abort)
+        return issued
+
+    def abort():
+        mem.abort_tx(AbortReason.SPURIOUS)
+        events.append(("abort", sim.now, core._outstanding,
+                       core._retry_pending))
+
+    real_acquired = core._acquired_cb
+
+    def acquired(value):
+        events.append(("acquired", sim.now))
+        real_acquired(value)
+
+    real_schedule_retry = core._schedule_retry
+
+    def schedule_retry():
+        events.append(("retry", sim.now, core._outstanding))
+        real_schedule_retry()
+
+    mem.access = access
+    core._acquired_cb = acquired
+    core._schedule_retry = schedule_retry
+    machine.run(10_000.0)
+    assert [event[0] for event in events] == ["abort", "acquired", "retry"]
+    (_, abort_t, outstanding, deferred), (_, drained_t), retry = events
+    assert outstanding and deferred
+    assert drained_t > abort_t
+    assert retry == ("retry", drained_t, False)
+    assert machine.stats.total("tx_aborted") == 1
+    assert machine.stats.total("tx_committed") == 1
+    assert machine.peek(8) == 1
 
 
 @pytest.mark.parametrize(

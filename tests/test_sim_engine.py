@@ -266,6 +266,68 @@ class TestSimulator:
         sim.run()  # resume
         assert fired == [1]
 
+    def test_event_at_until_goes_back_on_the_heap(self):
+        """The run loop pops an event at exactly ``until`` and puts it
+        back unfired: its handle still cancels it, and otherwise it
+        fires first in the next run, ahead of a later-scheduled event at
+        the same time."""
+        sim = Simulator()
+        fired = []
+        sim.at(10.0, fired.append, "a")
+        sim.at(12.0, fired.append, "c")
+        sim.run(until=10.0)
+        assert fired == [] and sim.now == 10.0
+        assert len(sim.queue) == 2 and sim.queue.heap_size() == 2
+        sim.at(10.0, fired.append, "b")
+        sim.run()
+        assert fired == ["a", "b", "c"]
+
+        sim = Simulator()
+        fired = []
+        handle = sim.at(10.0, fired.append, "a")
+        sim.at(12.0, fired.append, "c")
+        sim.run(until=10.0)
+        sim.cancel(handle)
+        assert len(sim.queue) == 1
+        sim.run()
+        assert fired == ["c"] and sim.events_fired == 1
+
+    def test_cancelled_entries_popped_keep_counts(self):
+        """Cancelled entries the run loop pops leave ``len`` (live
+        events) and ``heap_size`` (physical entries) consistent."""
+        sim = Simulator()
+        fired = []
+        handles = [sim.at(float(t), fired.append, t) for t in range(10)]
+        for t in (1, 3, 4, 8):
+            sim.cancel(handles[t])
+        assert len(sim.queue) == 6 and sim.queue.heap_size() == 10
+        sim.run(until=6.0)  # fires 0, 2, 5; pops the dead 1, 3, 4
+        assert fired == [0, 2, 5]
+        assert len(sim.queue) == 3  # 6, 7 and 9
+        assert sim.queue.heap_size() == 4  # and the dead 8
+        sim.run()
+        assert fired == [0, 2, 5, 6, 7, 9]
+        assert len(sim.queue) == 0 and sim.queue.heap_size() == 0
+        assert not sim.queue
+
+    def test_raising_handler_still_counts(self):
+        """A handler that raises has fired: the call's count, its own
+        event included, reaches ``events_fired``, and the simulator can
+        run again."""
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.at(1.0, lambda: None)
+        sim.at(2.0, boom)
+        sim.at(3.0, lambda: None)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run(until=10.0)
+        assert sim.events_fired == 2 and sim.now == 2.0
+        sim.run()
+        assert sim.events_fired == 3 and sim.now == 3.0
+
     def test_until_advances_clock(self):
         sim = Simulator()
         sim.at(100.0, lambda: None)

@@ -6,6 +6,7 @@ output."""
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 
@@ -85,12 +86,12 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert "0 findings" in out and "2 suppressed" in out
         # the worker's send boundary, and the chaos harness's damage to
-        # a cache entry (a site pragma on the write)
-        assert (
-            "repro/parallel/supervisor.py:300: ERR002 -- unpicklable "
-            "payload or vanished parent" in out
+        # a cache entry (a site pragma on the write), at any line
+        assert re.search(
+            r"repro/parallel/supervisor\.py:\d+: ERR002 -- unpicklable "
+            r"payload or vanished parent", out
         )
-        assert (
-            "repro/faults/chaos.py:130: FLOW005 -- chaos-harness artifact "
-            "damage" in out
+        assert re.search(
+            r"repro/faults/chaos\.py:\d+: FLOW005 -- chaos-harness artifact "
+            r"damage", out
         )
